@@ -13,12 +13,22 @@ MAL is computed exactly, as the minimum mean cycle of the collision-state
 graph.  States are collision vectors reachable from the initial vector under
 the shifted-OR transition; any latency of at least L returns to the initial
 state, so latencies beyond L never need explicit states.
+
+The MAL is found in two steps, in integer arithmetic.  First the lower bound
+(the most marks in one reservation-table row, after Shar and Kogge) is
+tried: if the graph has a cycle whose edges are tight under shortest-path
+potentials for weights (latency - bound), the bound is the MAL.  Otherwise
+Howard policy iteration, which Dasdan and Gupta (IEEE TCAD 1998) found the
+fastest minimum-mean-cycle method in practice, finds the MAL p/q, and the
+cycle is read off the tight subgraph for weights (latency*q - p).  Either way
+the cycle is the first one a depth-first search meets in that subgraph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Mapping
 
 from .dsl import ExprLike, Route, StageId, StageSet, flatten
@@ -179,6 +189,15 @@ class IssueCycle:
         return f"({body})"
 
 
+def _initial_state(vector: CollisionVector) -> int:
+    """The collision vector as an int: bit ``d`` set when latency ``d`` is forbidden."""
+    state = 0
+    for d in range(1, vector.length):
+        if vector.bits[d - 1]:
+            state |= 1 << d
+    return state
+
+
 def _state_graph(vector: CollisionVector):
     """Collision states reachable from the initial vector.
 
@@ -188,10 +207,7 @@ def _state_graph(vector: CollisionVector):
     latencies are never cheaper.
     """
     length = vector.length
-    initial = 0
-    for d in range(1, length):
-        if vector.bits[d - 1]:
-            initial |= 1 << d
+    initial = _initial_state(vector)
     index = {initial: 0}
     states = [initial]
     edges: list[list[tuple[int, int]]] = []
@@ -214,15 +230,14 @@ def _state_graph(vector: CollisionVector):
     return states, edges
 
 
-def greedy_cycle(vector: CollisionVector) -> IssueCycle:
-    """Issue cycle obtained by always taking the smallest permissible latency."""
+def _greedy_walk(vector: CollisionVector):
+    """Endless greedy issue from an empty pipeline.
+
+    Yields (latency, collision state after it): each latency is the smallest
+    one the current state permits, or L when none below L is.
+    """
     length = vector.length
-    initial = 0
-    for d in range(1, length):
-        if vector.bits[d - 1]:
-            initial |= 1 << d
-    seen = {initial: 0}
-    latencies: list[int] = []
+    initial = _initial_state(vector)
     state = initial
     while True:
         for d in range(1, length):
@@ -231,6 +246,14 @@ def greedy_cycle(vector: CollisionVector) -> IssueCycle:
         else:
             d = length
         state = ((state >> d) | initial) if d < length else initial
+        yield d, state
+
+
+def greedy_cycle(vector: CollisionVector) -> IssueCycle:
+    """Issue cycle obtained by always taking the smallest permissible latency."""
+    seen = {_initial_state(vector): 0}
+    latencies: list[int] = []
+    for d, state in _greedy_walk(vector):
         latencies.append(d)
         if state in seen:
             return IssueCycle(tuple(latencies[seen[state] :]))
@@ -240,61 +263,73 @@ def greedy_cycle(vector: CollisionVector) -> IssueCycle:
 def minimal_average_latency(vector: CollisionVector) -> IssueCycle:
     """An issue cycle of minimal average latency (MAL).
 
-    Uses Karp's minimum mean cycle over the reachable collision-state graph,
-    then extracts a concrete cycle from the tight subgraph of the reweighted
-    shortest-path potentials.  Repeating the returned cycle from an empty
-    pipeline is always conflict-free: states reached from the initial vector
-    are subsets of the states reached along the cycle itself, so every
-    latency of the cycle stays permissible.
+    The MAL is the minimum mean cycle of the reachable collision-state
+    graph.  Without a reservation table the only lower bound at hand is 1,
+    so after checking that one, Howard policy iteration finds the MAL in
+    exact arithmetic.  The returned cycle is the first one a depth-first search meets in the tight
+    subgraph of the shortest-path potentials from the initial state under
+    weights (latency - MAL).  Those potentials are unique, so the cycle does
+    not depend on how the MAL was found.  Repeating the returned cycle from
+    an empty pipeline is always conflict-free: states reached from the
+    initial vector are subsets of the states reached along the cycle itself,
+    so every latency of the cycle stays permissible.
     """
-    states, edges = _state_graph(vector)
-    n = len(states)
+    return _minimal_cycle(vector, 1)
 
-    # Karp: d_table[k][v] = min weight of an exactly-k-edge walk 0 -> v.
-    inf = None
-    d_table = [[inf] * n for _ in range(n + 1)]
-    d_table[0][0] = 0
-    for k in range(1, n + 1):
-        prev = d_table[k - 1]
-        cur = d_table[k]
-        for u in range(n):
-            base = prev[u]
-            if base is None:
-                continue
-            for v, w in edges[u]:
-                cand = base + w
-                if cur[v] is None or cand < cur[v]:
-                    cur[v] = cand
-    mal: Fraction | None = None
-    last = d_table[n]
-    for v in range(n):
-        if last[v] is None:
-            continue
-        best_for_v: Fraction | None = None
-        for k in range(n):
-            dk = d_table[k][v]
-            if dk is None:
-                continue
-            ratio = Fraction(last[v] - dk, n - k)
-            if best_for_v is None or ratio > best_for_v:
-                best_for_v = ratio
-        if best_for_v is not None and (mal is None or best_for_v < mal):
-            mal = best_for_v
-    assert mal is not None, "the restart latency always closes a cycle"
 
-    # Bellman-Ford potentials for weights (w - mal); the minimum mean is mal,
-    # so there is no negative cycle and a zero-total cycle exists.  Edges with
-    # pot[u] + (w - mal) == pot[v] form the tight subgraph; every cycle inside
-    # it telescopes to total zero, i.e. has average exactly mal.
-    pot: list[Fraction | None] = [None] * n
-    pot[0] = Fraction(0)
+def _minimal_cycle(vector: CollisionVector, lower_bound: int) -> IssueCycle:
+    """MAL cycle; ``lower_bound`` must not exceed any cycle mean.  Howard
+    runs only when no cycle attains the bound."""
+    _, edges = _state_graph(vector)
+    cheapest = _cheapest_edges(edges)
+    mal = Fraction(lower_bound)
+    cycle = _tight_cycle(edges, cheapest, mal)
+    if cycle is None:
+        mal = _howard_mal(cheapest)
+        cycle = _tight_cycle(edges, cheapest, mal)
+    assert cycle is not None, "tight subgraph always contains a cycle"
+    result = IssueCycle(tuple(w for _, w in cycle))
+    assert result.average == mal
+    return result
+
+
+def _cheapest_edges(edges: list[list[tuple[int, int]]]) -> list[list[tuple[int, int]]]:
+    """Per state, the cheapest edge to each destination, in first-seen order.
+
+    Edge lists are in ascending latency, so the first edge to a destination
+    is its cheapest; many large latencies all lead back to the initial state.
+    """
+    cheapest = []
+    for out in edges:
+        first: dict[int, int] = {}
+        for v, w in out:
+            first.setdefault(v, w)
+        cheapest.append(list(first.items()))
+    return cheapest
+
+
+def _tight_cycle(edges, cheapest, mean: Fraction):
+    """A cycle of average ``mean`` from the tight subgraph, or None.
+
+    ``mean`` must not exceed the MAL.  Shortest-path potentials from state 0
+    under the integer weights (w*q - p), with mean = p/q, then exist, and an
+    edge is tight when it attains its head's potential.  Any cycle of tight
+    edges telescopes to total zero, i.e. averages exactly ``mean``; one
+    exists exactly when ``mean`` is the MAL.
+    """
+    p, q = mean.numerator, mean.denominator
+    n = len(edges)
+    weighted = [[(v, w * q - p) for v, w in out] for out in cheapest]
+    pot: list[int | None] = [None] * n
+    pot[0] = 0
     for _ in range(n - 1):
         changed = False
         for u in range(n):
-            if pot[u] is None:
+            base = pot[u]
+            if base is None:
                 continue
-            for v, w in edges[u]:
-                cand = pot[u] + w - mal
+            for v, w in weighted[u]:
+                cand = base + w
                 if pot[v] is None or cand < pot[v]:
                     pot[v] = cand
                     changed = True
@@ -303,17 +338,80 @@ def minimal_average_latency(vector: CollisionVector) -> IssueCycle:
 
     tight: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for u in range(n):
-        if pot[u] is None:
-            continue
         for v, w in edges[u]:
-            if pot[v] is not None and pot[u] + w - mal == pot[v]:
+            if pot[u] + w * q - p == pot[v]:
                 tight[u].append((v, w))
+    return _find_cycle(tight, n)
 
-    cycle = _find_cycle(tight, n)
-    assert cycle is not None, "tight subgraph always contains a cycle"
-    result = IssueCycle(tuple(w for _, w in cycle))
-    assert result.average == mal
-    return result
+
+def _howard_mal(cheapest: list[list[tuple[int, int]]]) -> Fraction:
+    """Minimum cycle mean by Howard policy iteration (Cochet-Terrasson et al.).
+
+    A policy picks one out-edge per state.  Each state's value is the mean
+    ``p/q`` (in lowest terms) of the policy cycle it runs into, and its
+    potential, scaled by ``q`` to stay integral, is its distance to that
+    cycle's smallest state under weights (w*q - p).  The policy then moves a
+    state to a successor of smaller mean or, failing any such move, to one of
+    equal mean and smaller potential.  Every move strictly improves the
+    policy, so the loop ends; at the end every state's mean is the MAL, as
+    every state reaches every other.
+    """
+    n = len(cheapest)
+    policy = [out[0] for out in cheapest]
+    while True:
+        num = [0] * n
+        den = [0] * n
+        pot = [0] * n
+        visit = [-1] * n
+        for start in range(n):
+            if den[start]:
+                continue
+            path = []
+            u = start
+            while not den[u] and visit[u] != start:
+                visit[u] = start
+                path.append(u)
+                u = policy[u][0]
+            if not den[u]:
+                # u closes a new policy cycle: path[path.index(u):].
+                at = path.index(u)
+                cycle = path[at:]
+                del path[at:]
+                total = sum(policy[c][1] for c in cycle)
+                g = gcd(total, len(cycle))
+                p, q = total // g, len(cycle) // g
+                root = cycle.index(min(cycle))
+                cycle = cycle[root:] + cycle[:root]
+                num[cycle[0]], den[cycle[0]] = p, q
+                path.extend(cycle[1:])
+            for c in reversed(path):
+                v, w = policy[c]
+                p, q = num[v], den[v]
+                num[c], den[c] = p, q
+                pot[c] = pot[v] + w * q - p
+
+        improved = False
+        for u in range(n):
+            best_p, best_q = num[u], den[u]
+            for edge in cheapest[u]:
+                v = edge[0]
+                if num[v] * best_q < best_p * den[v]:
+                    best_p, best_q = num[v], den[v]
+                    policy[u] = edge
+                    improved = True
+        if improved:
+            continue
+        for u in range(n):
+            p, q = num[u], den[u]
+            best = pot[u]
+            for edge in cheapest[u]:
+                v, w = edge
+                if num[v] == p and den[v] == q and pot[v] + w * q - p < best:
+                    best = pot[v] + w * q - p
+                    policy[u] = edge
+                    improved = True
+        if not improved:
+            return Fraction(num[0], den[0])
 
 
 def _find_cycle(adj: list[list[tuple[int, int]]], n: int):
@@ -395,7 +493,7 @@ def analyze(expr: ExprLike | Route, decls: StageSet | None = None) -> AnalysisRe
     forbidden = forbidden_latencies(table)
     vector = collision_vector(forbidden, table.length)
     greedy = greedy_cycle(vector)
-    mal_cycle = minimal_average_latency(vector)
+    mal_cycle = _minimal_cycle(vector, table.max_row_marks())
     if mal_cycle.average < table.max_row_marks():
         raise AnalysisError(
             "internal error: MAL fell below the reservation-table lower bound"

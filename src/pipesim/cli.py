@@ -13,6 +13,7 @@ Reports go to stdout, diagnostics to stderr.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -94,9 +95,12 @@ def _parse_inputs(spec: str) -> list[float]:
     values = []
     for part in text.replace(",", " ").split():
         try:
-            values.append(float(part))
+            value = float(part)
         except ValueError:
             raise PipelineError(f"input value {part!r} is not a number") from None
+        if not math.isfinite(value):
+            raise PipelineError(f"input value {part!r} is not finite")
+        values.append(value)
     if not values:
         raise PipelineError("no input values given")
     return values

@@ -38,6 +38,7 @@ from .engine import (
     WaitUntil,
     Write,
 )
+from .errors import PipelineError
 from .policy import (
     ArbitrationSpec,
     ChannelKind,
@@ -415,15 +416,10 @@ def _router_port_process(rt: _Runtime, router: RouterNode, queue: QueueChannel):
 
 def _issue_process(rt: _Runtime, values: Sequence[float], issue: IssueSpec):
     entry_dests = rt.netlist.entry_router.table.lookup(-1)
-    state = 0
-    initial = 0
-    length = 0
     if issue.kind == "greedy":
-        report = analysis.analyze(rt.route)
-        length = report.vector.length
-        for d in report.forbidden:
-            initial |= 1 << d
-        state = initial
+        table = analysis.reservation_table(rt.route)
+        vector = analysis.collision_vector(analysis.forbidden_latencies(table), table.length)
+        greedy = analysis._greedy_walk(vector)
     target = 0
     for index, value in enumerate(values):
         if issue.kind == "fixed":
@@ -433,13 +429,7 @@ def _issue_process(rt: _Runtime, values: Sequence[float], issue: IssueSpec):
             yield Delay(0)
         elif issue.kind == "greedy":
             if index > 0:
-                for d in range(1, length):
-                    if not state & (1 << d):
-                        break
-                else:
-                    d = length
-                state = ((state >> d) | initial) if d < length else initial
-                target += d
+                target += next(greedy)[0]
             yield WaitUntil(target)
             yield Delay(0)
         txn = rt.new_transaction(value)
@@ -455,11 +445,10 @@ def _issue_process(rt: _Runtime, values: Sequence[float], issue: IssueSpec):
 def _issue_warnings(route: Route, issue: IssueSpec) -> tuple[str, ...]:
     if issue.kind != "fixed":
         return ()
-    report = analysis.analyze(route)
-    forbidden = set(report.forbidden)
+    forbidden = analysis.forbidden_latencies(analysis.reservation_table(route))
     k = issue.interval
     multiple = k
-    while multiple < report.table.length:
+    while multiple < len(route):
         if multiple in forbidden:
             return (
                 f"fixed issue interval {k} collides with forbidden latency "
@@ -482,8 +471,11 @@ def run(
 
     Raises :class:`DeadlockError` when no process can run while transactions
     are still in flight; a reached horizon is not an error and is flagged in
-    the returned stats instead.
+    the returned stats instead.  A negative horizon raises
+    :class:`PipelineError`.
     """
+    if horizon_ns is not None and horizon_ns < 0:
+        raise PipelineError(f"horizon must be a non-negative number of ns, got {horizon_ns}")
     if isinstance(stage_configs, CheckedConfig):
         checked = stage_configs
     else:

@@ -2,15 +2,19 @@
 
 Everything here works from first principles on routes and issue schedules:
 occupancy grids, direct difference checks, exhaustive cycle enumeration.
-None of it goes through the collision-vector machinery it is used to check.
+None of it goes through the collision-vector machinery it is used to check,
+except ``karp_mal_cycle``: the minimum-mean-cycle method pipesim used before,
+kept as the reference for the exact MAL cycle the analysis must return.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from fractions import Fraction
 
 import pipesim as ps
+from pipesim.analysis import _find_cycle, _state_graph
 
 
 def marks_by_scan(route: ps.Route) -> dict[str, list[int]]:
@@ -75,6 +79,72 @@ def brute_force_mal(route: ps.Route) -> float:
                 if best is None or avg < best:
                     best = avg
     return best
+
+
+def karp_mal_cycle(vector: ps.CollisionVector) -> ps.IssueCycle:
+    """MAL cycle by Karp's minimum mean cycle over the collision-state graph.
+
+    Fills Karp's (n+1) x n table of exactly-k-edge walk weights from state 0,
+    then takes Bellman-Ford potentials for weights (w - MAL) in Fractions and
+    returns the first cycle a DFS meets in the tight subgraph.
+    """
+    states, edges = _state_graph(vector)
+    n = len(states)
+
+    d_table = [[None] * n for _ in range(n + 1)]
+    d_table[0][0] = 0
+    for k in range(1, n + 1):
+        prev = d_table[k - 1]
+        cur = d_table[k]
+        for u in range(n):
+            base = prev[u]
+            if base is None:
+                continue
+            for v, w in edges[u]:
+                cand = base + w
+                if cur[v] is None or cand < cur[v]:
+                    cur[v] = cand
+    mal = None
+    last = d_table[n]
+    for v in range(n):
+        if last[v] is None:
+            continue
+        best_for_v = None
+        for k in range(n):
+            dk = d_table[k][v]
+            if dk is None:
+                continue
+            ratio = Fraction(last[v] - dk, n - k)
+            if best_for_v is None or ratio > best_for_v:
+                best_for_v = ratio
+        if best_for_v is not None and (mal is None or best_for_v < mal):
+            mal = best_for_v
+
+    pot = [None] * n
+    pot[0] = Fraction(0)
+    for _ in range(n - 1):
+        changed = False
+        for u in range(n):
+            if pot[u] is None:
+                continue
+            for v, w in edges[u]:
+                cand = pot[u] + w - mal
+                if pot[v] is None or cand < pot[v]:
+                    pot[v] = cand
+                    changed = True
+        if not changed:
+            break
+
+    tight = [[] for _ in range(n)]
+    for u in range(n):
+        if pot[u] is None:
+            continue
+        for v, w in edges[u]:
+            if pot[v] is not None and pot[u] + w - mal == pot[v]:
+                tight[u].append((v, w))
+    cycle = ps.IssueCycle(tuple(w for _, w in _find_cycle(tight, n)))
+    assert cycle.average == mal
+    return cycle
 
 
 def replay_routing_tables(netlist: ps.Netlist) -> ps.Route:

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pipesim as ps
 from oracles import (
@@ -9,10 +11,40 @@ from oracles import (
     cycle_is_permissible,
     forbidden_by_differences,
     forbidden_by_schedule,
+    karp_mal_cycle,
     marks_by_scan,
     random_expr,
     schedule_conflicts,
 )
+
+STAGES = list(ps.declare_stages([f"S{i}" for i in range(14)]))
+
+
+@st.composite
+def routes(draw, max_length=14):
+    """Routes of up to ``max_length`` steps: distinct stages, then drawn
+    steps set to the stage of an earlier step, then up to three stages
+    added to drawn steps to make forks."""
+    length = draw(st.integers(1, max_length))
+    at = st.integers(0, length - 1)
+    steps = [{stage} for stage in STAGES[:length]]
+    for a, b in draw(st.lists(st.tuples(at, at), max_size=length)):
+        steps[max(a, b)] = set(steps[min(a, b)])
+    for i, stage in draw(st.lists(st.tuples(at, st.sampled_from(STAGES[:length])), max_size=3)):
+        steps[i].add(stage)
+    return ps.Route(tuple(frozenset(step) for step in steps))
+
+
+def sparse_route(length: int, changes: int) -> ps.Route:
+    """``length`` distinct single-stage steps; then ``changes`` times a seeded
+    pick of two steps sets the later one to the earlier one's stage."""
+    steps = [f"S{i}" for i in range(length)]
+    rng = random.Random(length)
+    for _ in range(changes):
+        a, b = rng.sample(range(length), 2)
+        steps[max(a, b)] = steps[min(a, b)]
+    decls = ps.declare_stages(sorted(set(steps)))
+    return ps.flatten(ps.parse(" >> ".join(steps), decls))
 
 
 @pytest.fixture
@@ -179,6 +211,38 @@ def test_mal_matches_brute_force_on_small_routes():
             continue
         checked += 1
         assert float(ps.analyze(route).mal) == pytest.approx(brute_force_mal(route))
+
+
+@settings(max_examples=100, deadline=None)
+@given(routes())
+def test_mal_cycle_equals_karp_oracle(route):
+    report = ps.analyze(route)
+    assert report.mal_cycle == karp_mal_cycle(report.vector)
+    assert ps.minimal_average_latency(report.vector) == report.mal_cycle
+    assert cycle_is_permissible(route, report.mal_cycle.latencies)
+
+
+@settings(max_examples=60, deadline=None)
+@given(routes(max_length=5))
+def test_mal_equals_brute_force(route):
+    assert float(ps.analyze(route).mal) == pytest.approx(brute_force_mal(route))
+
+
+def test_mal_of_sparse_route_at_row_bound():
+    report = ps.analyze(sparse_route(22, 3))
+    assert report.table.max_row_marks() == 2
+    assert report.mal == 2
+    assert report.mal_cycle.latencies == (2,)
+
+
+def test_mal_of_sparse_route_above_row_bound():
+    route = sparse_route(26, 3)
+    report = ps.analyze(route)
+    assert report.table.max_row_marks() == 3
+    assert report.mal == Fraction(32, 9)
+    assert report.mal_cycle.latencies == (5, 4, 5, 4, 1, 4, 4, 1, 4)
+    assert ps.minimal_average_latency(report.vector) == report.mal_cycle
+    assert cycle_is_permissible(route, report.mal_cycle.latencies)
 
 
 def test_mal_never_below_row_bound():

@@ -153,6 +153,25 @@ def test_run_bad_inputs_exit_1(write_file, capsys):
     assert "hello" in err
 
 
+@pytest.mark.parametrize(
+    "inputs, bad", [("nan,1e308", "nan"), ("1,inf", "inf"), ("2,-1e400", "-1e400")]
+)
+def test_run_non_finite_inputs_exit_1(write_file, capsys, inputs, bad):
+    path = write_file("quad.pipe", QUAD)
+    code, out, err = invoke(capsys, "run", path, "--inputs", inputs, "--format", "json-like")
+    assert code == 1
+    assert out == ""
+    assert f"input value {bad!r} is not finite" in err
+
+
+def test_run_negative_horizon_exit_1(write_file, capsys):
+    path = write_file("quad.pipe", QUAD)
+    code, out, err = invoke(capsys, "run", path, "--inputs", "1,2", "--horizon", "-5")
+    assert code == 1
+    assert out == ""
+    assert "horizon must be a non-negative number of ns, got -5" in err
+
+
 def test_run_missing_inputs_flag_exits_1(write_file, capsys):
     path = write_file("quad.pipe", QUAD)
     code, _, _ = invoke(capsys, "run", path)
