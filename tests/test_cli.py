@@ -245,3 +245,80 @@ def test_cli_invocations_are_byte_identical(write_file, capsys, tmp_path):
     assert outputs[0] == outputs[1]
     runs = [invoke(capsys, "analyze", looped, "--format", "json-like") for _ in range(2)]
     assert runs[0] == runs[1]
+
+
+# -- diagnostics ----------------------------------------------------------------------
+
+_A = 'stage A { fn = "data"; delay = 1; }\n'
+_AB = _A + 'stage B { fn = "data"; delay = 1; }\n'
+
+# Exact stderr text for malformed definition files; every one exits 1.
+MALFORMED_FILES = [
+    (_AB + "pipeline = ;\n", "line 3, col 12: expected a stage name, got end of input"),
+    (_AB + "pipeline =", "line 3, col 11: missing pipeline expression"),
+    (_AB + "pipeline = A >>   ;\n", "line 3, col 16: expected a stage name, got end of input"),
+    (_AB + "pipeline = A >>\n", "line 4, col 1: missing ';' after pipeline expression"),
+    (_AB + "pipeline = A >> {B};\n", "line 3, col 17: unexpected character '{'"),
+    (_AB + "pipeline = A >> (A);\n",
+     "line 3, col 17: parentheses are not supported in pipeline expressions"),
+    (_AB + "pipeline = (A) >> $;\n", "line 3, col 19: unexpected character '$'"),
+    (_AB + 'pipeline = A >> "x";\n', "line 3, col 17: unexpected character '\"'"),
+    (_AB + "pipeline = A >> >> {;\n", "line 3, col 20: unexpected character '{'"),
+    (_AB + "pipeline = A >> B:2;\n", "line 3, col 18: unexpected character ':'"),
+    (_AB + "pipeline = A >>\n    B >> A*0;\n", "line 4, col 12: repeat count must be >= 1, got 0"),
+    (_AB + "pipeline = A >> B*;\n", "line 3, col 19: expected a repeat count, got end of input"),
+    (_AB + "pipeline = A + A;\n", "line 3, col 14: duplicate stage 'A' in fork"),
+    (_AB + "pipeline = A >> Zed;\n", "line 3, col 17: unknown stage 'Zed'"),
+    (_AB + "pipeline = A B;\n", "line 3, col 14: unexpected token 'B'"),
+    (_AB + "pipeline = A >> B\n", "line 4, col 1: missing ';' after pipeline expression"),
+    (_A + 'stage B { fn = "data +* 2"; delay = 1; }\npipeline = A >> B;\n',
+     "line 2, col 16: in fn of stage 'B': col 7: expected a value, got '*'"),
+    (_AB + 'pipeline = A + B;\njoin = "dataL +* dataR";\n',
+     "line 4, col 8: in join expression: col 8: expected a value, got '*'"),
+    (_AB + 'pipeline = A + B;\njoin = "data + 1";\n',
+     "line 4, col 8: in join expression: col 1: unknown variable 'data'"),
+    (_A + "pipeline = A;\nissue = fixed:x;\n",
+     "line 3, col 15: expected an issue interval, got 'x'"),
+    ('stage A { fn = "data # x"; delay = 1; }\npipeline = A;\n',
+     "line 1, col 16: in fn of stage 'A': col 6: unexpected character '#'"),
+    ('stage A { fn = "data + \\"#\\""; delay = 1; }\npipeline = A;\n',
+     "line 1, col 16: unexpected character '\"'"),
+    (_A.rstrip("\n") + " @\npipeline = A;\n", "line 1, col 37: unexpected character '@'"),
+    # The cases of test_fileformat.test_malformed_files_report_position.
+    ("pipeline = A;", "line 1, col 1: no stage declarations"),
+    (_A, "line 1, col 1: no pipeline expression"),
+    ("stage A { delay = 1; }\npipeline = A;", "line 1, col 7: stage 'A' is missing fn"),
+    ('stage A { fn = "data"; }\npipeline = A;', "line 1, col 7: stage 'A' is missing delay"),
+    ('stage A { fn = "data"; delay = x; }\npipeline = A;',
+     "line 1, col 32: delay must be an integer or 'untimed'"),
+    ('stage A { fn = "data"; delay = 1; speed = 3; }\npipeline = A;',
+     "line 1, col 35: unknown stage setting 'speed'"),
+    (_A + _A + "pipeline = A;", "line 2, col 7: duplicate stage 'A'"),
+    (_A + "pipeline = A;\npipeline = A;", "line 3, col 1: duplicate pipeline 'main'"),
+    (_A + "pipeline = A\n", "line 3, col 1: missing ';' after pipeline expression"),
+    ('stage A { fn = "data +"; delay = 1; }\npipeline = A;',
+     "line 1, col 16: in fn of stage 'A': col 7: expected a value, got end of input"),
+    (_A + "pipeline = A;\njoin = sideways;",
+     "line 3, col 8: join must be left, right, sum or a quoted expression"),
+    (_A + "pipeline = A;\nissue = slow;",
+     "line 3, col 9: expected greedy, eager or fixed:<interval>"),
+]
+
+
+@pytest.mark.parametrize("text, message", MALFORMED_FILES)
+def test_malformed_file_diagnostics(write_file, capsys, text, message):
+    path = write_file("bad.pipe", text)
+    code, out, err = invoke(capsys, "analyze", path)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_comments_inside_a_multi_line_pipeline(write_file, capsys):
+    text = (
+        _A + "# a note with \"quotes and (parens)\n"
+        'stage B { fn = "data"; delay = 1; }  # trailing\n'
+        "pipeline = A # first (x) ;\n"
+        "  >> B;  # then B\n"
+    )
+    code, out, err = invoke(capsys, "analyze", write_file("commented.pipe", text))
+    assert (code, err) == (0, "")
+    assert out.startswith("pipeline main: A B  (2 steps)\n")
