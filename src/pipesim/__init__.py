@@ -80,7 +80,6 @@ from .fileformat import (
 )
 from .policy import (
     UNTIMED,
-    ArbitrationSpec,
     ChannelKind,
     CheckedConfig,
     ConfigError,

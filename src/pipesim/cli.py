@@ -185,7 +185,7 @@ def _cmd_run(args) -> int:
     else:
         issue = IssueSpec.greedy()
     checked = validate_config(route, setup.configs, join=setup.join)
-    netlist = elaborate(route, setup.decls)
+    netlist = elaborate(route, setup.decls, checked)
     return run_and_report(
         netlist,
         checked,
@@ -202,9 +202,8 @@ def _cmd_elaborate(args) -> int:
     setup = load_pipeline_file(args.file)
     name = _select_pipeline(setup, args.txn_type)
     route = setup.routes[name]
-    validate_config(route, setup.configs, join=setup.join)
-    netlist = elaborate(route, setup.decls)
-    dot = to_dot(netlist)
+    checked = validate_config(route, setup.configs, join=setup.join)
+    dot = to_dot(elaborate(route, setup.decls, checked))
     if args.dot is not None:
         Path(args.dot).write_text(dot, encoding="utf-8")
     else:

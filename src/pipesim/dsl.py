@@ -19,6 +19,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Union
 
+from ._lex import Cursor, PositionedError, Token, tokenize, unexpected_character
 from .errors import PipelineError
 
 __all__ = [
@@ -53,21 +54,11 @@ class ExpressionError(PipelineError):
     """A pipeline expression is built in a way the grammar does not allow."""
 
 
-class ParseError(PipelineError):
+class ParseError(PositionedError):
     """Textual pipeline expression could not be parsed.
 
     ``position`` is the zero-based character offset into the source text.
     """
-
-    def __init__(self, message: str, position: int | None = None):
-        super().__init__(message)
-        self.position = position
-
-    def __str__(self) -> str:
-        base = super().__str__()
-        if self.position is None:
-            return base
-        return f"col {self.position + 1}: {base}"
 
 
 # ---------------------------------------------------------------------------
@@ -405,58 +396,23 @@ _TOKEN_RE = re.compile(
   | (?P<plus>\+)
   | (?P<int>\d+)
   | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<paren>[()])
   | (?P<other>.)
     """,
     re.VERBOSE,
 )
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    position: int
+def unexpected(char: str) -> str:
+    """Message for a character that starts no expression token."""
+    if char in "()":
+        return "parentheses are not supported in pipeline expressions"
+    return unexpected_character(char)
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    for match in _TOKEN_RE.finditer(text):
-        kind = match.lastgroup
-        if kind == "ws":
-            continue
-        if kind == "paren":
-            raise ParseError(
-                "parentheses are not supported in pipeline expressions",
-                match.start(),
-            )
-        if kind == "other":
-            raise ParseError(f"unexpected character {match.group()!r}", match.start())
-        tokens.append(_Token(kind, match.group(), match.start()))
-    tokens.append(_Token("end", "", len(text)))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, tokens: list[_Token], decls: StageSet):
-        self.tokens = tokens
+class _Parser(Cursor):
+    def __init__(self, tokens: list[Token], decls: StageSet):
+        super().__init__(tokens, ParseError)
         self.decls = decls
-        self.index = 0
-
-    def peek(self) -> _Token:
-        return self.tokens[self.index]
-
-    def advance(self) -> _Token:
-        token = self.tokens[self.index]
-        self.index += 1
-        return token
-
-    def expect(self, kind: str, what: str) -> _Token:
-        token = self.peek()
-        if token.kind != kind:
-            got = repr(token.text) if token.kind != "end" else "end of input"
-            raise ParseError(f"expected {what}, got {got}", token.position)
-        return self.advance()
 
     def parse_pipe(self) -> PipeExpr:
         terms = [self.parse_term()]
@@ -475,7 +431,7 @@ class _Parser:
         token = self.peek()
         if token.kind == "star":
             self.advance()
-            count_token = self.expect("int", "a repeat count")
+            count_token = self.expect("int", what="a repeat count")
             count = int(count_token.text)
             if count < 1:
                 raise ParseError(
@@ -494,11 +450,19 @@ class _Parser:
         return StageRef(stage)
 
     def parse_stage(self) -> StageId:
-        token = self.expect("ident", "a stage name")
+        token = self.expect("ident", what="a stage name")
         stage = self.decls.get(token.text)
         if stage is None:
             raise ParseError(f"unknown stage {token.text!r}", token.position)
         return stage
+
+
+def parse_tokens(tokens: list[Token], decls: StageSet) -> PipeExpr:
+    """Parse an already lexed expression; the last token must be ``end``."""
+    parser = _Parser(tokens, decls)
+    expr = parser.parse_pipe()
+    parser.finish()
+    return expr
 
 
 def parse(text: str, decls: StageSet) -> PipeExpr:
@@ -507,9 +471,4 @@ def parse(text: str, decls: StageSet) -> PipeExpr:
     The resulting AST is identical to the one the builder operators produce
     for the same expression.
     """
-    parser = _Parser(_tokenize(text), decls)
-    expr = parser.parse_pipe()
-    trailing = parser.peek()
-    if trailing.kind != "end":
-        raise ParseError(f"unexpected token {trailing.text!r}", trailing.position)
-    return expr
+    return parse_tokens(tokenize(_TOKEN_RE, text, ParseError, unexpected), decls)

@@ -15,7 +15,7 @@ from typing import Mapping, Union
 
 from .dsl import Route, StageId, StageSet
 from .errors import PipelineError
-from .policy import ChannelKind
+from .policy import ChannelKind, CheckedConfig
 
 __all__ = [
     "ElaborationError",
@@ -77,11 +77,15 @@ class RouterNode:
 
 @dataclass(frozen=True)
 class ChannelEdge:
-    """Directed channel between two netlist nodes (router/stage or markers)."""
+    """Directed channel between two netlist nodes (router/stage or markers).
+
+    ``kind`` is the channel kind of the stage the edge enters or leaves; the
+    edge to the exit carries no channel and has kind None.
+    """
 
     src: str
     dst: str
-    kind: ChannelKind
+    kind: ChannelKind | None
 
 
 @dataclass(frozen=True)
@@ -104,9 +108,6 @@ class Netlist:
     @property
     def entry_router(self) -> RouterNode:
         return self.routers[0]
-
-    def has_edge(self, src: str, dst: str) -> bool:
-        return any(e.src == src and e.dst == dst for e in self.edges)
 
 
 def router_name(stage: StageId) -> str:
@@ -135,12 +136,13 @@ def routing_table(route: Route, stage: StageId) -> RoutingTable:
 def elaborate(
     route: Route,
     decls: StageSet | None = None,
-    channel_kind: ChannelKind = ChannelKind.BLOCKING,
+    checked: CheckedConfig | None = None,
 ) -> Netlist:
     """Expand a route into stage nodes, routers, and channel edges.
 
     A stage is instantiated once no matter how often the route reuses it;
-    feedback is realized purely by routing.
+    feedback is realized purely by routing.  Edges take their stage's channel
+    kind from ``checked``; without it every stage channel is blocking.
     """
     if decls is not None:
         for stage in route.stages:
@@ -169,22 +171,25 @@ def elaborate(
     edges: list[ChannelEdge] = []
     seen: set[tuple[str, str]] = set()
 
-    def add_edge(src: str, dst: str) -> None:
+    def kind_of(stage: StageId) -> ChannelKind:
+        return ChannelKind.BLOCKING if checked is None else checked.config_of(stage).channels
+
+    def add_edge(src: str, dst: str, kind: ChannelKind | None) -> None:
         if (src, dst) not in seen:
             seen.add((src, dst))
-            edges.append(ChannelEdge(src=src, dst=dst, kind=channel_kind))
+            edges.append(ChannelEdge(src=src, dst=dst, kind=kind))
 
     for stage in sorted(route.steps[0], key=lambda s: s.ordinal):
-        add_edge(ENTRY, stage.name)
+        add_edge(ENTRY, stage.name, kind_of(stage))
     for stage in stages:
-        add_edge(stage.name, router_name(stage))
+        add_edge(stage.name, router_name(stage), kind_of(stage))
     for router in routers[1:]:
         for dest in router.table.destinations():
             if dest is EXIT:
-                add_edge(router.name, EXIT_NODE)
+                add_edge(router.name, EXIT_NODE, None)
             else:
                 for target in sorted(dest, key=lambda s: s.ordinal):
-                    add_edge(router.name, target.name)
+                    add_edge(router.name, target.name, kind_of(target))
 
     return Netlist(
         route=route,
@@ -204,7 +209,7 @@ def to_dot(netlist: Netlist) -> str:
         lines.append(f'  "{router.name}" [shape=circle];')
     lines.append(f'  "{netlist.exit}" [shape=plaintext];')
     for edge in netlist.edges:
-        style = "" if edge.kind is ChannelKind.BLOCKING else " [style=dashed]"
+        style = " [style=dashed]" if edge.kind is ChannelKind.SIGNAL else ""
         lines.append(f'  "{edge.src}" -> "{edge.dst}"{style};')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
 from .errors import PipelineError
-from .policy import ArbitrationSpec, DEFAULT_ARBITRATION
 
 __all__ = [
     "SimTime",
@@ -259,17 +258,12 @@ class ChannelBase:
         return f"{self.name}: ?"
 
 
-@dataclass
-class _Waiter:
-    proc: Process
-    value: object
-    blocked_ns: int
-    txn_id: int
-    seq: int
-
-
 class BlockingChannel(ChannelBase):
-    """Single-slot FIFO: reads block while empty, writes block while full."""
+    """Single-slot FIFO: reads block while empty, writes block while full.
+
+    Writers blocked on a full slot are granted it by arrival: earlier
+    nanosecond first, ties broken by transaction id, then by suspension order.
+    """
 
     kind = "blocking"
 
@@ -278,13 +272,12 @@ class BlockingChannel(ChannelBase):
         name: str,
         engine: Engine,
         on_stall: Callable[[str], None] | None = None,
-        arbitration: ArbitrationSpec = DEFAULT_ARBITRATION,
     ):
         super().__init__(name, engine)
         self.slot = None
-        self._writers: list[_Waiter] = []
+        # (blocked_ns, txn_id, seq, proc); seq is unique, so proc is never compared.
+        self._writers: list[tuple[int, int, int, Process]] = []
         self._on_stall = on_stall
-        self._arbitration = arbitration
         self._waiter_seq = 0
 
     def try_read(self, proc: Process) -> tuple[bool, object]:
@@ -315,20 +308,15 @@ class BlockingChannel(ChannelBase):
             self._on_stall(self.name)
         self._waiter_seq += 1
         txn_id = getattr(value, "id", 0)
-        self._writers.append(
-            _Waiter(proc, value, self.engine.now.ns, txn_id, self._waiter_seq)
-        )
+        self._writers.append((self.engine.now.ns, txn_id, self._waiter_seq, proc))
         return False
 
     def _grant_next_writer(self) -> None:
         if not self._writers:
             return
-        winner = min(
-            self._writers,
-            key=lambda w: self._arbitration.sort_key(w.blocked_ns, w.txn_id, w.seq),
-        )
+        winner = min(self._writers)
         self._writers.remove(winner)
-        self.engine.wake(winner.proc)
+        self.engine.wake(winner[3])
 
     def describe(self) -> str:
         if self.slot is None:

@@ -14,7 +14,7 @@ Stage blocks accept optional ``channel = blocking|signal;`` and
 untimed model.  Multi-function pipelines repeat ``pipeline <name> = ...;``
 with distinct names.  ``join = left|right|sum|"<expr>";`` configures fork
 merging and ``issue = greedy|eager|fixed:<k>;`` the default issue policy.
-Comments run from ``#`` to end of line.
+Comments run from a ``#`` outside a quoted string to end of line.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from pathlib import Path
 
 from . import dsl
 from .dsl import PipeExpr, Route, StageId, StageSet
-from .errors import PipelineError
+from ._lex import Cursor, PositionedError, Token, tokenize
 from .policy import (
     ChannelKind,
     ExecKind,
@@ -41,14 +41,16 @@ from .policy import (
 __all__ = ["PipelineFileError", "PipelineSetup", "parse_pipeline_text", "load_pipeline_file"]
 
 
-class PipelineFileError(PipelineError):
-    def __init__(self, message: str, line: int, column: int):
-        super().__init__(message)
-        self.line = line
-        self.column = column
+class PipelineFileError(PositionedError):
+    """A definition file is malformed at ``line``, ``column`` (both from 1)."""
+
+    def __init__(self, message: str, position: int, text: str):
+        super().__init__(message, position)
+        self.line = text.count("\n", 0, position) + 1
+        self.column = position - text.rfind("\n", 0, position)
 
     def __str__(self) -> str:
-        return f"line {self.line}, col {self.column}: {super().__str__()}"
+        return f"line {self.line}, col {self.column}: {self.args[0]}"
 
 
 @dataclass(frozen=True)
@@ -63,10 +65,12 @@ class PipelineSetup:
     issue: IssueSpec | None
 
 
+# A comment is tried after a string, so a '#' inside quotes stays in the string.
 _FILE_TOKEN = re.compile(
     r"""
     (?P<ws>\s+)
   | (?P<string>"(?:[^"\\]|\\.)*")
+  | (?P<comment>\#[^\n]*)
   | (?P<shift>>>)
   | (?P<int>\d+)
   | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
@@ -76,94 +80,37 @@ _FILE_TOKEN = re.compile(
     re.VERBOSE,
 )
 
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    offset: int
+# File tokens that are also expression tokens, by kind and text.
+_EXPRESSION_KINDS = {"shift": "shift", "int": "int", "ident": "ident", "*": "star", "+": "plus"}
 
 
-class _LineIndex:
-    def __init__(self, text: str):
-        self.starts = [0]
-        for i, ch in enumerate(text):
-            if ch == "\n":
-                self.starts.append(i + 1)
+def _expression_tokens(tokens: list[Token], start: int) -> list[Token]:
+    """The expression lexer's tokens for the file tokens of one expression.
 
-    def locate(self, offset: int) -> tuple[int, int]:
-        line = 0
-        for i, start in enumerate(self.starts):
-            if start <= offset:
-                line = i
-            else:
-                break
-        return line + 1, offset - self.starts[line] + 1
-
-
-def _strip_comments(text: str) -> str:
-    # Replace comments with spaces so token offsets keep pointing into the
-    # original source.
+    The first token it would reject fails here, before any grammar error, and
+    ``end`` sits where the last token ends (at ``start`` when there is none).
+    """
     out = []
-    in_comment = False
-    in_string = False
-    for ch in text:
-        if in_comment:
-            if ch == "\n":
-                in_comment = False
-                out.append(ch)
-            else:
-                out.append(" ")
-        elif in_string:
-            out.append(ch)
-            if ch == '"':
-                in_string = False
-        elif ch == "#":
-            in_comment = True
-            out.append(" ")
-        elif ch == '"':
-            in_string = True
-            out.append(ch)
-        else:
-            out.append(ch)
-    return "".join(out)
+    for token in tokens:
+        kind = _EXPRESSION_KINDS.get(token.kind if token.kind != "punct" else token.text)
+        if kind is None:
+            raise dsl.ParseError(dsl.unexpected(token.text[0]), token.position)
+        out.append(Token(kind, token.text, token.position))
+    end = tokens[-1].position + len(tokens[-1].text) if tokens else start
+    out.append(Token("end", "", end))
+    return out
 
 
-class _FileParser:
+class _FileParser(Cursor):
     def __init__(self, text: str):
         self.text = text
-        self.lines = _LineIndex(text)
-        self.stripped = _strip_comments(text)
-        self.tokens: list[_Token] = []
-        for match in _FILE_TOKEN.finditer(self.stripped):
-            kind = match.lastgroup
-            if kind == "ws":
-                continue
-            if kind == "other":
-                self._fail(f"unexpected character {match.group()!r}", match.start())
-            self.tokens.append(_Token(kind, match.group(), match.start()))
-        self.tokens.append(_Token("end", "", len(text)))
-        self.index = 0
+        super().__init__(tokenize(_FILE_TOKEN, text, self.error_at), self.error_at, "end of file")
 
-    def _fail(self, message: str, offset: int):
-        line, column = self.lines.locate(offset)
-        raise PipelineFileError(message, line, column)
+    def error_at(self, message: str, offset: int) -> PipelineFileError:
+        return PipelineFileError(message, offset, self.text)
 
-    def peek(self) -> _Token:
-        return self.tokens[self.index]
-
-    def advance(self) -> _Token:
-        token = self.tokens[self.index]
-        self.index += 1
-        return token
-
-    def expect(self, kind: str, text: str | None = None, what: str | None = None) -> _Token:
-        token = self.peek()
-        if token.kind != kind or (text is not None and token.text != text):
-            wanted = what or (text if text is not None else kind)
-            got = repr(token.text) if token.kind != "end" else "end of file"
-            self._fail(f"expected {wanted}, got {got}", token.offset)
-        return self.advance()
+    def fail(self, message: str, offset: int):
+        raise self.error_at(message, offset)
 
     # -- grammar --------------------------------------------------------
 
@@ -174,27 +121,22 @@ class _FileParser:
         issue_token = None
         while self.peek().kind != "end":
             token = self.peek()
-            if token.kind != "ident":
-                self._fail(
-                    f"expected 'stage', 'pipeline', 'join' or 'issue', got {token.text!r}",
-                    token.offset,
-                )
             if token.text == "stage":
                 stage_blocks.append(self.parse_stage_block())
             elif token.text == "pipeline":
                 pipelines.append(self.parse_pipeline_def())
             elif token.text == "join":
                 if join_token is not None:
-                    self._fail("duplicate join setting", token.offset)
+                    self.fail("duplicate join setting", token.position)
                 join_token = self.parse_join_def()
             elif token.text == "issue":
                 if issue_token is not None:
-                    self._fail("duplicate issue setting", token.offset)
+                    self.fail("duplicate issue setting", token.position)
                 issue_token = self.parse_issue_def()
             else:
-                self._fail(
+                self.fail(
                     f"expected 'stage', 'pipeline', 'join' or 'issue', got {token.text!r}",
-                    token.offset,
+                    token.position,
                 )
         return stage_blocks, pipelines, join_token, issue_token
 
@@ -202,19 +144,19 @@ class _FileParser:
         self.expect("ident", "stage")
         name_token = self.expect("ident", what="a stage name")
         self.expect("punct", "{")
-        settings: dict[str, tuple[_Token, _Token]] = {}
-        while not (self.peek().kind == "punct" and self.peek().text == "}"):
+        settings: dict[str, Token] = {}
+        while not self.at("punct", "}"):
             key = self.expect("ident", what="a setting name (fn, delay, channel, exec)")
             if key.text not in ("fn", "delay", "channel", "exec"):
-                self._fail(f"unknown stage setting {key.text!r}", key.offset)
+                self.fail(f"unknown stage setting {key.text!r}", key.position)
             if key.text in settings:
-                self._fail(f"duplicate setting {key.text!r}", key.offset)
+                self.fail(f"duplicate setting {key.text!r}", key.position)
             self.expect("punct", "=")
             value = self.advance()
             if value.kind == "end":
-                self._fail("unterminated stage block", value.offset)
+                self.fail("unterminated stage block", value.position)
             self.expect("punct", ";")
-            settings[key.text] = (key, value)
+            settings[key.text] = value
         self.expect("punct", "}")
         return name_token, settings
 
@@ -226,23 +168,22 @@ class _FileParser:
         self.expect("punct", "=")
         start = self.peek()
         if start.kind == "end":
-            self._fail("missing pipeline expression", start.offset)
-        expr_start = start.offset
-        end_offset = expr_start
-        while not (self.peek().kind == "punct" and self.peek().text == ";"):
+            self.fail("missing pipeline expression", start.position)
+        tokens = []
+        while not self.at("punct", ";"):
             token = self.advance()
             if token.kind == "end":
-                self._fail("missing ';' after pipeline expression", token.offset)
-            end_offset = token.offset + len(token.text)
-        self.expect("punct", ";")
-        return keyword, name_token, expr_start, self.stripped[expr_start:end_offset]
+                self.fail("missing ';' after pipeline expression", token.position)
+            tokens.append(token)
+        self.advance()
+        return keyword, name_token, start.position, tokens
 
     def parse_join_def(self):
         self.expect("ident", "join")
         self.expect("punct", "=")
         value = self.advance()
         if value.kind not in ("ident", "string"):
-            self._fail("expected left, right, sum or a quoted expression", value.offset)
+            self.fail("expected left, right, sum or a quoted expression", value.position)
         self.expect("punct", ";")
         return value
 
@@ -251,7 +192,7 @@ class _FileParser:
         self.expect("punct", "=")
         value = self.advance()
         if value.kind != "ident" or value.text not in ("greedy", "eager", "fixed"):
-            self._fail("expected greedy, eager or fixed:<interval>", value.offset)
+            self.fail("expected greedy, eager or fixed:<interval>", value.position)
         interval = None
         if value.text == "fixed":
             self.expect("punct", ":")
@@ -271,14 +212,14 @@ def parse_pipeline_text(text: str) -> PipelineSetup:
     stage_blocks, pipeline_defs, join_token, issue_token = parser.parse_file()
 
     if not stage_blocks:
-        raise PipelineFileError("no stage declarations", 1, 1)
+        parser.fail("no stage declarations", 0)
     if not pipeline_defs:
-        raise PipelineFileError("no pipeline expression", 1, 1)
+        parser.fail("no pipeline expression", 0)
 
     names = []
     for name_token, _ in stage_blocks:
         if name_token.text in names:
-            parser._fail(f"duplicate stage {name_token.text!r}", name_token.offset)
+            parser.fail(f"duplicate stage {name_token.text!r}", name_token.position)
         names.append(name_token.text)
     decls = dsl.declare_stages(names)
 
@@ -286,38 +227,38 @@ def parse_pipeline_text(text: str) -> PipelineSetup:
     for name_token, settings in stage_blocks:
         stage = decls[name_token.text]
         if "fn" not in settings:
-            parser._fail(f"stage {stage.name!r} is missing fn", name_token.offset)
+            parser.fail(f"stage {stage.name!r} is missing fn", name_token.position)
         if "delay" not in settings:
-            parser._fail(f"stage {stage.name!r} is missing delay", name_token.offset)
+            parser.fail(f"stage {stage.name!r} is missing delay", name_token.position)
 
-        key, value = settings["fn"]
+        value = settings["fn"]
         if value.kind != "string":
-            parser._fail("fn must be a quoted expression", value.offset)
+            parser.fail("fn must be a quoted expression", value.position)
         try:
             function = parse_function(_unquote(value.text))
         except FunctionParseError as exc:
-            parser._fail(f"in fn of stage {stage.name!r}: {exc}", value.offset)
+            parser.fail(f"in fn of stage {stage.name!r}: {exc}", value.position)
 
-        key, value = settings["delay"]
+        value = settings["delay"]
         if value.kind == "int":
             timing = TimingSpec.timed(int(value.text))
         elif value.kind == "ident" and value.text == "untimed":
             timing = UNTIMED
         else:
-            parser._fail("delay must be an integer or 'untimed'", value.offset)
+            parser.fail("delay must be an integer or 'untimed'", value.position)
 
         channels = ChannelKind.BLOCKING
         if "channel" in settings:
-            key, value = settings["channel"]
+            value = settings["channel"]
             if value.kind != "ident" or value.text not in ("blocking", "signal"):
-                parser._fail("channel must be 'blocking' or 'signal'", value.offset)
+                parser.fail("channel must be 'blocking' or 'signal'", value.position)
             channels = ChannelKind(value.text)
 
         exec_kind = ExecKind.LOOP
         if "exec" in settings:
-            key, value = settings["exec"]
+            value = settings["exec"]
             if value.kind != "ident" or value.text not in ("loop", "reactive"):
-                parser._fail("exec must be 'loop' or 'reactive'", value.offset)
+                parser.fail("exec must be 'loop' or 'reactive'", value.position)
             exec_kind = ExecKind(value.text)
 
         configs[stage] = StageConfig(
@@ -330,17 +271,15 @@ def parse_pipeline_text(text: str) -> PipelineSetup:
 
     pipelines: dict[str, PipeExpr] = {}
     routes: dict[str, Route] = {}
-    for keyword, name_token, expr_offset, expr_text in pipeline_defs:
+    for keyword, name_token, start, tokens in pipeline_defs:
         name = name_token.text if name_token is not None else "main"
         if name in pipelines:
             where = name_token or keyword
-            parser._fail(f"duplicate pipeline {name!r}", where.offset)
+            parser.fail(f"duplicate pipeline {name!r}", where.position)
         try:
-            expr = dsl.parse(expr_text, decls)
+            expr = dsl.parse_tokens(_expression_tokens(tokens, start), decls)
         except dsl.ParseError as exc:
-            offset = expr_offset + (exc.position or 0)
-            line, column = parser.lines.locate(offset)
-            raise PipelineFileError(str(exc.args[0]), line, column) from None
+            parser.fail(exc.args[0], exc.position)
         pipelines[name] = expr
         routes[name] = dsl.flatten(expr)
 
@@ -350,13 +289,13 @@ def parse_pipeline_text(text: str) -> PipelineSetup:
             try:
                 join = JoinSpec.custom(_unquote(join_token.text))
             except FunctionParseError as exc:
-                parser._fail(f"in join expression: {exc}", join_token.offset)
+                parser.fail(f"in join expression: {exc}", join_token.position)
         elif join_token.text in ("left", "right", "sum"):
             join = JoinSpec(kind=join_token.text)
         else:
-            parser._fail(
+            parser.fail(
                 "join must be left, right, sum or a quoted expression",
-                join_token.offset,
+                join_token.position,
             )
 
     issue = None

@@ -2,7 +2,7 @@
 
 A stage's behavior is assembled from orthogonal specs: the function it
 computes, its timing model, the channel kind on its ports, its execution
-style, plus pipeline-level join, issue, and arbitration policies.  All specs
+style, plus pipeline-level join and issue policies.  All specs
 are plain immutable data so a complete run configuration can be serialized,
 compared, and swapped one dimension at a time.
 """
@@ -14,6 +14,7 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence, Union
 
+from ._lex import Cursor, PositionedError, tokenize
 from .dsl import Route, StageId
 from .errors import PipelineError
 
@@ -30,22 +31,13 @@ __all__ = [
     "JoinSpec",
     "StageConfig",
     "IssueSpec",
-    "ArbitrationSpec",
     "CheckedConfig",
     "validate_config",
 ]
 
 
-class FunctionParseError(PipelineError):
-    def __init__(self, message: str, position: int | None = None):
-        super().__init__(message)
-        self.position = position
-
-    def __str__(self) -> str:
-        base = super().__str__()
-        if self.position is None:
-            return base
-        return f"col {self.position + 1}: {base}"
+class FunctionParseError(PositionedError):
+    """A function expression could not be parsed; ``position`` is its offset."""
 
 
 class FunctionEvalError(PipelineError):
@@ -65,8 +57,14 @@ class ConfigError(PipelineError):
 #   factor := NUMBER | VAR | '-' factor | 'sqr' '(' expr ')' | '(' expr ')'
 
 _FN_TOKEN = re.compile(
-    r"\s*(?:(?P<num>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<op>[()+\-*/]))"
+    r"""
+    (?P<ws>\s+)
+  | (?P<num>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)
+  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<op>[()+\-*/])
+  | (?P<other>.)
+    """,
+    re.VERBOSE,
 )
 
 
@@ -93,65 +91,38 @@ class _Bin:
     right: object
 
 
-class _FnParser:
+class _FnParser(Cursor):
     def __init__(self, source: str, variables: Sequence[str]):
-        self.source = source
+        super().__init__(tokenize(_FN_TOKEN, source, FunctionParseError), FunctionParseError)
         self.variables = set(variables)
-        self.tokens: list[tuple[str, str, int]] = []
-        pos = 0
-        while pos < len(source):
-            match = _FN_TOKEN.match(source, pos)
-            if match is None:
-                if source[pos:].strip() == "":
-                    break
-                bad = pos + len(source[pos:]) - len(source[pos:].lstrip())
-                raise FunctionParseError(
-                    f"unexpected character {source[bad]!r}", bad
-                )
-            kind = match.lastgroup
-            self.tokens.append((kind, match.group(kind), match.start(kind)))
-            pos = match.end()
-        self.tokens.append(("end", "", len(source)))
-        self.index = 0
-
-    def peek(self):
-        return self.tokens[self.index]
-
-    def advance(self):
-        token = self.tokens[self.index]
-        self.index += 1
-        return token
 
     def parse(self):
         node = self.parse_expr()
-        kind, text, position = self.peek()
-        if kind != "end":
-            raise FunctionParseError(f"unexpected token {text!r}", position)
+        self.finish()
         return node
 
     def parse_expr(self):
         node = self.parse_term()
-        while self.peek()[0] == "op" and self.peek()[1] in "+-":
-            op = self.advance()[1]
-            node = _Bin(op, node, self.parse_term())
+        while self.peek().kind == "op" and self.peek().text in "+-":
+            node = _Bin(self.advance().text, node, self.parse_term())
         return node
 
     def parse_term(self):
         node = self.parse_factor()
-        while self.peek()[0] == "op" and self.peek()[1] in "*/":
-            op = self.advance()[1]
-            node = _Bin(op, node, self.parse_factor())
+        while self.peek().kind == "op" and self.peek().text in "*/":
+            node = _Bin(self.advance().text, node, self.parse_factor())
         return node
 
     def parse_factor(self):
-        kind, text, position = self.advance()
+        token = self.advance()
+        kind, text, position = token
         if kind == "num":
             return _Num(float(text))
         if kind == "ident":
             if text == "sqr":
-                self.expect_op("(")
+                self.expect("op", "(", what="'('")
                 inner = self.parse_expr()
-                self.expect_op(")")
+                self.expect("op", ")", what="')'")
                 return _Unary("sqr", inner)
             if text in self.variables:
                 return _Var(text)
@@ -160,16 +131,9 @@ class _FnParser:
             return _Unary("neg", self.parse_factor())
         if kind == "op" and text == "(":
             inner = self.parse_expr()
-            self.expect_op(")")
+            self.expect("op", ")", what="')'")
             return inner
-        got = repr(text) if kind != "end" else "end of input"
-        raise FunctionParseError(f"expected a value, got {got}", position)
-
-    def expect_op(self, op: str):
-        kind, text, position = self.advance()
-        if kind != "op" or text != op:
-            got = repr(text) if kind != "end" else "end of input"
-            raise FunctionParseError(f"expected {op!r}, got {got}", position)
+        raise FunctionParseError(f"expected a value, got {self.got(token)}", position)
 
 
 def _eval_node(node, env: Mapping[str, float]) -> float:
@@ -342,7 +306,7 @@ class StageConfig:
 
 
 # ---------------------------------------------------------------------------
-# Issue / arbitration
+# Issue
 
 
 @dataclass(frozen=True)
@@ -373,26 +337,6 @@ class IssueSpec:
 
     def __str__(self) -> str:
         return f"fixed:{self.interval}" if self.kind == "fixed" else self.kind
-
-
-@dataclass(frozen=True)
-class ArbitrationSpec:
-    """Order in which writers blocked on one channel are granted the slot.
-
-    The default grants by arrival: earlier nanosecond first, ties within a
-    nanosecond broken by transaction id, then by suspension order.  A custom
-    key over (blocked_ns, transaction id, suspension sequence) can replace it.
-    """
-
-    key: Callable[[tuple[int, int, int]], object] | None = None
-
-    def sort_key(self, blocked_ns: int, txn_id: int, seq: int):
-        if self.key is None:
-            return (blocked_ns, txn_id, seq)
-        return self.key((blocked_ns, txn_id, seq))
-
-
-DEFAULT_ARBITRATION = ArbitrationSpec()
 
 
 # ---------------------------------------------------------------------------

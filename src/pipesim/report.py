@@ -20,7 +20,6 @@ __all__ = [
     "canonical",
     "trace_to_csv",
     "analysis_text",
-    "analysis_mapping",
     "run_report_text",
     "run_report_mapping",
 ]
@@ -105,10 +104,6 @@ def analysis_text(name: str, report: AnalysisReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def analysis_mapping(report: AnalysisReport) -> dict:
-    return report.to_mapping()
-
-
 # ---------------------------------------------------------------------------
 # Run report
 
@@ -157,7 +152,7 @@ def run_report_mapping(
             "throughput": stats.throughput,
             "truncated": stats.truncated,
         },
-        "analysis": analysis_mapping(report),
+        "analysis": report.to_mapping(),
         "warnings": list(result.warnings),
     }
 

@@ -16,6 +16,7 @@ configured stage functions accept it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
 
@@ -40,10 +41,8 @@ from .engine import (
 )
 from .errors import PipelineError
 from .policy import (
-    ArbitrationSpec,
     ChannelKind,
     CheckedConfig,
-    DEFAULT_ARBITRATION,
     ExecKind,
     FunctionEvalError,
     IssueSpec,
@@ -82,8 +81,6 @@ class Transaction:
     route: Route
     step: int = 0
     branch: StageId | None = None
-    injected_at: SimTime | None = None
-    exited_at: SimTime | None = None
 
     def advance(self) -> None:
         self.step += 1
@@ -96,7 +93,6 @@ class Transaction:
             route=self.route,
             step=self.step,
             branch=branch,
-            injected_at=self.injected_at,
         )
 
 
@@ -192,7 +188,6 @@ class _Recorder:
         self.injected_at[txn_id] = when
 
     def record_exit(self, txn: Transaction, when: SimTime) -> None:
-        txn.exited_at = when
         self.exited_at[txn.id] = when
         self.data[txn.id] = txn.data
 
@@ -228,7 +223,6 @@ class _Runtime:
         netlist: Netlist,
         checked: CheckedConfig,
         recorder: _Recorder,
-        arbitration: ArbitrationSpec,
     ):
         self.engine = engine
         self.netlist = netlist
@@ -244,15 +238,13 @@ class _Runtime:
         self.out_channels: dict[StageId, ChannelBase] = {}
         for stage in netlist.stages:
             kind = checked.config_of(stage).channels
-            self.in_channels[stage] = self._make_channel(f"{stage.name}.in", kind, arbitration)
-            self.out_channels[stage] = self._make_channel(f"{stage.name}.out", kind, arbitration)
+            self.in_channels[stage] = self._make_channel(f"{stage.name}.in", kind)
+            self.out_channels[stage] = self._make_channel(f"{stage.name}.out", kind)
 
-    def _make_channel(self, name: str, kind: ChannelKind, arbitration: ArbitrationSpec) -> ChannelBase:
+    def _make_channel(self, name: str, kind: ChannelKind) -> ChannelBase:
         if kind is ChannelKind.SIGNAL:
             return SignalChannel(name, self.engine, on_drop=self.recorder.drop)
-        return BlockingChannel(
-            name, self.engine, on_stall=self.recorder.stall, arbitration=arbitration
-        )
+        return BlockingChannel(name, self.engine, on_stall=self.recorder.stall)
 
     def new_transaction(self, value: float) -> Transaction:
         txn = Transaction(
@@ -305,6 +297,11 @@ class _Runtime:
         merged = copies[0]
         for other in copies[1:]:
             merged.data = join.merge(merged.orig, merged.data, other.data)
+            if _not_finite(merged.data):
+                raise FunctionEvalError(
+                    f"join for transaction {txn.id} at step {completed_step}: "
+                    f"result {merged.data} is not finite"
+                )
         return merged
 
     def forward(self, src_node: str, txn: Transaction, dests, via=None):
@@ -353,6 +350,11 @@ class _Runtime:
 # Processes
 
 
+def _not_finite(value) -> bool:
+    # Payloads may be any type; only a float can overflow to inf or nan.
+    return type(value) is float and not math.isfinite(value)
+
+
 def _stage_loop(rt: _Runtime, cfg: StageConfig):
     stage = cfg.stage
     in_ch = rt.in_channels[stage]
@@ -365,6 +367,8 @@ def _stage_loop(rt: _Runtime, cfg: StageConfig):
         start = rt.engine.now
         try:
             txn.data = apply_stage_function(cfg.function, txn.orig, txn.data)
+            if _not_finite(txn.data):
+                raise FunctionEvalError(f"result {txn.data} is not finite")
         except FunctionEvalError as exc:
             raise FunctionEvalError(
                 f"stage {stage.name}, transaction {txn.id}: {exc}"
@@ -465,7 +469,6 @@ def run(
     issue: IssueSpec | None = None,
     horizon_ns: int | None = None,
     join: JoinSpec | None = None,
-    arbitration: ArbitrationSpec = DEFAULT_ARBITRATION,
 ) -> RunResult:
     """Simulate ``inputs`` through the netlist and return trace and stats.
 
@@ -485,7 +488,7 @@ def run(
 
     engine = Engine()
     recorder = _Recorder()
-    rt = _Runtime(engine, netlist, checked, recorder, arbitration)
+    rt = _Runtime(engine, netlist, checked, recorder)
 
     engine.spawn("issue", _issue_process(rt, inputs, issue))
     for stage in netlist.stages:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -208,6 +212,26 @@ def test_multi_function_pipelines_need_type(write_file, capsys):
     assert "pipeline double" in out and "pipeline single" in out
 
 
+def test_run_stage_overflow_exits_1(write_file, capsys):
+    path = write_file("quad.pipe", QUAD)
+    code, out, err = invoke(capsys, "run", path, "--inputs", "1e200,1", "--format", "json-like")
+    assert (code, out, err) == (1, "", "error: stage S1, transaction 0: result inf is not finite\n")
+
+
+def test_run_join_overflow_exits_1(write_file, capsys):
+    text = """\
+stage A { fn = "data + orig"; delay = 1; }
+stage B { fn = "data"; delay = 1; }
+stage C { fn = "data"; delay = 1; }
+pipeline = A >> B + C;
+join = sum;
+"""
+    path = write_file("fork.pipe", text)
+    code, out, err = invoke(capsys, "run", path, "--inputs", "1,1.5e308", "--format", "json-like")
+    assert (code, out) == (1, "")
+    assert err == "error: join for transaction 1 at step 1: result inf is not finite\n"
+
+
 # -- elaborate ----------------------------------------------------------------------
 
 
@@ -228,6 +252,34 @@ def test_elaborate_stdout_and_stability(write_file, capsys):
     assert first == second
     assert first[0] == 0
     assert '"entry" -> "S1";' in first[1]
+
+
+SIGNAL_FORK = """\
+stage S1 { fn = "data + orig"; delay = 1; }
+stage S2 { fn = "data * 2";    delay = 1; }
+stage S3 { fn = "data + 3";    delay = 1; channel = signal; }
+stage S4 { fn = "data - 1";    delay = untimed; channel = signal; exec = reactive; }
+pipeline = S1 >> S2 + S3 >> S4;
+join = sum;
+"""
+
+
+def test_elaborate_draws_signal_channels_dashed(write_file, capsys):
+    code, out, _ = invoke(capsys, "elaborate", write_file("signal.pipe", SIGNAL_FORK))
+    assert code == 0
+    edges = [line.strip() for line in out.splitlines() if "->" in line]
+    assert edges == [
+        '"entry" -> "S1";',
+        '"S1" -> "r_S1";',
+        '"S2" -> "r_S2";',
+        '"S3" -> "r_S3" [style=dashed];',
+        '"S4" -> "r_S4" [style=dashed];',
+        '"r_S1" -> "S2";',
+        '"r_S1" -> "S3" [style=dashed];',
+        '"r_S2" -> "S4" [style=dashed];',
+        '"r_S3" -> "S4" [style=dashed];',
+        '"r_S4" -> "exit";',
+    ]
 
 
 # -- determinism ----------------------------------------------------------------------
@@ -281,8 +333,9 @@ MALFORMED_FILES = [
      "line 3, col 15: expected an issue interval, got 'x'"),
     ('stage A { fn = "data # x"; delay = 1; }\npipeline = A;\n',
      "line 1, col 16: in fn of stage 'A': col 6: unexpected character '#'"),
+    # A '#' after an escaped quote is inside the string, not a comment.
     ('stage A { fn = "data + \\"#\\""; delay = 1; }\npipeline = A;\n',
-     "line 1, col 16: unexpected character '\"'"),
+     "line 1, col 16: in fn of stage 'A': col 8: unexpected character '\"'"),
     (_A.rstrip("\n") + " @\npipeline = A;\n", "line 1, col 37: unexpected character '@'"),
     # The cases of test_fileformat.test_malformed_files_report_position.
     ("pipeline = A;", "line 1, col 1: no stage declarations"),
@@ -322,3 +375,30 @@ def test_comments_inside_a_multi_line_pipeline(write_file, capsys):
     code, out, err = invoke(capsys, "analyze", write_file("commented.pipe", text))
     assert (code, err) == (0, "")
     assert out.startswith("pipeline main: A B  (2 steps)\n")
+
+
+def test_output_does_not_depend_on_hash_seed(tmp_path):
+    pipe = tmp_path / "fork.pipe"
+    pipe.write_text(SIGNAL_FORK, encoding="utf-8")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    commands = [
+        ["analyze", str(pipe), "--format", "json-like"],
+        ["run", str(pipe), "--inputs", "0,1,2,3,4,5", "--format", "json-like",
+         "--trace", str(tmp_path / "trace.csv")],
+        ["elaborate", str(pipe)],
+    ]
+    seen = []
+    for seed in range(4):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        outputs = []
+        for argv in commands:
+            proc = subprocess.run(
+                [sys.executable, "-m", "pipesim.cli", *argv],
+                env=env, capture_output=True, text=True, timeout=60,
+            )
+            outputs.append((proc.returncode, proc.stdout, proc.stderr))
+        outputs.append((tmp_path / "trace.csv").read_text(encoding="utf-8"))
+        seen.append(outputs)
+    assert all(codes == 0 for codes, _, _ in seen[0][:3])
+    assert all(outputs == seen[0] for outputs in seen[1:])
