@@ -402,8 +402,10 @@ _TOKEN_RE = re.compile(
 )
 
 
-def unexpected(char: str) -> str:
-    """Message for a character that starts no expression token."""
+_KINDS = frozenset(("shift", "star", "plus", "int", "ident", "end"))
+
+
+def _unexpected(char: str) -> str:
     if char in "()":
         return "parentheses are not supported in pipeline expressions"
     return unexpected_character(char)
@@ -458,7 +460,15 @@ class _Parser(Cursor):
 
 
 def parse_tokens(tokens: list[Token], decls: StageSet) -> PipeExpr:
-    """Parse an already lexed expression; the last token must be ``end``."""
+    """Parse expression tokens closed by ``end``, such as a definition file's.
+
+    Kinds are those of this module's lexer.  The first token of another kind
+    is rejected as the character it starts with, before any grammar error,
+    as :func:`parse` would reject that character.
+    """
+    for token in tokens:
+        if token.kind not in _KINDS:
+            raise ParseError(_unexpected(token.text[0]), token.position)
     parser = _Parser(tokens, decls)
     expr = parser.parse_pipe()
     parser.finish()
@@ -471,4 +481,4 @@ def parse(text: str, decls: StageSet) -> PipeExpr:
     The resulting AST is identical to the one the builder operators produce
     for the same expression.
     """
-    return parse_tokens(tokenize(_TOKEN_RE, text, ParseError, unexpected), decls)
+    return parse_tokens(tokenize(_TOKEN_RE, text, ParseError, _unexpected), decls)

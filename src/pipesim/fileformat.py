@@ -66,6 +66,7 @@ class PipelineSetup:
 
 
 # A comment is tried after a string, so a '#' inside quotes stays in the string.
+# Kinds a pipeline expression uses are named as in the expression lexer.
 _FILE_TOKEN = re.compile(
     r"""
     (?P<ws>\s+)
@@ -74,31 +75,13 @@ _FILE_TOKEN = re.compile(
   | (?P<shift>>>)
   | (?P<int>\d+)
   | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<punct>[{}=;:*+()])
+  | (?P<star>\*)
+  | (?P<plus>\+)
+  | (?P<punct>[{}=;:()])
   | (?P<other>.)
     """,
     re.VERBOSE,
 )
-
-# File tokens that are also expression tokens, by kind and text.
-_EXPRESSION_KINDS = {"shift": "shift", "int": "int", "ident": "ident", "*": "star", "+": "plus"}
-
-
-def _expression_tokens(tokens: list[Token], start: int) -> list[Token]:
-    """The expression lexer's tokens for the file tokens of one expression.
-
-    The first token it would reject fails here, before any grammar error, and
-    ``end`` sits where the last token ends (at ``start`` when there is none).
-    """
-    out = []
-    for token in tokens:
-        kind = _EXPRESSION_KINDS.get(token.kind if token.kind != "punct" else token.text)
-        if kind is None:
-            raise dsl.ParseError(dsl.unexpected(token.text[0]), token.position)
-        out.append(Token(kind, token.text, token.position))
-    end = tokens[-1].position + len(tokens[-1].text) if tokens else start
-    out.append(Token("end", "", end))
-    return out
 
 
 class _FileParser(Cursor):
@@ -176,7 +159,10 @@ class _FileParser(Cursor):
                 self.fail("missing ';' after pipeline expression", token.position)
             tokens.append(token)
         self.advance()
-        return keyword, name_token, start.position, tokens
+        # The expression ends where its last token does.
+        end = tokens[-1].position + len(tokens[-1].text) if tokens else start.position
+        tokens.append(Token("end", "", end))
+        return keyword, name_token, tokens
 
     def parse_join_def(self):
         self.expect("ident", "join")
@@ -271,13 +257,13 @@ def parse_pipeline_text(text: str) -> PipelineSetup:
 
     pipelines: dict[str, PipeExpr] = {}
     routes: dict[str, Route] = {}
-    for keyword, name_token, start, tokens in pipeline_defs:
+    for keyword, name_token, tokens in pipeline_defs:
         name = name_token.text if name_token is not None else "main"
         if name in pipelines:
             where = name_token or keyword
             parser.fail(f"duplicate pipeline {name!r}", where.position)
         try:
-            expr = dsl.parse_tokens(_expression_tokens(tokens, start), decls)
+            expr = dsl.parse_tokens(tokens, decls)
         except dsl.ParseError as exc:
             parser.fail(exc.args[0], exc.position)
         pipelines[name] = expr
