@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import random
 
 import pytest
@@ -321,3 +322,109 @@ def test_fork_without_join_rejected_at_run():
     route = ps.flatten(ps.parse("S1 >> S2 + S3 >> S4", decls))
     with pytest.raises(ps.ConfigError):
         ps.run(ps.elaborate(route, decls), fork_configs(decls), [1.0])
+
+
+# -- pinned results ------------------------------------------------------------------
+
+FEEDBACK = "S1 >> S2 >> S3 >> S1 >> S3*2 >> S1 >> S2"
+PIN_INPUTS = [round(0.37 * i + 0.25, 6) for i in range(12)]
+
+
+def pinned_corpus():
+    """Every run whose full ``repr(RunResult)`` is pinned below, by name."""
+    decls, quad = declare_quad()
+    cases = {}
+    for text, label in (("S1 >> S2 >> S3", "quad"), (FEEDBACK, "feedback")):
+        for issue in ("greedy", "eager", "fixed:1", "fixed:3"):
+            spec = (ps.IssueSpec.fixed(int(issue[6:])) if issue.startswith("fixed")
+                    else getattr(ps.IssueSpec, issue)())
+            cases[f"{label}-{issue}"] = lambda text=text, spec=spec: run_route(
+                decls, text, quad, PIN_INPUTS, issue=spec)
+    cases["feedback-untimed-eager"] = lambda: run_route(
+        decls, FEEDBACK, [dataclasses.replace(c, timing=ps.UNTIMED) for c in quad],
+        PIN_INPUTS, issue=ps.IssueSpec.eager())
+    cases["feedback-horizon"] = lambda: run_route(
+        decls, FEEDBACK, quad, PIN_INPUTS, horizon_ns=17)
+
+    fork = ps.declare_stages(["S1", "S2", "S3", "S4"])
+    for join_name, join in (
+        ("sum", ps.JoinSpec.sum()),
+        ("custom", ps.JoinSpec.custom("dataL / (dataR + 1) - 0.5 * orig")),
+    ):
+        cases[f"forkjoin-{join_name}"] = lambda join=join: run_route(
+            fork, "S1 >> S2 + S3 >> S4 >> S2 + S3", fork_configs(fork, d2=2),
+            PIN_INPUTS, issue=ps.IssueSpec.eager(), join=join)
+
+    sig = ps.declare_stages(["S1", "S2", "S3"])
+    cases["signal-drops"] = lambda: run_route(
+        sig, "S1 >> S2 >> S3",
+        [
+            ps.StageConfig(sig["S1"], ps.parse_function("data + orig / 3")),
+            ps.StageConfig(sig["S2"], ps.parse_function("data * 1.5 - orig"),
+                           timing=ps.TimingSpec.timed(3),
+                           channels=ps.ChannelKind.SIGNAL),
+            ps.StageConfig(sig["S3"], ps.parse_function("-data + sqr(orig)"),
+                           timing=ps.UNTIMED, channels=ps.ChannelKind.SIGNAL,
+                           exec=ps.ExecKind.REACTIVE),
+        ],
+        PIN_INPUTS, issue=ps.IssueSpec.eager())
+    return cases
+
+
+PINNED_DIGESTS = {
+    "quad-greedy": "d42a3f1b8383bc33628bf738381ace188ea9d73670d3ad334b4ebfb2fef9ab3c",
+    "quad-eager": "347d1f428dc726c6f5f9d77042541c8fabfaebe1b6dc3048eb657ac7df1827fa",
+    "quad-fixed:1": "d42a3f1b8383bc33628bf738381ace188ea9d73670d3ad334b4ebfb2fef9ab3c",
+    "quad-fixed:3": "f526e9328c578c31e183d1f2ee9b1edba28d744b94b149294f696a0bc20e9fdf",
+    "feedback-greedy": "5319450cb0523f5b20707d73b9bda043d1a2f0cd4082d3698039af2f6b011934",
+    "feedback-eager": "c93ff3e38d7e9ee70a1bf58709150cd26c0a535d77d25d8149d1d6ab1987a06a",
+    "feedback-fixed:1": "32d182fb7773d971d25f3dcb12ebc3f74c05d0858167250f16e635f01e06a13d",
+    "feedback-fixed:3": "afd6e397c9a884974343df14cfb90bc216ddc284f3012d3b8753c060d746cb56",
+    "feedback-untimed-eager": "756d8ef65d515c09b8a17a613903c159c1142114ddbee705debceb6b04ef0454",
+    "feedback-horizon": "2c1c876072f9ee0c4115d9d0f7b6199490cc0bef8422a4f651cb16cef3735a3a",
+    "forkjoin-sum": "4187c5f2a5a01c0abade93419987dcc9e1bdd5a44f7cc78fbed0c507b6488df1",
+    "forkjoin-custom": "a810cfc7f52693502a494319c8b6619e7ce234f30f77630dc00127911eccff56",
+    "signal-drops": "5a342d53a72957c37e873f7e925b666fdb687c599cdab3ba0377c71148ec5f8c",
+}
+
+SEVERED_MESSAGE = """\
+deadlock: 3 transaction(s) in flight and no runnable process
+  in flight: 0, 1, 2
+  processes:
+    S1: blocked reading S1.in
+    S2: blocked reading S2.in
+    S3: blocked reading S3.in
+    r_S1: blocked reading S1.out
+    r_S1.out: blocked writing r_S1->S2 (severed)
+    r_S2: blocked reading S2.out
+    r_S2.out: blocked reading r_S2.q
+    r_S3: blocked reading S3.out
+    r_S3.out: blocked reading r_S3.q
+  channels:
+    S1.in: empty
+    S1.out: empty
+    S2.in: empty
+    S2.out: empty
+    S3.in: empty
+    S3.out: empty"""
+
+
+def test_run_results_pinned():
+    # Every trace record, occupancy SimTime, stat and warning keeps its exact
+    # bytes as long as the engine keeps its (ns, delta, seq) dispatch order.
+    digests = {
+        name: hashlib.sha256(repr(make()).encode()).hexdigest()
+        for name, make in pinned_corpus().items()
+    }
+    assert digests == PINNED_DIGESTS
+
+    decls, configs = declare_quad()
+    route = ps.flatten(ps.parse("S1 >> S2 >> S3", decls))
+    netlist = ps.elaborate(route, decls)
+    severed = dataclasses.replace(
+        netlist,
+        edges=tuple(e for e in netlist.edges if not (e.src == "r_S1" and e.dst == "S2")),
+    )
+    with pytest.raises(ps.DeadlockError) as exc:
+        ps.run(severed, configs, PIN_INPUTS[:3])
+    assert str(exc.value) == SEVERED_MESSAGE
