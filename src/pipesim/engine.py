@@ -1,17 +1,35 @@
 """Deterministic discrete-event engine.
 
-Simulated processes are generators that yield requests (read, write, delay)
-back to the engine.  A single event queue ordered by (nanoseconds, delta,
-schedule sequence) drives everything; a resumed process runs until its next
-suspension.  Same-nanosecond causality is sequenced with delta phases: a
-wake-up always lands at the current nanosecond, one delta later.  There is no
-other source of ordering, which is what makes runs byte-reproducible.
+Simulated processes are generators that yield requests (read, peek, write,
+delay, wait-until) back to the engine; a resumed process runs until its next
+suspension.  Processes are dispatched in (nanoseconds, delta, schedule
+sequence) order and there is no other source of ordering, which is what makes
+runs byte-reproducible.  Same-nanosecond causality is sequenced with delta
+phases: a wake-up always lands at the current nanosecond, one delta later.
+
+As in the IEEE 1666 SystemC scheduler, that order needs no single priority
+queue.  A wake-up lands at (now.ns, now.delta + 1), and a positive delay or a
+future wait-until lands at a strictly later nanosecond, delta 0.  So the
+engine keeps three collections:
+
+- a FIFO of the processes runnable in the current delta phase;
+- a list of the processes woken for the next delta phase;
+- a heap of (ns, sequence, process) entries for timed events only.
+
+Within one (ns, delta) phase the dispatch order is the schedule order, which
+is the order processes were appended.  Delta d + 1 of a nanosecond runs right
+after delta d, because nothing else can land at that nanosecond in between.
+The timed events of the next nanosecond all sit at delta 0 and leave the heap
+together, in schedule order.  SimPy's ``Environment``
+(https://simpy.readthedocs.io) keeps one heap of (time, priority, id, event);
+splitting off the delta phases keeps most resumes out of the heap.
 """
 
 from __future__ import annotations
 
-import heapq
+from collections import deque
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Callable, Iterator, Optional
 
 from .errors import PipelineError
@@ -26,6 +44,7 @@ __all__ = [
     "Write",
     "Delay",
     "WaitUntil",
+    "BLOCKED",
     "Process",
     "Engine",
     "BlockingChannel",
@@ -58,15 +77,16 @@ class JoinError(PipelineError):
     """Branch copies arriving at a join are inconsistent."""
 
 
-# Requests a process may yield.
+# Requests a process may yield.  A request holds no state of its own, so a
+# process may yield the same one again and again.
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Read:
     channel: "ChannelBase"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Peek:
     """Wait for a value without draining the slot.
 
@@ -79,141 +99,176 @@ class Peek:
     channel: "ChannelBase"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Write:
     channel: "ChannelBase"
     value: object
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Delay:
     ns: int  # 0 advances one delta at the current nanosecond
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WaitUntil:
     ns: int  # resume inline when the target is not in the future
 
 
+# What a channel's try_read/try_peek return when the caller must suspend.
+BLOCKED = object()
+
+
 class Process:
-    __slots__ = ("name", "gen", "state", "pending", "resume_value", "scheduled", "done")
+    __slots__ = ("name", "gen", "pending", "until", "scheduled", "done")
 
     def __init__(self, name: str, gen: Iterator):
         self.name = name
         self.gen = gen
-        self.state = "created"
-        self.pending = None  # request to retry after a wake-up
-        self.resume_value = None
+        self.pending = None  # the blocked request, retried after a wake-up
+        self.until: int | None = None  # ns the last delay or wait targeted
         self.scheduled = False
         self.done = False
+
+    @property
+    def state(self) -> str:
+        if self.done:
+            return "finished"
+        request = self.pending
+        if request is not None:
+            verb = "writing" if type(request) is Write else "reading"
+            return f"blocked {verb} {request.channel.name}"
+        if self.until is None:
+            return "created"
+        return f"waiting until {self.until}ns"
 
     def __repr__(self) -> str:
         return f"Process({self.name}, {self.state})"
 
 
 class Engine:
-    """Owns the event queue and steps processes to their next suspension."""
+    """Owns the run queues and steps processes to their next suspension.
+
+    ``resumes`` counts processes stepped and ``timed`` counts timed events
+    scheduled (heap pushes); both only grow.
+    """
 
     def __init__(self):
-        self._heap: list[tuple[int, int, int, Process]] = []
-        self._seq = 0
-        self.now = SimTime(0, 0)
+        self._runnable: deque[Process] = deque()  # the current delta phase
+        self._woken: list[Process] = []  # the next delta phase
+        self._timed: list[tuple[int, int, Process]] = []  # (ns, seq, proc)
+        self._ns = 0
+        self._delta = 0
         self.processes: list[Process] = []
+        self.resumes = 0
+        self.timed = 0
+
+    @property
+    def now(self) -> SimTime:
+        return SimTime(self._ns, self._delta)
 
     def spawn(self, name: str, gen: Iterator) -> Process:
+        """Create a process runnable at the current instant."""
         proc = Process(name, gen)
         self.processes.append(proc)
-        self._schedule(proc, self.now.ns, self.now.delta)
-        return proc
-
-    def _schedule(self, proc: Process, ns: int, delta: int) -> None:
-        assert not proc.scheduled, f"{proc.name} scheduled twice"
         proc.scheduled = True
-        self._seq += 1
-        heapq.heappush(self._heap, (ns, delta, self._seq, proc))
+        self._runnable.append(proc)
+        return proc
 
     def wake(self, proc: Process) -> None:
         """Schedule a parked process one delta after the current instant."""
-        self._schedule(proc, self.now.ns, self.now.delta + 1)
+        assert not proc.scheduled, f"{proc.name} scheduled twice"
+        proc.scheduled = True
+        self._woken.append(proc)
+
+    def _schedule_at(self, proc: Process, ns: int) -> None:
+        assert not proc.scheduled, f"{proc.name} scheduled twice"
+        proc.scheduled = True
+        proc.until = ns
+        self.timed += 1  # also the entry's schedule sequence
+        heappush(self._timed, (ns, self.timed, proc))
 
     def run(
         self,
         horizon_ns: int | None = None,
         quiesced: Optional[Callable[[], Optional[str]]] = None,
     ) -> bool:
-        """Drain the event queue; returns True when stopped by the horizon.
+        """Dispatch until nothing is scheduled; returns True when stopped by the horizon.
 
-        ``quiesced`` is consulted once the queue empties: a non-None message
-        means work was still pending and is raised as a deadlock diagnostic.
+        ``quiesced`` is consulted once nothing is scheduled: a non-None
+        message means work was still pending and is raised as a deadlock
+        diagnostic.
         """
-        truncated = False
-        while self._heap:
-            ns, delta, seq, proc = heapq.heappop(self._heap)
-            if horizon_ns is not None and ns > horizon_ns:
-                heapq.heappush(self._heap, (ns, delta, seq, proc))
-                truncated = True
+        runnable, woken, timed, step = self._runnable, self._woken, self._timed, self._step
+        while True:
+            while runnable:
+                proc = runnable.popleft()
+                proc.scheduled = False
+                step(proc)
+            if woken:
+                runnable.extend(woken)
+                woken.clear()
+                self._delta += 1
+            elif timed:
+                ns = timed[0][0]
+                if horizon_ns is not None and ns > horizon_ns:
+                    return True
+                self._ns = ns
+                self._delta = 0
+                while timed and timed[0][0] == ns:
+                    runnable.append(heappop(timed)[2])
+            else:
                 break
-            proc.scheduled = False
-            self.now = SimTime(ns, delta)
-            self._step(proc)
-        if not truncated and quiesced is not None:
+        if quiesced is not None:
             message = quiesced()
             if message is not None:
                 raise DeadlockError(message)
-        return truncated
+        return False
 
     def _step(self, proc: Process) -> None:
+        self.resumes += 1
+        request = proc.pending
+        proc.pending = None
+        value = None
+        send = proc.gen.send
         while True:
-            if proc.pending is not None:
-                request = proc.pending
-                proc.pending = None
-            else:
+            if request is None:
                 try:
-                    request = proc.gen.send(proc.resume_value)
+                    request = send(value)
                 except StopIteration:
-                    proc.state = "finished"
                     proc.done = True
                     return
-                proc.resume_value = None
-
-            if isinstance(request, Read):
-                ok, value = request.channel.try_read(proc)
-                if ok:
-                    proc.resume_value = value
-                    continue
-                proc.pending = request
-                proc.state = f"blocked reading {request.channel.name}"
-                return
-            if isinstance(request, Peek):
-                ok, value = request.channel.try_peek(proc)
-                if ok:
-                    proc.resume_value = value
-                    continue
-                proc.pending = request
-                proc.state = f"blocked reading {request.channel.name}"
-                return
-            if isinstance(request, Write):
-                if request.channel.try_write(proc, request.value):
-                    proc.resume_value = None
-                    continue
-                proc.pending = request
-                proc.state = f"blocked writing {request.channel.name}"
-                return
-            if isinstance(request, Delay):
+            kind = type(request)
+            if kind is Peek:
+                value = request.channel.try_peek(proc)
+                if value is BLOCKED:
+                    proc.pending = request
+                    return
+            elif kind is Read:
+                value = request.channel.try_read(proc)
+                if value is BLOCKED:
+                    proc.pending = request
+                    return
+            elif kind is Write:
+                if not request.channel.try_write(proc, request.value):
+                    proc.pending = request
+                    return
+                value = None
+            elif kind is Delay:
                 if request.ns > 0:
-                    self._schedule(proc, self.now.ns + request.ns, 0)
+                    self._schedule_at(proc, self._ns + request.ns)
                 else:
+                    proc.until = self._ns
                     self.wake(proc)
-                proc.state = f"waiting until {self.now.ns + request.ns}ns"
                 return
-            if isinstance(request, WaitUntil):
-                if request.ns <= self.now.ns:
-                    proc.resume_value = None
-                    continue
-                self._schedule(proc, request.ns, 0)
-                proc.state = f"waiting until {request.ns}ns"
-                return
-            raise PipelineError(f"process {proc.name} yielded {request!r}")
+            elif kind is WaitUntil:
+                if request.ns > self._ns:
+                    self._schedule_at(proc, request.ns)
+                    return
+                value = None
+            else:
+                raise PipelineError(f"process {proc.name} yielded {request!r}")
+            request = None
 
     def describe_processes(self) -> list[str]:
         return [f"{p.name}: {p.state}" for p in self.processes if not p.done]
@@ -231,10 +286,11 @@ class ChannelBase:
         self.engine = engine
         self._reader: Process | None = None
 
-    def try_read(self, proc: Process) -> tuple[bool, object]:
+    def try_read(self, proc: Process) -> object:
+        """The next value, or BLOCKED after parking ``proc`` as the reader."""
         raise NotImplementedError
 
-    def try_peek(self, proc: Process) -> tuple[bool, object]:
+    def try_peek(self, proc: Process) -> object:
         return self.try_read(proc)
 
     def consume(self) -> None:
@@ -280,19 +336,21 @@ class BlockingChannel(ChannelBase):
         self._on_stall = on_stall
         self._waiter_seq = 0
 
-    def try_read(self, proc: Process) -> tuple[bool, object]:
-        if self.slot is not None:
-            value, self.slot = self.slot, None
+    def try_read(self, proc: Process) -> object:
+        value = self.slot
+        if value is not None:
+            self.slot = None
             self._grant_next_writer()
-            return True, value
+            return value
         self._park_reader(proc)
-        return False, None
+        return BLOCKED
 
-    def try_peek(self, proc: Process) -> tuple[bool, object]:
-        if self.slot is not None:
-            return True, self.slot
+    def try_peek(self, proc: Process) -> object:
+        value = self.slot
+        if value is not None:
+            return value
         self._park_reader(proc)
-        return False, None
+        return BLOCKED
 
     def consume(self) -> None:
         assert self.slot is not None, f"consume on empty channel {self.name}"
@@ -346,12 +404,12 @@ class SignalChannel(ChannelBase):
         self.drop_count = 0
         self._on_drop = on_drop
 
-    def try_read(self, proc: Process) -> tuple[bool, object]:
+    def try_read(self, proc: Process) -> object:
         if self.fresh:
             self.fresh = False
-            return True, self.value
+            return self.value
         self._park_reader(proc)
-        return False, None
+        return BLOCKED
 
     def try_write(self, proc: Process, value) -> bool:
         if self.fresh:
@@ -375,9 +433,9 @@ class SeveredChannel(ChannelBase):
 
     kind = "severed"
 
-    def try_read(self, proc: Process) -> tuple[bool, object]:
+    def try_read(self, proc: Process) -> object:
         self._park_reader(proc)
-        return False, None
+        return BLOCKED
 
     def try_write(self, proc: Process, value) -> bool:
         return False
@@ -400,18 +458,22 @@ class QueueChannel(ChannelBase):
 
     def __init__(self, name: str, engine: Engine):
         super().__init__(name, engine)
-        self.items: list = []
+        self.items: deque = deque()
 
-    def try_read(self, proc: Process) -> tuple[bool, object]:
+    def try_read(self, proc: Process) -> object:
         if self.items:
-            return True, self.items.pop(0)
+            return self.items.popleft()
         self._park_reader(proc)
-        return False, None
+        return BLOCKED
 
     def try_write(self, proc: Process, value) -> bool:
+        self.put(value)
+        return True
+
+    def put(self, value) -> None:
+        """Append ``value``; a writer that never blocks may call this directly."""
         self.items.append(value)
         self._wake_reader()
-        return True
 
     def describe(self) -> str:
         return f"{self.name}: {len(self.items)} queued"

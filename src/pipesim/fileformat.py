@@ -183,6 +183,11 @@ class _FileParser(Cursor):
         if value.text == "fixed":
             self.expect("punct", ":")
             interval = self.expect("int", what="an issue interval")
+            if int(interval.text) < 1:
+                self.fail(
+                    f"fixed issue interval must be >= 1, got {int(interval.text)}",
+                    interval.position,
+                )
         self.expect("punct", ";")
         return value, interval
 

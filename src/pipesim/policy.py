@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence, Union
 
 from ._lex import Cursor, PositionedError, tokenize
@@ -68,27 +68,48 @@ _FN_TOKEN = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class _Num:
-    value: float
+# The parser compiles while it parses: each grammar rule returns a closure
+# over its operands' closures that evaluates an environment mapping.  The
+# closures apply the operations in the tree's order (left operand first), so
+# results are bit-identical to a tree walk.
 
 
-@dataclass(frozen=True)
-class _Var:
-    name: str
+def _constant(value: float):
+    return lambda env: value
 
 
-@dataclass(frozen=True)
-class _Unary:
-    op: str  # 'neg' or 'sqr'
-    operand: object
+def _variable(name: str):
+    return lambda env: env[name]
 
 
-@dataclass(frozen=True)
-class _Bin:
-    op: str  # one of + - * /
-    left: object
-    right: object
+def _negate(operand):
+    return lambda env: -operand(env)
+
+
+def _square(operand):
+    def square(env):
+        value = operand(env)
+        return value * value
+
+    return square
+
+
+def _binary(op: str, left, right):
+    if op == "+":
+        return lambda env: left(env) + right(env)
+    if op == "-":
+        return lambda env: left(env) - right(env)
+    if op == "*":
+        return lambda env: left(env) * right(env)
+
+    def divide(env):
+        numerator = left(env)
+        denominator = right(env)
+        if denominator == 0:
+            raise FunctionEvalError("division by zero")
+        return numerator / denominator
+
+    return divide
 
 
 class _FnParser(Cursor):
@@ -104,31 +125,31 @@ class _FnParser(Cursor):
     def parse_expr(self):
         node = self.parse_term()
         while self.peek().kind == "op" and self.peek().text in "+-":
-            node = _Bin(self.advance().text, node, self.parse_term())
+            node = _binary(self.advance().text, node, self.parse_term())
         return node
 
     def parse_term(self):
         node = self.parse_factor()
         while self.peek().kind == "op" and self.peek().text in "*/":
-            node = _Bin(self.advance().text, node, self.parse_factor())
+            node = _binary(self.advance().text, node, self.parse_factor())
         return node
 
     def parse_factor(self):
         token = self.advance()
         kind, text, position = token
         if kind == "num":
-            return _Num(float(text))
+            return _constant(float(text))
         if kind == "ident":
             if text == "sqr":
                 self.expect("op", "(", what="'('")
                 inner = self.parse_expr()
                 self.expect("op", ")", what="')'")
-                return _Unary("sqr", inner)
+                return _square(inner)
             if text in self.variables:
-                return _Var(text)
+                return _variable(text)
             raise FunctionParseError(f"unknown variable {text!r}", position)
         if kind == "op" and text == "-":
-            return _Unary("neg", self.parse_factor())
+            return _negate(self.parse_factor())
         if kind == "op" and text == "(":
             inner = self.parse_expr()
             self.expect("op", ")", what="')'")
@@ -136,37 +157,20 @@ class _FnParser(Cursor):
         raise FunctionParseError(f"expected a value, got {self.got(token)}", position)
 
 
-def _eval_node(node, env: Mapping[str, float]) -> float:
-    if isinstance(node, _Num):
-        return node.value
-    if isinstance(node, _Var):
-        return env[node.name]
-    if isinstance(node, _Unary):
-        value = _eval_node(node.operand, env)
-        return value * value if node.op == "sqr" else -value
-    left = _eval_node(node.left, env)
-    right = _eval_node(node.right, env)
-    if node.op == "+":
-        return left + right
-    if node.op == "-":
-        return left - right
-    if node.op == "*":
-        return left * right
-    if right == 0:
-        raise FunctionEvalError("division by zero")
-    return left / right
-
-
 @dataclass(frozen=True)
 class FunctionSpec:
-    """A parsed arithmetic expression over named real variables."""
+    """A parsed arithmetic expression over named real variables.
+
+    ``compiled`` evaluates an environment mapping each variable to its value;
+    specs compare by source and variables.
+    """
 
     source: str
     variables: tuple[str, ...]
-    root: object
+    compiled: Callable[[Mapping[str, float]], float] = field(compare=False, repr=False)
 
     def evaluate(self, env: Mapping[str, float]) -> float:
-        return _eval_node(self.root, env)
+        return self.compiled(env)
 
     def __str__(self) -> str:
         return self.source
@@ -174,8 +178,8 @@ class FunctionSpec:
 
 def parse_function(source: str, variables: Sequence[str] = ("orig", "data")) -> FunctionSpec:
     """Parse a function expression; the default variable set is a stage's."""
-    root = _FnParser(source, variables).parse()
-    return FunctionSpec(source=source, variables=tuple(variables), root=root)
+    compiled = _FnParser(source, variables).parse()
+    return FunctionSpec(source=source, variables=tuple(variables), compiled=compiled)
 
 
 def eval_function(spec: FunctionSpec, orig: float, data: float) -> float:

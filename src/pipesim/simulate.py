@@ -295,37 +295,32 @@ class _Runtime:
                 f"specification was configured"
             )
         merged = copies[0]
-        for other in copies[1:]:
-            merged.data = join.merge(merged.orig, merged.data, other.data)
-            if _not_finite(merged.data):
-                raise FunctionEvalError(
-                    f"join for transaction {txn.id} at step {completed_step}: "
-                    f"result {merged.data} is not finite"
-                )
+        try:
+            for other in copies[1:]:
+                merged.data = join.merge(merged.orig, merged.data, other.data)
+                if _not_finite(merged.data):
+                    raise FunctionEvalError(f"result {merged.data} is not finite")
+        except FunctionEvalError as exc:
+            raise FunctionEvalError(
+                f"join for transaction {txn.id} at step {completed_step}: {exc}"
+            ) from None
         return merged
 
-    def forward(self, src_node: str, txn: Transaction, dests, via=None):
-        """Deliver a transaction to the next step's stages, or retire it.
+    def forward(self, txn: Transaction, dests) -> Sequence[tuple[StageId, Transaction]]:
+        """The (stage, copy) deliveries of a transaction to the next step.
 
-        ``via`` is a router's internal delivery queue: the write into the
-        destination latch then happens in the router's output-port process so
-        the router itself never blocks.  Without it (injection), the write is
-        direct and blocking.
+        Copies go out in stage declaration order.  At the exit the
+        transaction retires and there is nothing to deliver.
         """
         if dests is EXIT:
             self.recorder.record_exit(txn, self.engine.now)
-            return
+            return ()
+        if len(dests) == 1:
+            (target,) = dests
+            txn.branch = target
+            return ((target, txn),)
         targets = sorted(dests, key=lambda s: s.ordinal)
-        if len(targets) == 1:
-            txn.branch = targets[0]
-            copies = [txn]
-        else:
-            copies = [txn.copy_for(target) for target in targets]
-        for target, copy in zip(targets, copies):
-            if via is None:
-                yield Write(self.channel_into(src_node, target), copy)
-            else:
-                yield Write(via, (target, copy))
+        return [(target, txn.copy_for(target)) for target in targets]
 
     def quiesced_message(self) -> str | None:
         in_flight = self.recorder.in_flight_ids()
@@ -357,14 +352,20 @@ def _not_finite(value) -> bool:
 
 def _stage_loop(rt: _Runtime, cfg: StageConfig):
     stage = cfg.stage
+    engine, recorder = rt.engine, rt.recorder
     in_ch = rt.in_channels[stage]
     out_ch = rt.out_channels[stage]
-    reactive = cfg.exec is ExecKind.REACTIVE
+    peek = Peek(in_ch)
+    timed = not cfg.timing.is_untimed
+    busy = cfg.timing.delay or 0
+    # A reactive stage must not suspend; validation restricts it to zero
+    # delay, so a timed wait degenerates to the counted invocation.
+    wait = None if cfg.exec is ExecKind.REACTIVE else Delay(busy)
     while True:
         # Peek now, consume when done: the input slot stays full for the
         # whole busy window, so contending writers suspend and stall.
-        txn = yield Peek(in_ch)
-        start = rt.engine.now
+        txn = yield peek
+        start = engine.now
         try:
             txn.data = apply_stage_function(cfg.function, txn.orig, txn.data)
             if _not_finite(txn.data):
@@ -373,28 +374,20 @@ def _stage_loop(rt: _Runtime, cfg: StageConfig):
             raise FunctionEvalError(
                 f"stage {stage.name}, transaction {txn.id}: {exc}"
             ) from None
-        if cfg.timing.is_untimed:
-            if not reactive:
-                yield Delay(0)
-        else:
-            rt.recorder.timed_waits += 1
-            # A reactive stage must not suspend; validation restricts it to
-            # zero delay, so the wait degenerates to the counted invocation.
-            if not reactive:
-                yield Delay(cfg.timing.delay)
+        if timed:
+            recorder.timed_waits += 1
+        if wait is not None:
+            yield wait
         in_ch.consume()
         txn.advance()
-        rt.recorder.record_occupancy(
-            stage.name, txn, start, rt.engine.now, busy=cfg.timing.delay or 0
-        )
+        recorder.record_occupancy(stage.name, txn, start, engine.now, busy)
         yield Write(out_ch, txn)
 
 
 def _router_process(rt: _Runtime, router: RouterNode, queue: QueueChannel):
-    stage = router.stage
-    in_ch = rt.out_channels[stage]
+    read = Read(rt.out_channels[router.stage])
     while True:
-        txn = yield Read(in_ch)
+        txn = yield read
         completed = txn.step - 1
         dests = router.table.lookup(completed)
         if dests is None:
@@ -407,15 +400,23 @@ def _router_process(rt: _Runtime, router: RouterNode, queue: QueueChannel):
             if merged is None:
                 continue
             txn = merged
-        yield from rt.forward(router.name, txn, dests, via=queue)
+        # The router never blocks: a delivery waits in its queue, and the
+        # output-port process does the blocking write into the stage latch.
+        for delivery in rt.forward(txn, dests):
+            queue.put(delivery)
 
 
 def _router_port_process(rt: _Runtime, router: RouterNode, queue: QueueChannel):
     # Drains the router's pending deliveries; the only process that suspends
     # on a busy stage latch.
+    read = Read(queue)
+    channels: dict[StageId, ChannelBase] = {}
     while True:
-        target, txn = yield Read(queue)
-        yield Write(rt.channel_into(router.name, target), txn)
+        target, txn = yield read
+        channel = channels.get(target)
+        if channel is None:
+            channel = channels[target] = rt.channel_into(router.name, target)
+        yield Write(channel, txn)
 
 
 def _issue_process(rt: _Runtime, values: Sequence[float], issue: IssueSpec):
@@ -437,7 +438,8 @@ def _issue_process(rt: _Runtime, values: Sequence[float], issue: IssueSpec):
             yield WaitUntil(target)
             yield Delay(0)
         txn = rt.new_transaction(value)
-        yield from rt.forward("entry", txn, entry_dests)
+        for stage, copy in rt.forward(txn, entry_dests):
+            yield Write(rt.channel_into("entry", stage), copy)
         rt.recorder.mark_injected(txn.id, rt.engine.now)
     rt.recorder.issue_active = False
 

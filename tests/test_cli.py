@@ -232,6 +232,38 @@ join = sum;
     assert err == "error: join for transaction 1 at step 1: result inf is not finite\n"
 
 
+def test_run_join_division_by_zero_names_join(write_file, capsys):
+    text = """\
+stage A { fn = "data + orig"; delay = 1; }
+stage B { fn = "data"; delay = 1; }
+stage C { fn = "data - orig"; delay = 1; }
+pipeline = A >> B + C;
+join = "dataL / dataR";
+"""
+    path = write_file("fork.pipe", text)
+    code, out, err = invoke(capsys, "run", path, "--inputs", "2")
+    assert (code, out) == (1, "")
+    assert err == "error: join for transaction 0 at step 1: division by zero\n"
+
+
+def test_unreadable_files_exit_1(write_file, capsys, tmp_path):
+    code, out, err = invoke(capsys, "analyze", str(tmp_path))
+    assert (code, out) == (1, "")
+    assert err == f"error: [Errno 21] Is a directory: {str(tmp_path)!r}\n"
+
+    path = write_file("quad.pipe", QUAD)
+    latin1 = tmp_path / "inputs.txt"
+    latin1.write_bytes(b"1, 2, \xe93\n")
+    code, out, err = invoke(capsys, "run", path, "--inputs", str(latin1))
+    assert (code, out) == (1, "")
+    assert err == f"error: {latin1}: not UTF-8 text (invalid continuation byte at byte 6)\n"
+
+    latin1.rename(tmp_path / "latin1.pipe")
+    code, out, err = invoke(capsys, "analyze", str(tmp_path / "latin1.pipe"))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "not UTF-8 text" in err
+
+
 # -- elaborate ----------------------------------------------------------------------
 
 
@@ -355,6 +387,8 @@ MALFORMED_FILES = [
      "line 3, col 8: join must be left, right, sum or a quoted expression"),
     (_A + "pipeline = A;\nissue = slow;",
      "line 3, col 9: expected greedy, eager or fixed:<interval>"),
+    (_A + "pipeline = A;\nissue = fixed:0;\n",
+     "line 3, col 15: fixed issue interval must be >= 1, got 0"),
 ]
 
 

@@ -5,6 +5,7 @@ from dataclasses import dataclass
 import pytest
 
 import pipesim as ps
+from pipesim import simulate
 from pipesim.engine import (
     BlockingChannel,
     Delay,
@@ -230,3 +231,30 @@ def test_quiesced_hook_raises_deadlock():
     engine.spawn("stuck", stuck())
     with pytest.raises(ps.DeadlockError, match="stuck"):
         engine.run(quiesced=lambda: "stuck: blocked reading c")
+
+
+def test_engine_counts_resumes_and_timed_events(monkeypatch):
+    engines = []
+
+    class RecordedEngine(Engine):
+        def __init__(self):
+            super().__init__()
+            engines.append(self)
+
+    monkeypatch.setattr(simulate, "Engine", RecordedEngine)
+    decls = ps.declare_stages(["S1", "S2", "S3"])
+    configs = [
+        ps.StageConfig(decls["S1"], ps.parse_function("data + 2*sqr(orig)")),
+        ps.StageConfig(decls["S2"], ps.parse_function("data + 4*orig")),
+        ps.StageConfig(decls["S3"], ps.parse_function("data - 7")),
+    ]
+    route = ps.flatten(ps.parse("S1 >> S2 >> S3 >> S1 >> S3*2 >> S1 >> S2", decls))
+    result = ps.run(ps.elaborate(route, decls), configs, [float(i) for i in range(4000)])
+    assert result.stats.exited == 4000
+    (engine,) = engines
+    # The count of a single-heap engine that dispatched every resume in
+    # (ns, delta, seq) order: the delta FIFOs keep each one.
+    assert engine.resumes == 132009
+    # Only timed events use the heap: 32,000 one-ns stage delays and 3,999
+    # greedy issue waits (the first issue waits for ns 0 and resumes inline).
+    assert engine.timed == 35999
