@@ -21,7 +21,7 @@ from . import analysis, report, simulate
 from .elaborate import Netlist, elaborate, to_dot
 from .engine import DeadlockError
 from .errors import PipelineError
-from .fileformat import PipelineSetup, parse_pipeline_text
+from .fileformat import PipelineSetup, load_pipeline_file, read_text
 from .policy import CheckedConfig, IssueSpec, validate_config
 
 __all__ = ["main", "console_main", "run_and_report"]
@@ -86,19 +86,10 @@ def _select_pipeline(setup: PipelineSetup, txn_type: str | None) -> str:
     return names[0]
 
 
-def _read_text(path: str) -> str:
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise PipelineError(
-            f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
-        ) from None
-
-
 def _parse_inputs(spec: str) -> list[float]:
     path = Path(spec)
     if path.exists() and not spec.replace(".", "").replace(",", "").isdigit():
-        text = _read_text(spec)
+        text = read_text(spec)
     else:
         text = spec
     values = []
@@ -164,7 +155,7 @@ def run_and_report(
 
 
 def _cmd_analyze(args) -> int:
-    setup = parse_pipeline_text(_read_text(args.file))
+    setup = load_pipeline_file(args.file)
     if args.fmt == "json-like":
         mapping = {
             "format_version": report.FORMAT_VERSION,
@@ -183,7 +174,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    setup = parse_pipeline_text(_read_text(args.file))
+    setup = load_pipeline_file(args.file)
     name = _select_pipeline(setup, args.txn_type)
     route = setup.routes[name]
     inputs = _parse_inputs(args.inputs)
@@ -208,7 +199,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_elaborate(args) -> int:
-    setup = parse_pipeline_text(_read_text(args.file))
+    setup = load_pipeline_file(args.file)
     name = _select_pipeline(setup, args.txn_type)
     route = setup.routes[name]
     checked = validate_config(route, setup.configs, join=setup.join)

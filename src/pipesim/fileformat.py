@@ -26,6 +26,7 @@ from pathlib import Path
 from . import dsl
 from .dsl import PipeExpr, Route, StageId, StageSet
 from ._lex import Cursor, PositionedError, Token, tokenize
+from .errors import PipelineError
 from .policy import (
     ChannelKind,
     ExecKind,
@@ -38,7 +39,13 @@ from .policy import (
     parse_function,
 )
 
-__all__ = ["PipelineFileError", "PipelineSetup", "parse_pipeline_text", "load_pipeline_file"]
+__all__ = [
+    "PipelineFileError",
+    "PipelineSetup",
+    "parse_pipeline_text",
+    "load_pipeline_file",
+    "read_text",
+]
 
 
 class PipelineFileError(PositionedError):
@@ -307,5 +314,15 @@ def parse_pipeline_text(text: str) -> PipelineSetup:
     )
 
 
+def read_text(path: str | Path) -> str:
+    """The text of a UTF-8 file; other bytes raise PipelineError naming the file."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise PipelineError(
+            f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
+        ) from None
+
+
 def load_pipeline_file(path: str | Path) -> PipelineSetup:
-    return parse_pipeline_text(Path(path).read_text(encoding="utf-8"))
+    return parse_pipeline_text(read_text(path))
