@@ -142,6 +142,10 @@ def run_and_report(
     except DeadlockError as exc:
         print(str(exc), file=err)
         return EXIT_DEADLOCK
+    # Write the trace before any report output, so an unwritable path fails
+    # with nothing on stdout.
+    if trace_path is not None:
+        Path(trace_path).write_text(report.trace_to_csv(result.trace), encoding="utf-8")
     for warning in result.warnings:
         print(f"warning: {warning}", file=err)
     if fmt == "json-like":
@@ -149,8 +153,6 @@ def run_and_report(
         print(report.canonical(mapping), file=out)
     else:
         out.write(report.run_report_text(name, result, analysis_report, issue))
-    if trace_path is not None:
-        Path(trace_path).write_text(report.trace_to_csv(result.trace), encoding="utf-8")
     return EXIT_HORIZON if result.stats.truncated else EXIT_OK
 
 

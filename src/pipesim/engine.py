@@ -78,15 +78,18 @@ class JoinError(PipelineError):
 
 
 # Requests a process may yield.  A request holds no state of its own, so a
-# process may yield the same one again and again.
+# process may yield the same one again and again.  They are plain slotted
+# classes: nothing hashes or compares them, and a plain ``__init__`` is the
+# cheapest to call on the per-hop ``Write``.
 
 
-@dataclass(frozen=True, slots=True)
 class Read:
-    channel: "ChannelBase"
+    __slots__ = ("channel",)
+
+    def __init__(self, channel: "ChannelBase"):
+        self.channel = channel
 
 
-@dataclass(frozen=True, slots=True)
 class Peek:
     """Wait for a value without draining the slot.
 
@@ -96,23 +99,31 @@ class Peek:
     buffer.
     """
 
-    channel: "ChannelBase"
+    __slots__ = ("channel",)
+
+    def __init__(self, channel: "ChannelBase"):
+        self.channel = channel
 
 
-@dataclass(frozen=True, slots=True)
 class Write:
-    channel: "ChannelBase"
-    value: object
+    __slots__ = ("channel", "value")
+
+    def __init__(self, channel: "ChannelBase", value: object):
+        self.channel, self.value = channel, value
 
 
-@dataclass(frozen=True, slots=True)
 class Delay:
-    ns: int  # 0 advances one delta at the current nanosecond
+    __slots__ = ("ns",)
+
+    def __init__(self, ns: int):
+        self.ns = ns  # 0 advances one delta at the current nanosecond
 
 
-@dataclass(frozen=True, slots=True)
 class WaitUntil:
-    ns: int  # resume inline when the target is not in the future
+    __slots__ = ("ns",)
+
+    def __init__(self, ns: int):
+        self.ns = ns  # resume inline when the target is not in the future
 
 
 # What a channel's try_read/try_peek return when the caller must suspend.
@@ -149,23 +160,25 @@ class Process:
 class Engine:
     """Owns the run queues and steps processes to their next suspension.
 
-    ``resumes`` counts processes stepped and ``timed`` counts timed events
-    scheduled (heap pushes); both only grow.
+    The current instant is the two ints ``ns`` and ``delta``; ``now`` builds
+    a :class:`SimTime` from them for callers that want one.  ``resumes``
+    counts processes stepped and ``timed`` counts timed events scheduled
+    (heap pushes); both only grow.
     """
 
     def __init__(self):
         self._runnable: deque[Process] = deque()  # the current delta phase
         self._woken: list[Process] = []  # the next delta phase
         self._timed: list[tuple[int, int, Process]] = []  # (ns, seq, proc)
-        self._ns = 0
-        self._delta = 0
+        self.ns = 0
+        self.delta = 0
         self.processes: list[Process] = []
         self.resumes = 0
         self.timed = 0
 
     @property
     def now(self) -> SimTime:
-        return SimTime(self._ns, self._delta)
+        return SimTime(self.ns, self.delta)
 
     def spawn(self, name: str, gen: Iterator) -> Process:
         """Create a process runnable at the current instant."""
@@ -208,13 +221,13 @@ class Engine:
             if woken:
                 runnable.extend(woken)
                 woken.clear()
-                self._delta += 1
+                self.delta += 1
             elif timed:
                 ns = timed[0][0]
                 if horizon_ns is not None and ns > horizon_ns:
                     return True
-                self._ns = ns
-                self._delta = 0
+                self.ns = ns
+                self.delta = 0
                 while timed and timed[0][0] == ns:
                     runnable.append(heappop(timed)[2])
             else:
@@ -256,13 +269,13 @@ class Engine:
                 value = None
             elif kind is Delay:
                 if request.ns > 0:
-                    self._schedule_at(proc, self._ns + request.ns)
+                    self._schedule_at(proc, self.ns + request.ns)
                 else:
-                    proc.until = self._ns
+                    proc.until = self.ns
                     self.wake(proc)
                 return
             elif kind is WaitUntil:
-                if request.ns > self._ns:
+                if request.ns > self.ns:
                     self._schedule_at(proc, request.ns)
                     return
                 value = None
@@ -366,7 +379,7 @@ class BlockingChannel(ChannelBase):
             self._on_stall(self.name)
         self._waiter_seq += 1
         txn_id = getattr(value, "id", 0)
-        self._writers.append((self.engine.now.ns, txn_id, self._waiter_seq, proc))
+        self._writers.append((self.engine.ns, txn_id, self._waiter_seq, proc))
         return False
 
     def _grant_next_writer(self) -> None:

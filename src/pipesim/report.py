@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from functools import lru_cache
 from typing import Mapping
 
 from .analysis import AnalysisReport
@@ -32,6 +33,13 @@ def format_real(value: float) -> str:
     return "%.6g" % value
 
 
+@lru_cache(maxsize=256)
+def _encode_key(key: str) -> str:
+    # A report repeats a handful of keys thousands of times; the bound keeps
+    # arbitrary library keys from growing the cache.
+    return json.dumps(key)
+
+
 def canonical(obj, indent: int = 0) -> str:
     """Serialize plain data to the canonical structured-text form."""
     pad = "  " * indent
@@ -52,7 +60,7 @@ def canonical(obj, indent: int = 0) -> str:
             return "{}"
         inner = "  " * (indent + 1)
         parts = [
-            f"{inner}{json.dumps(str(key))}: {canonical(obj[key], indent + 1)}"
+            f"{inner}{_encode_key(str(key))}: {canonical(obj[key], indent + 1)}"
             for key in sorted(obj)
         ]
         return "{\n" + ",\n".join(parts) + "\n" + pad + "}"

@@ -12,12 +12,21 @@ policy.
 Payloads are dynamically typed: ``orig`` and ``data`` are reals when driven
 from the CLI, but library users may put any value in ``data`` as long as the
 configured stage functions accept it.
+
+Stage occupancy is logged as one tuple of plain ints per hop, (stage name,
+transaction id, start ns, start delta, end ns, end delta), and the
+:class:`Occupancy` objects with their :class:`SimTime` bounds are built only
+when ``Trace.occupancy`` is first read.  A caller that never reads it pays
+for the tuples alone.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
+from operator import itemgetter
 from typing import Mapping, Sequence, Union
 
 from . import analysis
@@ -118,10 +127,30 @@ class Occupancy:
     end: SimTime
 
 
-@dataclass(frozen=True)
+# (stage, txn_id, start_ns, start_delta, end_ns, end_delta)
+OccupancyEntry = tuple[str, int, int, int, int, int]
+
+
+@dataclass(frozen=True, repr=False)
 class Trace:
+    """Per-transaction records plus the stage occupancy log.
+
+    Two traces are equal when their records and logs are; ``occupancy``
+    presents the log as :class:`Occupancy` objects, built on first read.
+    """
+
     records: tuple[TraceRecord, ...]
-    occupancy: tuple[Occupancy, ...]
+    occupancy_log: tuple[OccupancyEntry, ...]
+
+    @cached_property
+    def occupancy(self) -> tuple[Occupancy, ...]:
+        return tuple(
+            Occupancy(stage, txn_id, SimTime(start_ns, start_delta), SimTime(end_ns, end_delta))
+            for stage, txn_id, start_ns, start_delta, end_ns, end_delta in self.occupancy_log
+        )
+
+    def __repr__(self) -> str:
+        return f"Trace(records={self.records!r}, occupancy={self.occupancy!r})"
 
     def record_of(self, txn_id: int) -> TraceRecord:
         return self.records[txn_id]
@@ -171,9 +200,7 @@ class _Recorder:
         self.injected_at: dict[int, SimTime | None] = {}
         self.exited_at: dict[int, SimTime] = {}
         self.dropped_ids: set[int] = set()
-        self.occupancy: list[Occupancy] = []
-        self.items: dict[str, int] = {}
-        self.busy: dict[str, int] = {}
+        self.occupancy_log: list[OccupancyEntry] = []
         self.stalls: dict[str, int] = {}
         self.drops: dict[str, int] = {}
         self.timed_waits = 0
@@ -190,11 +217,6 @@ class _Recorder:
     def record_exit(self, txn: Transaction, when: SimTime) -> None:
         self.exited_at[txn.id] = when
         self.data[txn.id] = txn.data
-
-    def record_occupancy(self, stage: str, txn: Transaction, start: SimTime, end: SimTime, busy: int) -> None:
-        self.occupancy.append(Occupancy(stage, txn.id, start, end))
-        self.items[stage] = self.items.get(stage, 0) + 1
-        self.busy[stage] = self.busy.get(stage, 0) + busy
 
     def stall(self, channel: str) -> None:
         self.stalls[channel] = self.stalls.get(channel, 0) + 1
@@ -350,29 +372,35 @@ def _not_finite(value) -> bool:
     return type(value) is float and not math.isfinite(value)
 
 
+def _busy_ns(cfg: StageConfig) -> int:
+    # Every occupancy of a stage lasts exactly this many ns.
+    return cfg.timing.delay or 0
+
+
 def _stage_loop(rt: _Runtime, cfg: StageConfig):
     stage = cfg.stage
+    name = stage.name
     engine, recorder = rt.engine, rt.recorder
+    log = recorder.occupancy_log.append
     in_ch = rt.in_channels[stage]
     out_ch = rt.out_channels[stage]
     peek = Peek(in_ch)
     timed = not cfg.timing.is_untimed
-    busy = cfg.timing.delay or 0
     # A reactive stage must not suspend; validation restricts it to zero
     # delay, so a timed wait degenerates to the counted invocation.
-    wait = None if cfg.exec is ExecKind.REACTIVE else Delay(busy)
+    wait = None if cfg.exec is ExecKind.REACTIVE else Delay(_busy_ns(cfg))
     while True:
         # Peek now, consume when done: the input slot stays full for the
         # whole busy window, so contending writers suspend and stall.
         txn = yield peek
-        start = engine.now
+        start_ns, start_delta = engine.ns, engine.delta
         try:
             txn.data = apply_stage_function(cfg.function, txn.orig, txn.data)
             if _not_finite(txn.data):
                 raise FunctionEvalError(f"result {txn.data} is not finite")
         except FunctionEvalError as exc:
             raise FunctionEvalError(
-                f"stage {stage.name}, transaction {txn.id}: {exc}"
+                f"stage {name}, transaction {txn.id}: {exc}"
             ) from None
         if timed:
             recorder.timed_waits += 1
@@ -380,7 +408,7 @@ def _stage_loop(rt: _Runtime, cfg: StageConfig):
             yield wait
         in_ch.consume()
         txn.advance()
-        recorder.record_occupancy(stage.name, txn, start, engine.now, busy)
+        log((name, txn.id, start_ns, start_delta, engine.ns, engine.delta))
         yield Write(out_ch, txn)
 
 
@@ -513,12 +541,13 @@ def run(
         )
         for i in sorted(recorder.orig)
     )
-    trace = Trace(records=records, occupancy=tuple(recorder.occupancy))
+    trace = Trace(records=records, occupancy_log=tuple(recorder.occupancy_log))
 
+    items = Counter(map(itemgetter(0), recorder.occupancy_log))
     stage_stats = {
         s.name: StageStats(
-            items=recorder.items.get(s.name, 0),
-            busy_ns=recorder.busy.get(s.name, 0),
+            items=items[s.name],
+            busy_ns=items[s.name] * _busy_ns(checked.config_of(s)),
             stalls=recorder.stalls.get(f"{s.name}.in", 0),
         )
         for s in netlist.stages

@@ -264,6 +264,23 @@ def test_unreadable_files_exit_1(write_file, capsys, tmp_path):
     assert err.startswith("error: ") and "not UTF-8 text" in err
 
 
+def test_run_unwritable_trace_prints_no_report(write_file, capsys, tmp_path):
+    path = write_file("quad.pipe", QUAD)
+    trace = tmp_path / "missing" / "x.csv"
+    for fmt in ("text", "json-like"):
+        code, out, err = invoke(capsys, "run", path, "--inputs", "1,2",
+                                "--trace", str(trace), "--format", fmt)
+        assert (code, out) == (1, "")
+        assert err == f"error: [Errno 2] No such file or directory: {str(trace)!r}\n"
+
+    # A writable trace still goes out with a horizon-truncated run's exit code.
+    trace = tmp_path / "x.csv"
+    code, out, _ = invoke(capsys, "run", path, "--inputs", "1,2,3,4",
+                          "--horizon", "2", "--trace", str(trace))
+    assert code == 3 and "horizon reached" in out
+    assert trace.read_text(encoding="utf-8").startswith("id,inject_ns,exit_ns,orig,data\n")
+
+
 # -- elaborate ----------------------------------------------------------------------
 
 

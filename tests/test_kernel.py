@@ -428,3 +428,35 @@ def test_run_results_pinned():
     with pytest.raises(ps.DeadlockError) as exc:
         ps.run(severed, configs, PIN_INPUTS[:3])
     assert str(exc.value) == SEVERED_MESSAGE
+
+
+# -- occupancy log ---------------------------------------------------------------------
+
+
+def test_stage_stats_match_the_occupancy_log():
+    for name, make in pinned_corpus().items():
+        result = make()
+        for stage, st in result.stats.stage.items():
+            spans = [o for o in result.trace.occupancy if o.stage == stage]
+            assert st.items == len(spans), (name, stage)
+            assert st.busy_ns == sum(o.end.ns - o.start.ns for o in spans), (name, stage)
+
+
+def test_occupancy_is_built_on_first_read_and_cached():
+    decls, configs = declare_quad()
+    trace = run_route(decls, FEEDBACK, configs, PIN_INPUTS).trace
+    assert "occupancy" not in trace.__dict__
+    first = trace.occupancy
+    assert trace.occupancy is first
+    assert len(first) == len(PIN_INPUTS) * 8
+    assert first[0] == ps.Occupancy("S1", 0, ps.SimTime(0, 2), ps.SimTime(1, 0))
+
+
+def test_identical_runs_give_equal_traces():
+    decls, configs = declare_quad()
+    one = run_route(decls, FEEDBACK, configs, PIN_INPUTS).trace
+    two = run_route(decls, FEEDBACK, configs, PIN_INPUTS).trace
+    assert one.occupancy  # a built cache must not enter equality or hash
+    assert one == two and hash(one) == hash(two)
+    eager = run_route(decls, FEEDBACK, configs, PIN_INPUTS, issue=ps.IssueSpec.eager()).trace
+    assert one != eager
