@@ -6,6 +6,8 @@ import pytest
 
 import pipesim as ps
 from oracles import random_expr, unit_configs
+from pipesim import simulate
+from pipesim.engine import Engine
 from pipesim.report import trace_to_csv
 
 
@@ -428,6 +430,41 @@ def test_run_results_pinned():
     with pytest.raises(ps.DeadlockError) as exc:
         ps.run(severed, configs, PIN_INPUTS[:3])
     assert str(exc.value) == SEVERED_MESSAGE
+
+
+# (Engine.resumes, Engine.timed) of each pinned run: an unchanged schedule
+# resumes the same processes and pushes the same timed events in every mode.
+PINNED_DISPATCH = {
+    "quad-greedy": (165, 47),
+    "quad-eager": (152, 36),
+    "quad-fixed:1": (165, 47),
+    "quad-fixed:3": (165, 47),
+    "feedback-greedy": (405, 107),
+    "feedback-eager": (394, 96),
+    "feedback-fixed:1": (411, 107),
+    "feedback-fixed:3": (423, 107),
+    "feedback-untimed-eager": (407, 0),
+    "feedback-horizon": (138, 37),
+    "forkjoin-sum": (278, 72),
+    "forkjoin-custom": (278, 72),
+    "signal-drops": (94, 17),
+}
+
+
+def test_dispatch_counts_pinned(monkeypatch):
+    engines = []
+
+    class RecordedEngine(Engine):
+        def __init__(self):
+            super().__init__()
+            engines.append(self)
+
+    monkeypatch.setattr(simulate, "Engine", RecordedEngine)
+    counts = {}
+    for name, make in pinned_corpus().items():
+        make()
+        counts[name] = (engines[-1].resumes, engines[-1].timed)
+    assert counts == PINNED_DISPATCH
 
 
 # -- occupancy log ---------------------------------------------------------------------
