@@ -69,9 +69,6 @@ class ReservationTable:
     length: int
     marks: Mapping[StageId, tuple[int, ...]]
 
-    def marks_of(self, stage: StageId) -> tuple[int, ...]:
-        return self.marks[stage]
-
     def max_row_marks(self) -> int:
         """Maximum number of marks in any row; a lower bound on MAL."""
         return max(len(m) for m in self.marks.values())

@@ -176,12 +176,6 @@ class PipeExpr:
     def __str__(self) -> str:
         return pretty(self)
 
-    def stages_used(self) -> tuple[StageId, ...]:
-        """Distinct stages referenced by this expression, in ordinal order."""
-        found: set[StageId] = set()
-        _collect_stages(self, found)
-        return tuple(sorted(found, key=lambda s: s.ordinal))
-
 
 @dataclass(frozen=True)
 class StageRef(PipeExpr):
@@ -256,18 +250,6 @@ def _fork_members(value) -> tuple[StageId, ...]:
     raise ExpressionError(
         "fork with + combines stage names only, not composite expressions"
     )
-
-
-def _collect_stages(node: PipeExpr, out: set[StageId]) -> None:
-    if isinstance(node, StageRef):
-        out.add(node.stage)
-    elif isinstance(node, Repeat):
-        out.add(node.stage)
-    elif isinstance(node, Fork):
-        out.update(node.stages)
-    elif isinstance(node, Seq):
-        for item in node.items:
-            _collect_stages(item, out)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,22 @@
 """Deterministic discrete-event engine.
 
-Simulated processes are generators that yield requests (read, peek, write,
-delay, wait-until) back to the engine; a resumed process runs until its next
-suspension.  Processes are dispatched in (nanoseconds, delta, schedule
-sequence) order and there is no other source of ordering, which is what makes
-runs byte-reproducible.  Same-nanosecond causality is sequenced with delta
-phases: a wake-up always lands at the current nanosecond, one delta later.
+A process comes in one of two kinds, as in IEEE 1666 SystemC:
+
+- a thread process (``SC_THREAD``, :meth:`Engine.spawn`) is a generator that
+  yields requests (read, peek, write, delay, wait-until) back to the engine;
+  a resumed thread runs until its next suspension;
+- a method process (``SC_METHOD``, :meth:`Engine.spawn_method`) is a callable
+  that the engine calls once per resume.  It calls the channels'
+  ``try_peek``/``try_read``/``try_write`` itself, and suspends by returning:
+  parked on a channel, with ``proc.pending`` set to the request it would have
+  yielded, or after :meth:`Engine.sleep`.
+
+Both kinds block, wake and sleep through the same channel calls and the same
+``sleep``, so they schedule alike.  Processes are dispatched in (nanoseconds,
+delta, schedule sequence) order and there is no other source of ordering,
+which is what makes runs byte-reproducible.  Same-nanosecond causality is
+sequenced with delta phases: a wake-up always lands at the current
+nanosecond, one delta later.
 
 As in the IEEE 1666 SystemC scheduler, that order needs no single priority
 queue.  A wake-up lands at (now.ns, now.delta + 1), and a positive delay or a
@@ -131,11 +142,18 @@ BLOCKED = object()
 
 
 class Process:
-    __slots__ = ("name", "gen", "pending", "until", "scheduled", "done")
+    """A scheduled process; ``resume(proc)`` runs it to its next suspension.
 
-    def __init__(self, name: str, gen: Iterator):
+    A thread process keeps its generator in ``gen`` and resumes through the
+    engine's request loop; a method process has no generator.
+    """
+
+    __slots__ = ("name", "gen", "resume", "pending", "until", "scheduled", "done")
+
+    def __init__(self, name: str, gen: Iterator | None, resume: Callable[["Process"], None]):
         self.name = name
         self.gen = gen
+        self.resume = resume
         self.pending = None  # the blocked request, retried after a wake-up
         self.until: int | None = None  # ns the last delay or wait targeted
         self.scheduled = False
@@ -162,8 +180,8 @@ class Engine:
 
     The current instant is the two ints ``ns`` and ``delta``; ``now`` builds
     a :class:`SimTime` from them for callers that want one.  ``resumes``
-    counts processes stepped and ``timed`` counts timed events scheduled
-    (heap pushes); both only grow.
+    counts processes resumed, of both kinds, and ``timed`` counts timed
+    events scheduled (heap pushes); both only grow.
     """
 
     def __init__(self):
@@ -181,8 +199,20 @@ class Engine:
         return SimTime(self.ns, self.delta)
 
     def spawn(self, name: str, gen: Iterator) -> Process:
-        """Create a process runnable at the current instant."""
-        proc = Process(name, gen)
+        """Create a thread process, runnable at the current instant."""
+        return self._start(Process(name, gen, self._step))
+
+    def spawn_method(self, name: str, resume: Callable[[Process], None]) -> Process:
+        """Create a method process, runnable at the current instant.
+
+        The engine calls ``resume(proc)`` on every resume.  It returns after
+        parking on a channel (setting ``proc.pending`` to the ``Peek``,
+        ``Read`` or ``Write`` it is blocked on, and clearing it once past)
+        or after ``self.sleep(proc, ns)``.
+        """
+        return self._start(Process(name, None, resume))
+
+    def _start(self, proc: Process) -> Process:
         self.processes.append(proc)
         proc.scheduled = True
         self._runnable.append(proc)
@@ -194,10 +224,19 @@ class Engine:
         proc.scheduled = True
         self._woken.append(proc)
 
-    def _schedule_at(self, proc: Process, ns: int) -> None:
+    def sleep(self, proc: Process, ns: int) -> None:
+        """Schedule ``proc`` ``ns`` after the current instant.
+
+        A positive ``ns`` is a timed event on the heap; 0 wakes ``proc`` one
+        delta later at the current nanosecond.
+        """
+        if ns <= 0:
+            proc.until = self.ns
+            self.wake(proc)
+            return
         assert not proc.scheduled, f"{proc.name} scheduled twice"
         proc.scheduled = True
-        proc.until = ns
+        proc.until = ns = self.ns + ns
         self.timed += 1  # also the entry's schedule sequence
         heappush(self._timed, (ns, self.timed, proc))
 
@@ -212,12 +251,13 @@ class Engine:
         message means work was still pending and is raised as a deadlock
         diagnostic.
         """
-        runnable, woken, timed, step = self._runnable, self._woken, self._timed, self._step
+        runnable, woken, timed = self._runnable, self._woken, self._timed
         while True:
             while runnable:
                 proc = runnable.popleft()
                 proc.scheduled = False
-                step(proc)
+                self.resumes += 1
+                proc.resume(proc)
             if woken:
                 runnable.extend(woken)
                 woken.clear()
@@ -239,7 +279,7 @@ class Engine:
         return False
 
     def _step(self, proc: Process) -> None:
-        self.resumes += 1
+        # The resume of a thread process: serve its requests until one suspends it.
         request = proc.pending
         proc.pending = None
         value = None
@@ -268,15 +308,11 @@ class Engine:
                     return
                 value = None
             elif kind is Delay:
-                if request.ns > 0:
-                    self._schedule_at(proc, self.ns + request.ns)
-                else:
-                    proc.until = self.ns
-                    self.wake(proc)
+                self.sleep(proc, request.ns)
                 return
             elif kind is WaitUntil:
                 if request.ns > self.ns:
-                    self._schedule_at(proc, request.ns)
+                    self.sleep(proc, request.ns - self.ns)
                     return
                 value = None
             else:

@@ -42,7 +42,17 @@ def _encode_key(key: str) -> str:
 
 def canonical(obj, indent: int = 0) -> str:
     """Serialize plain data to the canonical structured-text form."""
-    pad = "  " * indent
+    # A report is mostly exact floats, ints, dicts and lists: test for those
+    # first, and leave the rest to the isinstance chain.
+    kind = type(obj)
+    if kind is float:
+        return format_real(obj)
+    if kind is int:
+        return str(obj)
+    if kind is dict:
+        return _canonical_mapping(obj, indent)
+    if kind is list:
+        return _canonical_sequence(obj, indent)
     if obj is None:
         return "null"
     if obj is True:
@@ -56,21 +66,29 @@ def canonical(obj, indent: int = 0) -> str:
     if isinstance(obj, (float, Fraction)):
         return format_real(float(obj))
     if isinstance(obj, Mapping):
-        if not obj:
-            return "{}"
-        inner = "  " * (indent + 1)
-        parts = [
-            f"{inner}{_encode_key(str(key))}: {canonical(obj[key], indent + 1)}"
-            for key in sorted(obj)
-        ]
-        return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
+        return _canonical_mapping(obj, indent)
     if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        inner = "  " * (indent + 1)
-        parts = [f"{inner}{canonical(item, indent + 1)}" for item in obj]
-        return "[\n" + ",\n".join(parts) + "\n" + pad + "]"
+        return _canonical_sequence(obj, indent)
     raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def _canonical_mapping(obj: Mapping, indent: int) -> str:
+    if not obj:
+        return "{}"
+    inner = "  " * (indent + 1)
+    parts = [
+        f"{inner}{_encode_key(str(key))}: {canonical(obj[key], indent + 1)}"
+        for key in sorted(obj)
+    ]
+    return "{\n" + ",\n".join(parts) + "\n" + "  " * indent + "}"
+
+
+def _canonical_sequence(obj, indent: int) -> str:
+    if not obj:
+        return "[]"
+    inner = "  " * (indent + 1)
+    parts = [f"{inner}{canonical(item, indent + 1)}" for item in obj]
+    return "[\n" + ",\n".join(parts) + "\n" + "  " * indent + "]"
 
 
 # ---------------------------------------------------------------------------

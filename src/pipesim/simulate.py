@@ -1,13 +1,19 @@
 """Transaction-level execution of an elaborated netlist.
 
 Each stage and each router becomes a simulated process.  A stage perpetually
-reads its input channel, applies its function, waits out its timing model,
-advances the transaction's step counter, and writes its output.  The router
-on a stage's output looks the transaction up in its table by the step just
-completed and forwards it, duplicating on forks, collecting and merging
-branch copies at joins, and retiring transactions at the exit.  The issue
-process injects fresh transactions at the entry router according to the issue
-policy.
+peeks its input channel, applies its function, waits out its timing model,
+consumes the input, advances the transaction's step counter, and writes its
+output.  The router on a stage's output looks the transaction up in its table
+by the step just completed and forwards it, duplicating on forks, collecting
+and merging branch copies at joins, and retiring transactions at the exit;
+its port process writes each delivery into the next stage's input.  The
+issue process injects fresh transactions at the entry router according to
+the issue policy.
+
+Stages, routers and ports are method processes (see :mod:`.engine`): each is
+a closure the engine calls once per resume, which carries the process from
+where it last suspended.  The issue process is a thread process, a generator,
+because its schedule reads most naturally as a loop of waits.
 
 Payloads are dynamically typed: ``orig`` and ``data`` are reals when driven
 from the CLI, but library users may put any value in ``data`` as long as the
@@ -33,6 +39,7 @@ from . import analysis
 from .dsl import Route, StageId
 from .elaborate import EXIT, Netlist, RouterNode
 from .engine import (
+    BLOCKED,
     BlockingChannel,
     ChannelBase,
     Delay,
@@ -151,9 +158,6 @@ class Trace:
 
     def __repr__(self) -> str:
         return f"Trace(records={self.records!r}, occupancy={self.occupancy!r})"
-
-    def record_of(self, txn_id: int) -> TraceRecord:
-        return self.records[txn_id]
 
 
 @dataclass(frozen=True)
@@ -377,74 +381,134 @@ def _busy_ns(cfg: StageConfig) -> int:
     return cfg.timing.delay or 0
 
 
-def _stage_loop(rt: _Runtime, cfg: StageConfig):
+def _stage_method(rt: _Runtime, cfg: StageConfig):
+    """Build the resume callable of a stage's method process.
+
+    Each call carries the stage from where it last suspended: blocked peeking
+    its input, busy for its delay, or blocked writing its output.  ``LOOP``
+    sleeps its delay between peek and consume.  ``REACTIVE`` (zero delay,
+    by validation) never sleeps: it finishes each arrival within the call
+    that the arrival's wake-up triggers.
+    """
     stage = cfg.stage
     name = stage.name
     engine, recorder = rt.engine, rt.recorder
     log = recorder.occupancy_log.append
     in_ch = rt.in_channels[stage]
     out_ch = rt.out_channels[stage]
-    peek = Peek(in_ch)
+    peek, write = Peek(in_ch), Write(out_ch, None)
+    function = cfg.function
     timed = not cfg.timing.is_untimed
-    # A reactive stage must not suspend; validation restricts it to zero
-    # delay, so a timed wait degenerates to the counted invocation.
-    wait = None if cfg.exec is ExecKind.REACTIVE else Delay(_busy_ns(cfg))
-    while True:
-        # Peek now, consume when done: the input slot stays full for the
-        # whole busy window, so contending writers suspend and stall.
-        txn = yield peek
-        start_ns, start_delta = engine.ns, engine.delta
-        try:
-            txn.data = apply_stage_function(cfg.function, txn.orig, txn.data)
-            if _not_finite(txn.data):
-                raise FunctionEvalError(f"result {txn.data} is not finite")
-        except FunctionEvalError as exc:
-            raise FunctionEvalError(
-                f"stage {name}, transaction {txn.id}: {exc}"
-            ) from None
-        if timed:
-            recorder.timed_waits += 1
-        if wait is not None:
-            yield wait
-        in_ch.consume()
-        txn.advance()
-        log((name, txn.id, start_ns, start_delta, engine.ns, engine.delta))
-        yield Write(out_ch, txn)
+    delay = None if cfg.exec is ExecKind.REACTIVE else _busy_ns(cfg)
+    sleep = engine.sleep
+    txn = None  # held from its peek until its output write is accepted
+    start_ns = start_delta = 0
+
+    def resume(proc):
+        nonlocal txn, start_ns, start_delta
+        if proc.pending is write:
+            if not out_ch.try_write(proc, txn):
+                return
+            proc.pending = txn = None
+        while True:
+            if txn is None:
+                # Peek now, consume when done: the input slot stays full for
+                # the whole busy window, so contending writers suspend and stall.
+                txn = in_ch.try_peek(proc)
+                if txn is BLOCKED:
+                    proc.pending, txn = peek, None
+                    return
+                proc.pending = None
+                start_ns, start_delta = engine.ns, engine.delta
+                try:
+                    txn.data = apply_stage_function(function, txn.orig, txn.data)
+                    if _not_finite(txn.data):
+                        raise FunctionEvalError(f"result {txn.data} is not finite")
+                except FunctionEvalError as exc:
+                    raise FunctionEvalError(
+                        f"stage {name}, transaction {txn.id}: {exc}"
+                    ) from None
+                if timed:
+                    recorder.timed_waits += 1
+                if delay is not None:
+                    sleep(proc, delay)
+                    return
+            # Holding a transaction and not blocked: the busy window is over.
+            in_ch.consume()
+            txn.advance()
+            log((name, txn.id, start_ns, start_delta, engine.ns, engine.delta))
+            if not out_ch.try_write(proc, txn):
+                proc.pending = write
+                return
+            txn = None
+
+    return resume
 
 
-def _router_process(rt: _Runtime, router: RouterNode, queue: QueueChannel):
-    read = Read(rt.out_channels[router.stage])
-    while True:
-        txn = yield read
-        completed = txn.step - 1
-        dests = router.table.lookup(completed)
-        if dests is None:
-            raise RoutingFault(
-                f"router {router.name}: no routing entry for completed step "
-                f"{completed} (transaction {txn.id})"
-            )
-        if len(rt.route.steps[completed]) > 1:
-            merged = rt.collect_join(txn, completed)
-            if merged is None:
-                continue
-            txn = merged
-        # The router never blocks: a delivery waits in its queue, and the
-        # output-port process does the blocking write into the stage latch.
-        for delivery in rt.forward(txn, dests):
-            queue.put(delivery)
+def _router_method(rt: _Runtime, router: RouterNode, queue: QueueChannel):
+    """Build the resume callable of a router's method process, which never sleeps.
+
+    It drains the stage's output channel and queues each delivery; the
+    router's port process does the blocking write into the stage latch.
+    """
+    out_ch = rt.out_channels[router.stage]
+    read = Read(out_ch)
+    lookup = router.table.lookup
+    steps = rt.route.steps
+    put = queue.put
+
+    def resume(proc):
+        while True:
+            txn = out_ch.try_read(proc)
+            if txn is BLOCKED:
+                proc.pending = read
+                return
+            completed = txn.step - 1
+            dests = lookup(completed)
+            if dests is None:
+                raise RoutingFault(
+                    f"router {router.name}: no routing entry for completed step "
+                    f"{completed} (transaction {txn.id})"
+                )
+            if len(steps[completed]) > 1:
+                txn = rt.collect_join(txn, completed)
+                if txn is None:
+                    continue
+            for delivery in rt.forward(txn, dests):
+                put(delivery)
+
+    return resume
 
 
-def _router_port_process(rt: _Runtime, router: RouterNode, queue: QueueChannel):
-    # Drains the router's pending deliveries; the only process that suspends
-    # on a busy stage latch.
+def _router_port_method(rt: _Runtime, router: RouterNode, queue: QueueChannel):
+    """Build the resume callable of a router port's method process.
+
+    It drains the router's pending deliveries, one blocking write at a time;
+    it is the only process that suspends on a busy stage latch.
+    """
     read = Read(queue)
-    channels: dict[StageId, ChannelBase] = {}
-    while True:
-        target, txn = yield read
-        channel = channels.get(target)
-        if channel is None:
-            channel = channels[target] = rt.channel_into(router.name, target)
-        yield Write(channel, txn)
+    writes: dict[StageId, Write] = {}
+    held = None  # the delivery of a blocked write
+
+    def resume(proc):
+        nonlocal held
+        pending = proc.pending
+        if type(pending) is Write and not pending.channel.try_write(proc, held):
+            return
+        while True:
+            delivery = queue.try_read(proc)
+            if delivery is BLOCKED:
+                proc.pending = read
+                return
+            target, held = delivery
+            write = writes.get(target)
+            if write is None:
+                write = writes[target] = Write(rt.channel_into(router.name, target), None)
+            if not write.channel.try_write(proc, held):
+                proc.pending = write
+                return
+
+    return resume
 
 
 def _issue_process(rt: _Runtime, values: Sequence[float], issue: IssueSpec):
@@ -522,11 +586,11 @@ def run(
 
     engine.spawn("issue", _issue_process(rt, inputs, issue))
     for stage in netlist.stages:
-        engine.spawn(stage.name, _stage_loop(rt, checked.config_of(stage)))
+        engine.spawn_method(stage.name, _stage_method(rt, checked.config_of(stage)))
     for router in netlist.routers[1:]:
         queue = QueueChannel(f"{router.name}.q", engine)
-        engine.spawn(router.name, _router_process(rt, router, queue))
-        engine.spawn(f"{router.name}.out", _router_port_process(rt, router, queue))
+        engine.spawn_method(router.name, _router_method(rt, router, queue))
+        engine.spawn_method(f"{router.name}.out", _router_port_method(rt, router, queue))
 
     truncated = engine.run(horizon_ns=horizon_ns, quiesced=rt.quiesced_message)
 

@@ -7,6 +7,7 @@ import pytest
 import pipesim as ps
 from pipesim import simulate
 from pipesim.engine import (
+    BLOCKED,
     BlockingChannel,
     Delay,
     Engine,
@@ -258,3 +259,113 @@ def test_engine_counts_resumes_and_timed_events(monkeypatch):
     # Only timed events use the heap: 32,000 one-ns stage delays and 3,999
     # greedy issue waits (the first issue waits for ns 0 and resumes inline).
     assert engine.timed == 35999
+
+
+# -- method processes --------------------------------------------------------------
+
+
+def thread_worker(engine, inp, out, delay):
+    def gen():
+        while True:
+            token = yield Peek(inp)
+            yield Delay(delay)
+            inp.consume()
+            yield Write(out, token)
+
+    return engine.spawn("worker", gen())
+
+
+def method_worker(engine, inp, out, delay):
+    peek, write = Peek(inp), Write(out, None)
+    held = None
+
+    def resume(proc):
+        nonlocal held
+        if proc.pending is write:
+            if not out.try_write(proc, held):
+                return
+            proc.pending = held = None
+        elif held is not None:  # the sleep is over
+            inp.consume()
+            if not out.try_write(proc, held):
+                proc.pending = write
+                return
+        held = inp.try_peek(proc)
+        if held is BLOCKED:
+            proc.pending, held = peek, None
+            return
+        proc.pending = None
+        engine.sleep(proc, delay)
+
+    return engine.spawn_method("worker", resume)
+
+
+def worker_run(make_worker, delay):
+    """A worker between a feeder and a late drain.
+
+    Returns each dispatch of the worker as (name, ns, delta), the
+    ``describe_processes()`` lines after each, and the engine's counters.
+    """
+    engine = Engine()
+    inp, out = BlockingChannel("in", engine), BlockingChannel("out", engine)
+    dispatches, lines = [], []
+
+    def feeder():
+        for i in range(3):
+            yield Write(inp, Token(i))
+
+    def drain():
+        yield Delay(10)
+        while True:
+            yield Read(out)
+
+    worker = make_worker(engine, inp, out, delay)
+    engine.spawn("feeder", feeder())
+    engine.spawn("drain", drain())
+    resume = worker.resume
+
+    def logged(proc):
+        dispatches.append((proc.name, engine.ns, engine.delta))
+        resume(proc)
+        lines.append(engine.describe_processes())
+
+    worker.resume = logged
+    engine.run()
+    return dispatches, lines, engine.resumes, engine.timed
+
+
+BLOCKED_IN = "worker: blocked reading in"
+BLOCKED_OUT = "worker: blocked writing out"
+FEEDING = ["feeder: blocked writing in", "drain: waiting until 10ns"]
+DRAINING = ["drain: blocked reading out"]
+
+WORKER_LOGS = {
+    2: [
+        (("worker", 0, 0), [BLOCKED_IN, "feeder: created", "drain: created"]),
+        (("worker", 0, 1), ["worker: waiting until 2ns", *FEEDING]),
+        (("worker", 2, 0), [BLOCKED_IN, *FEEDING]),
+        (("worker", 2, 2), ["worker: waiting until 4ns", *FEEDING]),
+        (("worker", 4, 0), [BLOCKED_OUT, *FEEDING]),
+        (("worker", 10, 1), ["worker: waiting until 12ns", *DRAINING]),
+        (("worker", 12, 0), [BLOCKED_IN, *DRAINING]),
+    ],
+    0: [
+        (("worker", 0, 0), [BLOCKED_IN, "feeder: created", "drain: created"]),
+        (("worker", 0, 1), ["worker: waiting until 0ns", *FEEDING]),
+        (("worker", 0, 2), [BLOCKED_IN, *FEEDING]),
+        (("worker", 0, 4), ["worker: waiting until 0ns", *FEEDING]),
+        (("worker", 0, 5), [BLOCKED_OUT, *FEEDING]),
+        (("worker", 10, 1), ["worker: waiting until 10ns", *DRAINING]),
+        (("worker", 10, 2), [BLOCKED_IN, *DRAINING]),
+    ],
+}
+
+
+@pytest.mark.parametrize("delay", [2, 0])
+def test_method_process_schedules_like_a_thread(delay):
+    expected = WORKER_LOGS[delay]
+    counts = (14, 4 if delay else 1)
+    for make_worker in (thread_worker, method_worker):
+        dispatches, lines, resumes, timed = worker_run(make_worker, delay)
+        assert list(zip(dispatches, lines)) == expected, make_worker.__name__
+        assert (resumes, timed) == counts, make_worker.__name__
