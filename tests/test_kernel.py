@@ -467,6 +467,101 @@ def test_dispatch_counts_pinned(monkeypatch):
     assert counts == PINNED_DISPATCH
 
 
+# -- issue process states ----------------------------------------------------------------
+
+ENTRY_SEVERED_MESSAGE = """\
+deadlock: 1 transaction(s) in flight and no runnable process
+  in flight: 0
+  processes:
+    issue: blocked writing entry->S1 (severed)
+    S1: blocked reading S1.in
+    S2: blocked reading S2.in
+    S3: blocked reading S3.in
+    r_S1: blocked reading S1.out
+    r_S1.out: blocked reading r_S1.q
+    r_S2: blocked reading S2.out
+    r_S2.out: blocked reading r_S2.q
+    r_S3: blocked reading S3.out
+    r_S3.out: blocked reading r_S3.q
+  channels:
+    S1.in: empty
+    S1.out: empty
+    S2.in: empty
+    S2.out: empty
+    S3.in: empty
+    S3.out: empty"""
+
+SECOND_BRANCH_SEVERED_MESSAGE = """\
+deadlock: 1 transaction(s) in flight and no runnable process
+  in flight: 0
+  processes:
+    issue: blocked writing entry->S3 (severed)
+    S2: blocked reading S2.in
+    S3: blocked reading S3.in
+    S4: blocked reading S4.in
+    r_S2: blocked reading S2.out
+    r_S2.out: blocked reading r_S2.q
+    r_S3: blocked reading S3.out
+    r_S3.out: blocked reading r_S3.q
+    r_S4: blocked reading S4.out
+    r_S4.out: blocked reading r_S4.q
+  channels:
+    S2.in: empty
+    S2.out: empty
+    S3.in: empty
+    S3.out: empty
+    S4.in: empty
+    S4.out: empty"""
+
+
+def sever(netlist, src, dst):
+    return dataclasses.replace(
+        netlist, edges=tuple(e for e in netlist.edges if (e.src, e.dst) != (src, dst))
+    )
+
+
+@pytest.mark.parametrize("issue", ["greedy", "eager", "fixed:2"])
+def test_issue_blocked_on_severed_entry_pinned(issue):
+    decls, configs = declare_quad()
+    netlist = ps.elaborate(ps.flatten(ps.parse("S1 >> S2 >> S3", decls)), decls)
+    spec = ps.IssueSpec.fixed(2) if issue == "fixed:2" else getattr(ps.IssueSpec, issue)()
+    with pytest.raises(ps.DeadlockError) as exc:
+        ps.run(sever(netlist, "entry", "S1"), configs, PIN_INPUTS[:3], issue=spec)
+    assert str(exc.value) == ENTRY_SEVERED_MESSAGE
+
+
+def test_issue_blocked_on_second_entry_branch_pinned():
+    # The copy for S2 is accepted (S2 works it and its router holds it for the
+    # join); the issue process then blocks on the copy for S3.
+    decls = ps.declare_stages(["S1", "S2", "S3", "S4"])
+    netlist = ps.elaborate(ps.flatten(ps.parse("S2 + S3 >> S4", decls)), decls)
+    with pytest.raises(ps.DeadlockError) as exc:
+        ps.run(sever(netlist, "entry", "S3"), fork_configs(decls), PIN_INPUTS[:3],
+               join=ps.JoinSpec.sum())
+    assert str(exc.value) == SECOND_BRANCH_SEVERED_MESSAGE
+
+
+@pytest.mark.parametrize("issue", ["greedy", "eager", "fixed:2"])
+def test_run_without_inputs_finishes_the_issue_process(monkeypatch, issue):
+    engines = []
+
+    class RecordedEngine(Engine):
+        def __init__(self):
+            super().__init__()
+            engines.append(self)
+
+    monkeypatch.setattr(simulate, "Engine", RecordedEngine)
+    decls, configs = declare_quad()
+    spec = ps.IssueSpec.fixed(2) if issue == "fixed:2" else getattr(ps.IssueSpec, issue)()
+    result = run_route(decls, "S1 >> S2 >> S3", configs, [], issue=spec)
+    assert result.stats.injected == 0
+    assert result.trace.records == ()
+    assert str(result.stats.final_time) == "0ns+0d"
+    (engine,) = engines
+    assert repr(engine.processes[0]) == "Process(issue, finished)"
+    assert (engine.resumes, engine.timed) == (10, 0)
+
+
 # -- occupancy log ---------------------------------------------------------------------
 
 
