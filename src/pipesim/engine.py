@@ -1,27 +1,20 @@
 """Deterministic discrete-event engine.
 
-A process comes in one of two kinds, as in IEEE 1666 SystemC:
+Every process is a method process, the ``SC_METHOD`` kind of IEEE 1666
+SystemC (:meth:`Engine.spawn`): a callable that the engine calls once per
+resume.  It calls the channels' ``try_peek``/``try_read``/``try_write``
+itself, and suspends by returning: parked on a channel, with ``proc.pending``
+set to the request it is blocked on, or after :meth:`Engine.sleep`.
 
-- a thread process (``SC_THREAD``, :meth:`Engine.spawn`) is a generator that
-  yields requests (read, peek, write, delay, wait-until) back to the engine;
-  a resumed thread runs until its next suspension;
-- a method process (``SC_METHOD``, :meth:`Engine.spawn_method`) is a callable
-  that the engine calls once per resume.  It calls the channels'
-  ``try_peek``/``try_read``/``try_write`` itself, and suspends by returning:
-  parked on a channel, with ``proc.pending`` set to the request it would have
-  yielded, or after :meth:`Engine.sleep`.
-
-Both kinds block, wake and sleep through the same channel calls and the same
-``sleep``, so they schedule alike.  Processes are dispatched in (nanoseconds,
-delta, schedule sequence) order and there is no other source of ordering,
-which is what makes runs byte-reproducible.  Same-nanosecond causality is
-sequenced with delta phases: a wake-up always lands at the current
-nanosecond, one delta later.
+Processes are dispatched in (nanoseconds, delta, schedule sequence) order and
+there is no other source of ordering, which is what makes runs
+byte-reproducible.  Same-nanosecond causality is sequenced with delta phases:
+a wake-up always lands at the current nanosecond, one delta later.
 
 As in the IEEE 1666 SystemC scheduler, that order needs no single priority
-queue.  A wake-up lands at (now.ns, now.delta + 1), and a positive delay or a
-future wait-until lands at a strictly later nanosecond, delta 0.  So the
-engine keeps three collections:
+queue.  A wake-up lands at (now.ns, now.delta + 1), and a positive sleep lands
+at a strictly later nanosecond, delta 0.  So the engine keeps three
+collections:
 
 - a FIFO of the processes runnable in the current delta phase;
 - a list of the processes woken for the next delta phase;
@@ -41,7 +34,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 from .errors import PipelineError
 
@@ -53,8 +46,6 @@ __all__ = [
     "Read",
     "Peek",
     "Write",
-    "Delay",
-    "WaitUntil",
     "BLOCKED",
     "Process",
     "Engine",
@@ -88,10 +79,9 @@ class JoinError(PipelineError):
     """Branch copies arriving at a join are inconsistent."""
 
 
-# Requests a process may yield.  A request holds no state of its own, so a
-# process may yield the same one again and again.  They are plain slotted
-# classes: nothing hashes or compares them, and a plain ``__init__`` is the
-# cheapest to call on the per-hop ``Write``.
+# What a process is blocked on, kept in ``proc.pending``.  A request holds no
+# state of its own, so a process builds each one once and parks on it again
+# and again.
 
 
 class Read:
@@ -117,24 +107,10 @@ class Peek:
 
 
 class Write:
-    __slots__ = ("channel", "value")
+    __slots__ = ("channel",)
 
-    def __init__(self, channel: "ChannelBase", value: object):
-        self.channel, self.value = channel, value
-
-
-class Delay:
-    __slots__ = ("ns",)
-
-    def __init__(self, ns: int):
-        self.ns = ns  # 0 advances one delta at the current nanosecond
-
-
-class WaitUntil:
-    __slots__ = ("ns",)
-
-    def __init__(self, ns: int):
-        self.ns = ns  # resume inline when the target is not in the future
+    def __init__(self, channel: "ChannelBase"):
+        self.channel = channel
 
 
 # What a channel's try_read/try_peek return when the caller must suspend.
@@ -142,20 +118,15 @@ BLOCKED = object()
 
 
 class Process:
-    """A scheduled process; ``resume(proc)`` runs it to its next suspension.
+    """A scheduled process; ``resume(proc)`` runs it to its next suspension."""
 
-    A thread process keeps its generator in ``gen`` and resumes through the
-    engine's request loop; a method process has no generator.
-    """
+    __slots__ = ("name", "resume", "pending", "until", "scheduled", "done")
 
-    __slots__ = ("name", "gen", "resume", "pending", "until", "scheduled", "done")
-
-    def __init__(self, name: str, gen: Iterator | None, resume: Callable[["Process"], None]):
+    def __init__(self, name: str, resume: Callable[["Process"], None]):
         self.name = name
-        self.gen = gen
         self.resume = resume
         self.pending = None  # the blocked request, retried after a wake-up
-        self.until: int | None = None  # ns the last delay or wait targeted
+        self.until: int | None = None  # ns the last sleep targeted
         self.scheduled = False
         self.done = False
 
@@ -180,8 +151,8 @@ class Engine:
 
     The current instant is the two ints ``ns`` and ``delta``; ``now`` builds
     a :class:`SimTime` from them for callers that want one.  ``resumes``
-    counts processes resumed, of both kinds, and ``timed`` counts timed
-    events scheduled (heap pushes); both only grow.
+    counts processes resumed and ``timed`` counts timed events scheduled
+    (heap pushes); both only grow.
     """
 
     def __init__(self):
@@ -198,21 +169,15 @@ class Engine:
     def now(self) -> SimTime:
         return SimTime(self.ns, self.delta)
 
-    def spawn(self, name: str, gen: Iterator) -> Process:
-        """Create a thread process, runnable at the current instant."""
-        return self._start(Process(name, gen, self._step))
-
-    def spawn_method(self, name: str, resume: Callable[[Process], None]) -> Process:
-        """Create a method process, runnable at the current instant.
+    def spawn(self, name: str, resume: Callable[[Process], None]) -> Process:
+        """Create a process, runnable at the current instant.
 
         The engine calls ``resume(proc)`` on every resume.  It returns after
         parking on a channel (setting ``proc.pending`` to the ``Peek``,
-        ``Read`` or ``Write`` it is blocked on, and clearing it once past)
-        or after ``self.sleep(proc, ns)``.
+        ``Read`` or ``Write`` it is blocked on, and clearing it once past),
+        after ``self.sleep(proc, ns)``, or after setting ``proc.done``.
         """
-        return self._start(Process(name, None, resume))
-
-    def _start(self, proc: Process) -> Process:
+        proc = Process(name, resume)
         self.processes.append(proc)
         proc.scheduled = True
         self._runnable.append(proc)
@@ -278,47 +243,6 @@ class Engine:
                 raise DeadlockError(message)
         return False
 
-    def _step(self, proc: Process) -> None:
-        # The resume of a thread process: serve its requests until one suspends it.
-        request = proc.pending
-        proc.pending = None
-        value = None
-        send = proc.gen.send
-        while True:
-            if request is None:
-                try:
-                    request = send(value)
-                except StopIteration:
-                    proc.done = True
-                    return
-            kind = type(request)
-            if kind is Peek:
-                value = request.channel.try_peek(proc)
-                if value is BLOCKED:
-                    proc.pending = request
-                    return
-            elif kind is Read:
-                value = request.channel.try_read(proc)
-                if value is BLOCKED:
-                    proc.pending = request
-                    return
-            elif kind is Write:
-                if not request.channel.try_write(proc, request.value):
-                    proc.pending = request
-                    return
-                value = None
-            elif kind is Delay:
-                self.sleep(proc, request.ns)
-                return
-            elif kind is WaitUntil:
-                if request.ns > self.ns:
-                    self.sleep(proc, request.ns - self.ns)
-                    return
-                value = None
-            else:
-                raise PipelineError(f"process {proc.name} yielded {request!r}")
-            request = None
-
     def describe_processes(self) -> list[str]:
         return [f"{p.name}: {p.state}" for p in self.processes if not p.done]
 
@@ -328,8 +252,6 @@ class Engine:
 
 
 class ChannelBase:
-    kind = "channel"
-
     def __init__(self, name: str, engine: Engine):
         self.name = name
         self.engine = engine
@@ -369,8 +291,6 @@ class BlockingChannel(ChannelBase):
     Writers blocked on a full slot are granted it by arrival: earlier
     nanosecond first, ties broken by transaction id, then by suspension order.
     """
-
-    kind = "blocking"
 
     def __init__(
         self,
@@ -439,8 +359,6 @@ class BlockingChannel(ChannelBase):
 class SignalChannel(ChannelBase):
     """Overwrite signal: writes never block; an unread value is dropped."""
 
-    kind = "signal"
-
     def __init__(
         self,
         name: str,
@@ -480,8 +398,6 @@ class SignalChannel(ChannelBase):
 class SeveredChannel(ChannelBase):
     """Stands in for a missing netlist edge: never accepts or delivers."""
 
-    kind = "severed"
-
     def try_read(self, proc: Process) -> object:
         self._park_reader(proc)
         return BLOCKED
@@ -502,8 +418,6 @@ class QueueChannel(ChannelBase):
     them; that process is the one that suspends (and records the stall) when
     a stage's input latch is occupied.
     """
-
-    kind = "queue"
 
     def __init__(self, name: str, engine: Engine):
         super().__init__(name, engine)

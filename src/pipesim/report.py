@@ -75,10 +75,14 @@ def canonical(obj, indent: int = 0) -> str:
 def _canonical_mapping(obj: Mapping, indent: int) -> str:
     if not obj:
         return "{}"
+    # Keys are printed as strings, so they sort as strings too.
+    values = {str(key): value for key, value in obj.items()}
+    if len(values) < len(obj):
+        raise TypeError("cannot serialize a mapping with two keys of the same string form")
     inner = "  " * (indent + 1)
     parts = [
-        f"{inner}{_encode_key(str(key))}: {canonical(obj[key], indent + 1)}"
-        for key in sorted(obj)
+        f"{inner}{_encode_key(key)}: {canonical(values[key], indent + 1)}"
+        for key in sorted(values)
     ]
     return "{\n" + ",\n".join(parts) + "\n" + "  " * indent + "}"
 

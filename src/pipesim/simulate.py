@@ -10,10 +10,9 @@ its port process writes each delivery into the next stage's input.  The
 issue process injects fresh transactions at the entry router according to
 the issue policy.
 
-Stages, routers and ports are method processes (see :mod:`.engine`): each is
-a closure the engine calls once per resume, which carries the process from
-where it last suspended.  The issue process is a thread process, a generator,
-because its schedule reads most naturally as a loop of waits.
+Every process, the issue process included, is a method process (see
+:mod:`.engine`): a closure the engine calls once per resume, which carries
+the process on from where it last suspended.
 
 Payloads are dynamically typed: ``orig`` and ``data`` are reals when driven
 from the CLI, but library users may put any value in ``data`` as long as the
@@ -32,6 +31,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate, count
 from operator import itemgetter
 from typing import Mapping, Sequence, Union
 
@@ -42,7 +42,6 @@ from .engine import (
     BLOCKED,
     BlockingChannel,
     ChannelBase,
-    Delay,
     Engine,
     JoinError,
     Peek,
@@ -52,7 +51,6 @@ from .engine import (
     SeveredChannel,
     SignalChannel,
     SimTime,
-    WaitUntil,
     Write,
 )
 from .errors import PipelineError
@@ -94,7 +92,6 @@ class Transaction:
     id: int
     orig: float
     data: float
-    route: Route
     step: int = 0
     branch: StageId | None = None
 
@@ -106,7 +103,6 @@ class Transaction:
             id=self.id,
             orig=self.orig,
             data=self.data,
-            route=self.route,
             step=self.step,
             branch=branch,
         )
@@ -273,12 +269,7 @@ class _Runtime:
         return BlockingChannel(name, self.engine, on_stall=self.recorder.stall)
 
     def new_transaction(self, value: float) -> Transaction:
-        txn = Transaction(
-            id=self._next_id,
-            orig=float(value),
-            data=0.0,
-            route=self.route,
-        )
+        txn = Transaction(id=self._next_id, orig=float(value), data=0.0)
         self._next_id += 1
         self.recorder.new_txn(txn)
         return txn
@@ -396,7 +387,7 @@ def _stage_method(rt: _Runtime, cfg: StageConfig):
     log = recorder.occupancy_log.append
     in_ch = rt.in_channels[stage]
     out_ch = rt.out_channels[stage]
-    peek, write = Peek(in_ch), Write(out_ch, None)
+    peek, write = Peek(in_ch), Write(out_ch)
     function = cfg.function
     timed = not cfg.timing.is_untimed
     delay = None if cfg.exec is ExecKind.REACTIVE else _busy_ns(cfg)
@@ -503,7 +494,7 @@ def _router_port_method(rt: _Runtime, router: RouterNode, queue: QueueChannel):
             target, held = delivery
             write = writes.get(target)
             if write is None:
-                write = writes[target] = Write(rt.channel_into(router.name, target), None)
+                write = writes[target] = Write(rt.channel_into(router.name, target))
             if not write.channel.try_write(proc, held):
                 proc.pending = write
                 return
@@ -511,29 +502,66 @@ def _router_port_method(rt: _Runtime, router: RouterNode, queue: QueueChannel):
     return resume
 
 
-def _issue_process(rt: _Runtime, values: Sequence[float], issue: IssueSpec):
+def _issue_method(rt: _Runtime, values: Sequence[float], issue: IssueSpec):
+    """Build the resume callable of the issue process's method process.
+
+    Under fixed and greedy issue each input first sleeps until its issue
+    time, when that is in the future, then one delta more.  Its transaction
+    then writes a copy into each entry stage's input in stage order, parking
+    on a busy latch; eager issue writes at once.  The call that injects the
+    last input finishes the process.
+    """
+    engine, recorder = rt.engine, rt.recorder
+    sleep = engine.sleep
     entry_dests = rt.netlist.entry_router.table.lookup(-1)
-    if issue.kind == "greedy":
+    writes = {stage: Write(rt.channel_into("entry", stage)) for stage in entry_dests}
+    if issue.kind == "fixed":
+        targets = count(0, issue.interval)
+    elif issue.kind == "greedy":
         table = analysis.reservation_table(rt.route)
         vector = analysis.collision_vector(analysis.forbidden_latencies(table), table.length)
-        greedy = analysis._greedy_walk(vector)
-    target = 0
-    for index, value in enumerate(values):
-        if issue.kind == "fixed":
-            target = issue.interval * index
-            yield WaitUntil(target)
-            # Land after the nanosecond boundary: stage drains run at delta 0.
-            yield Delay(0)
-        elif issue.kind == "greedy":
-            if index > 0:
-                target += next(greedy)[0]
-            yield WaitUntil(target)
-            yield Delay(0)
-        txn = rt.new_transaction(value)
-        for stage, copy in rt.forward(txn, entry_dests):
-            yield Write(rt.channel_into("entry", stage), copy)
-        rt.recorder.mark_injected(txn.id, rt.engine.now)
-    rt.recorder.issue_active = False
+        targets = accumulate(map(itemgetter(0), analysis._greedy_walk(vector)), initial=0)
+    else:
+        targets = iter(())
+    target = next(targets, None)  # the next input's issue ns, until it is reached
+    index = 0
+    txn = None  # the transaction being injected
+    copies = held = None  # its (stage, copy) deliveries not yet written; a blocked write's copy
+
+    def resume(proc):
+        nonlocal target, index, txn, held, copies
+        write = proc.pending
+        if write is not None:
+            if not write.channel.try_write(proc, held):
+                return
+            proc.pending = None
+        while True:
+            if txn is None:
+                if index == len(values):
+                    recorder.issue_active = False
+                    proc.done = True
+                    return
+                if target is not None:
+                    if target > engine.ns:
+                        sleep(proc, target - engine.ns)
+                        return
+                    # Land after the nanosecond boundary: stage drains run at delta 0.
+                    target = None
+                    sleep(proc, 0)
+                    return
+                txn = rt.new_transaction(values[index])
+                index += 1
+                copies = iter(rt.forward(txn, entry_dests))
+            for stage, held in copies:
+                write = writes[stage]
+                if not write.channel.try_write(proc, held):
+                    proc.pending = write
+                    return
+            recorder.mark_injected(txn.id, engine.now)
+            txn = None
+            target = next(targets, None)
+
+    return resume
 
 
 # ---------------------------------------------------------------------------
@@ -584,13 +612,13 @@ def run(
     recorder = _Recorder()
     rt = _Runtime(engine, netlist, checked, recorder)
 
-    engine.spawn("issue", _issue_process(rt, inputs, issue))
+    engine.spawn("issue", _issue_method(rt, inputs, issue))
     for stage in netlist.stages:
-        engine.spawn_method(stage.name, _stage_method(rt, checked.config_of(stage)))
+        engine.spawn(stage.name, _stage_method(rt, checked.config_of(stage)))
     for router in netlist.routers[1:]:
         queue = QueueChannel(f"{router.name}.q", engine)
-        engine.spawn_method(router.name, _router_method(rt, router, queue))
-        engine.spawn_method(f"{router.name}.out", _router_port_method(rt, router, queue))
+        engine.spawn(router.name, _router_method(rt, router, queue))
+        engine.spawn(f"{router.name}.out", _router_port_method(rt, router, queue))
 
     truncated = engine.run(horizon_ns=horizon_ns, quiesced=rt.quiesced_message)
 

@@ -9,7 +9,6 @@ from pipesim import simulate
 from pipesim.engine import (
     BLOCKED,
     BlockingChannel,
-    Delay,
     Engine,
     Peek,
     QueueChannel,
@@ -34,22 +33,79 @@ def test_simtime_orders_lexicographically():
     ]
 
 
+def writer(engine, name, channel, values, after=0):
+    """Spawn a method process that writes ``values`` in order, then finishes.
+
+    It first sleeps ``after`` ns when that is positive, and parks while the
+    channel refuses a write.
+    """
+    write = Write(channel)
+    values = list(values)
+    slept = not after
+
+    def resume(proc):
+        nonlocal slept
+        if not slept:
+            slept = True
+            engine.sleep(proc, after)
+            return
+        while values:
+            if not channel.try_write(proc, values[0]):
+                proc.pending = write
+                return
+            proc.pending = None
+            del values[0]
+        proc.done = True
+
+    return engine.spawn(name, resume)
+
+
+def reader(engine, name, channel, take, after=0):
+    """Spawn a method process that reads ``channel`` forever into ``take``.
+
+    It first sleeps ``after`` ns when that is positive.
+    """
+    read = Read(channel)
+    slept = not after
+
+    def resume(proc):
+        nonlocal slept
+        if not slept:
+            slept = True
+            engine.sleep(proc, after)
+            return
+        while True:
+            value = channel.try_read(proc)
+            if value is BLOCKED:
+                proc.pending = read
+                return
+            proc.pending = None
+            take(value)
+
+    return engine.spawn(name, resume)
+
+
+def sleeper(engine, name, delays, on_resume):
+    """Spawn a method process that calls ``on_resume`` and sleeps each delay in turn."""
+    delays = list(delays)
+
+    def resume(proc):
+        on_resume()
+        if delays:
+            engine.sleep(proc, delays.pop(0))
+        else:
+            proc.done = True
+
+    return engine.spawn(name, resume)
+
+
 def test_blocking_channel_rendezvous():
     engine = Engine()
     channel = BlockingChannel("c", engine)
     seen = []
 
-    def producer():
-        for i in range(3):
-            yield Write(channel, Token(i))
-
-    def consumer():
-        while True:
-            token = yield Read(channel)
-            seen.append((token.id, engine.now))
-
-    engine.spawn("producer", producer())
-    engine.spawn("consumer", consumer())
+    writer(engine, "producer", channel, [Token(i) for i in range(3)])
+    reader(engine, "consumer", channel, lambda token: seen.append((token.id, engine.now)))
     engine.run()
     assert [i for i, _ in seen] == [0, 1, 2]
     assert all(t.ns == 0 for _, t in seen)  # zero-time handshakes, delta ordered
@@ -59,26 +115,28 @@ def test_blocked_writers_same_ns_granted_by_transaction_id():
     engine = Engine()
     channel = BlockingChannel("c", engine)
     order = []
+    read = Read(channel)
+    first = None
 
-    def writer(token):
-        def gen():
-            yield Write(channel, token)
-        return gen()
-
-    def reader():
+    def drain(proc):
         # park the first value for a while, then drain everything
-        first = yield Peek(channel)
-        yield Delay(5)
-        channel.consume()
-        order.append(first.id)
-        while True:
-            token = yield Read(channel)
+        nonlocal first
+        if first is None:
+            first = channel.try_peek(proc)  # w5 has filled the slot
+            assert first is not BLOCKED
+            engine.sleep(proc, 5)
+            return
+        if not order:
+            channel.consume()
+            order.append(first.id)
+        while (token := channel.try_read(proc)) is not BLOCKED:
             order.append(token.id)
+        proc.pending = read
 
-    engine.spawn("w5", writer(Token(5)))
-    engine.spawn("w2", writer(Token(2)))
-    engine.spawn("w9", writer(Token(9)))
-    engine.spawn("reader", reader())
+    writer(engine, "w5", channel, [Token(5)])
+    writer(engine, "w2", channel, [Token(2)])
+    writer(engine, "w9", channel, [Token(9)])
+    engine.spawn("reader", drain)
     engine.run()
     # w5 filled the slot; w2 and w9 suspended in the same nanosecond, so the
     # grant order follows transaction ids, not suspension order
@@ -90,23 +148,11 @@ def test_blocked_writers_earlier_ns_wins_over_smaller_id():
     channel = BlockingChannel("c", engine)
     order = []
 
-    def early():
-        yield Write(channel, Token(50))  # fills the slot at ns 0
-        yield Write(channel, Token(51))  # suspends at ns 0
-
-    def late():
-        yield Delay(2)
-        yield Write(channel, Token(1))  # suspends at ns 2
-
-    def reader():
-        yield Delay(5)
-        while True:
-            token = yield Read(channel)
-            order.append(token.id)
-
-    engine.spawn("early", early())
-    engine.spawn("late", late())
-    engine.spawn("reader", reader())
+    # early fills the slot at ns 0 and suspends with its second token at ns 0;
+    # late suspends at ns 2
+    writer(engine, "early", channel, [Token(50), Token(51)])
+    writer(engine, "late", channel, [Token(1)], after=2)
+    reader(engine, "reader", channel, lambda token: order.append(token.id), after=5)
     engine.run()
     assert order == [50, 51, 1]  # arrival nanosecond outranks transaction id
 
@@ -116,17 +162,8 @@ def test_stall_hook_counts_writer_suspensions():
     engine = Engine()
     channel = BlockingChannel("c", engine, on_stall=stalls.append)
 
-    def producer():
-        yield Write(channel, Token(0))
-        yield Write(channel, Token(1))
-
-    def consumer():
-        yield Delay(3)
-        yield Read(channel)
-        yield Read(channel)
-
-    engine.spawn("p", producer())
-    engine.spawn("c", consumer())
+    writer(engine, "p", channel, [Token(0), Token(1)])
+    reader(engine, "c", channel, lambda token: None, after=3)
     engine.run()
     assert stalls == ["c"]
 
@@ -137,17 +174,8 @@ def test_signal_channel_overwrites_and_counts_drops():
     channel = SignalChannel("s", engine, on_drop=lambda name, v: drops.append(v.id))
     got = []
 
-    def producer():
-        for i in range(4):
-            yield Write(channel, Token(i))  # never suspends
-
-    def consumer():
-        while True:
-            token = yield Read(channel)
-            got.append(token.id)
-
-    engine.spawn("p", producer())
-    engine.spawn("c", consumer())
+    writer(engine, "p", channel, [Token(i) for i in range(4)])  # never suspends
+    reader(engine, "c", channel, lambda token: got.append(token.id))
     engine.run()
     assert drops == [0, 1, 2]
     assert got == [3]
@@ -159,16 +187,8 @@ def test_queue_channel_never_blocks_writers():
     queue = QueueChannel("q", engine)
     got = []
 
-    def producer():
-        for i in range(5):
-            yield Write(queue, i)
-
-    def consumer():
-        while True:
-            got.append((yield Read(queue)))
-
-    engine.spawn("p", producer())
-    engine.spawn("c", consumer())
+    writer(engine, "p", queue, range(5))
+    reader(engine, "c", queue, got.append)
     engine.run()
     assert got == [0, 1, 2, 3, 4]
 
@@ -177,15 +197,8 @@ def test_runnable_processes_step_in_creation_order():
     engine = Engine()
     log = []
 
-    def proc(tag):
-        def gen():
-            log.append(tag)
-            yield Delay(1)
-            log.append(tag)
-        return gen()
-
-    engine.spawn("b", proc("b"))
-    engine.spawn("a", proc("a"))
+    sleeper(engine, "b", [1], lambda: log.append("b"))
+    sleeper(engine, "a", [1], lambda: log.append("a"))
     engine.run()
     assert log == ["b", "a", "b", "a"]
 
@@ -194,14 +207,7 @@ def test_delay_zero_advances_one_delta():
     engine = Engine()
     times = []
 
-    def proc():
-        times.append(engine.now)
-        yield Delay(0)
-        times.append(engine.now)
-        yield Delay(2)
-        times.append(engine.now)
-
-    engine.spawn("p", proc())
+    sleeper(engine, "p", [0, 2], lambda: times.append(engine.now))
     engine.run()
     assert times == [ps.SimTime(0, 0), ps.SimTime(0, 1), ps.SimTime(2, 0)]
 
@@ -210,13 +216,15 @@ def test_horizon_stops_before_later_events():
     engine = Engine()
     reached = []
 
-    def proc():
-        yield Delay(3)
-        reached.append(engine.now.ns)
-        yield Delay(3)
-        reached.append(engine.now.ns)
+    def resume(proc):
+        if proc.until is not None:  # back from a sleep
+            reached.append(engine.now.ns)
+        if len(reached) < 2:
+            engine.sleep(proc, 3)
+        else:
+            proc.done = True
 
-    engine.spawn("p", proc())
+    engine.spawn("p", resume)
     truncated = engine.run(horizon_ns=4)
     assert truncated
     assert reached == [3]
@@ -226,10 +234,7 @@ def test_quiesced_hook_raises_deadlock():
     engine = Engine()
     channel = BlockingChannel("c", engine)
 
-    def stuck():
-        yield Read(channel)
-
-    engine.spawn("stuck", stuck())
+    reader(engine, "stuck", channel, lambda value: None)
     with pytest.raises(ps.DeadlockError, match="stuck"):
         engine.run(quiesced=lambda: "stuck: blocked reading c")
 
@@ -264,19 +269,8 @@ def test_engine_counts_resumes_and_timed_events(monkeypatch):
 # -- method processes --------------------------------------------------------------
 
 
-def thread_worker(engine, inp, out, delay):
-    def gen():
-        while True:
-            token = yield Peek(inp)
-            yield Delay(delay)
-            inp.consume()
-            yield Write(out, token)
-
-    return engine.spawn("worker", gen())
-
-
 def method_worker(engine, inp, out, delay):
-    peek, write = Peek(inp), Write(out, None)
+    peek, write = Peek(inp), Write(out)
     held = None
 
     def resume(proc):
@@ -297,7 +291,7 @@ def method_worker(engine, inp, out, delay):
         proc.pending = None
         engine.sleep(proc, delay)
 
-    return engine.spawn_method("worker", resume)
+    return engine.spawn("worker", resume)
 
 
 def worker_run(make_worker, delay):
@@ -310,18 +304,9 @@ def worker_run(make_worker, delay):
     inp, out = BlockingChannel("in", engine), BlockingChannel("out", engine)
     dispatches, lines = [], []
 
-    def feeder():
-        for i in range(3):
-            yield Write(inp, Token(i))
-
-    def drain():
-        yield Delay(10)
-        while True:
-            yield Read(out)
-
     worker = make_worker(engine, inp, out, delay)
-    engine.spawn("feeder", feeder())
-    engine.spawn("drain", drain())
+    writer(engine, "feeder", inp, [Token(i) for i in range(3)])
+    reader(engine, "drain", out, lambda token: None, after=10)
     resume = worker.resume
 
     def logged(proc):
@@ -363,9 +348,8 @@ WORKER_LOGS = {
 
 @pytest.mark.parametrize("delay", [2, 0])
 def test_method_process_schedules_like_a_thread(delay):
-    expected = WORKER_LOGS[delay]
-    counts = (14, 4 if delay else 1)
-    for make_worker in (thread_worker, method_worker):
-        dispatches, lines, resumes, timed = worker_run(make_worker, delay)
-        assert list(zip(dispatches, lines)) == expected, make_worker.__name__
-        assert (resumes, timed) == counts, make_worker.__name__
+    # The logs and counts were recorded from a generator worker of the same
+    # peek -> sleep -> consume -> write loop.
+    dispatches, lines, resumes, timed = worker_run(method_worker, delay)
+    assert list(zip(dispatches, lines)) == WORKER_LOGS[delay]
+    assert (resumes, timed) == (14, 4 if delay else 1)

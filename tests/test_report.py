@@ -33,11 +33,11 @@ MIXED_TEXT = """\
     null
   ],
   "int_keys": {
+    "10": "ten",
     "2": [
       "two",
       {}
-    ],
-    "10": "ten"
+    ]
   },
   "proxy": {
     "x": 1.23457e+08,
@@ -65,3 +65,9 @@ def test_canonical_bytes_of_every_supported_type():
 def test_canonical_rejects_other_types():
     with pytest.raises(TypeError, match="cannot serialize set"):
         canonical({"s": {1, 2}})
+
+
+def test_canonical_sorts_keys_by_their_string_form():
+    assert canonical({2: "int", "a": "str"}) == '{\n  "2": "int",\n  "a": "str"\n}'
+    with pytest.raises(TypeError, match="cannot serialize a mapping with two keys"):
+        canonical({1: "int", "1": "str"})
