@@ -541,6 +541,41 @@ def test_issue_blocked_on_second_entry_branch_pinned():
     assert str(exc.value) == SECOND_BRANCH_SEVERED_MESSAGE
 
 
+SIGNAL_SEVERED_MESSAGE = """\
+deadlock: 5 transaction(s) in flight and no runnable process
+  in flight: 0, 2, 5, 8, 11
+  processes:
+    S1: blocked reading S1.in
+    S2: blocked reading S2.in
+    S3: blocked reading S3.in
+    r_S1: blocked reading S1.out
+    r_S1.out: blocked reading r_S1.q
+    r_S2: blocked reading S2.out
+    r_S2.out: blocked writing r_S2->S3 (severed)
+    r_S3: blocked reading S3.out
+    r_S3.out: blocked reading r_S3.q
+  channels:
+    S1.in: empty
+    S1.out: empty
+    S2.in: idle, 7 dropped
+    S2.out: idle
+    S3.in: idle
+    S3.out: idle"""
+
+
+def test_signal_drops_deadlock_pinned(monkeypatch):
+    # The signal-drops run of the pinned corpus with its r_S2 -> S3 edge
+    # severed: the text counts S2's drops, and the in-flight list leaves out
+    # the ids it dropped.
+    elaborate = ps.elaborate
+    monkeypatch.setattr(
+        ps, "elaborate", lambda route, decls: sever(elaborate(route, decls), "r_S2", "S3")
+    )
+    with pytest.raises(ps.DeadlockError) as exc:
+        pinned_corpus()["signal-drops"]()
+    assert str(exc.value) == SIGNAL_SEVERED_MESSAGE
+
+
 @pytest.mark.parametrize("issue", ["greedy", "eager", "fixed:2"])
 def test_run_without_inputs_finishes_the_issue_process(monkeypatch, issue):
     engines = []
