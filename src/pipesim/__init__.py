@@ -91,7 +91,6 @@ from .policy import (
     JoinSpec,
     StageConfig,
     TimingSpec,
-    eval_function,
     parse_function,
     validate_config,
 )

@@ -87,8 +87,8 @@ def _select_pipeline(setup: PipelineSetup, txn_type: str | None) -> str:
 
 
 def _parse_inputs(spec: str) -> list[float]:
-    path = Path(spec)
-    if path.exists() and not spec.replace(".", "").replace(",", "").isdigit():
+    # Path("") is the current directory, so an empty spec is never a path.
+    if spec and Path(spec).exists() and not spec.replace(".", "").replace(",", "").isdigit():
         text = read_text(spec)
     else:
         text = spec

@@ -96,8 +96,6 @@ class Netlist:
     stages: tuple[StageId, ...]
     routers: tuple[RouterNode, ...]
     edges: tuple[ChannelEdge, ...]
-    entry: str = ENTRY
-    exit: str = EXIT_NODE
 
     def router_of(self, stage: StageId) -> RouterNode:
         for router in self.routers:
@@ -202,12 +200,12 @@ def elaborate(
 def to_dot(netlist: Netlist) -> str:
     """Deterministic DOT rendering: stages as boxes, routers as circles."""
     lines = ["digraph pipeline {", "  rankdir=LR;"]
-    lines.append(f'  "{netlist.entry}" [shape=circle];')
+    lines.append(f'  "{ENTRY}" [shape=circle];')
     for stage in netlist.stages:
         lines.append(f'  "{stage.name}" [shape=box];')
     for router in netlist.routers[1:]:
         lines.append(f'  "{router.name}" [shape=circle];')
-    lines.append(f'  "{netlist.exit}" [shape=plaintext];')
+    lines.append(f'  "{EXIT_NODE}" [shape=plaintext];')
     for edge in netlist.edges:
         style = " [style=dashed]" if edge.kind is ChannelKind.SIGNAL else ""
         lines.append(f'  "{edge.src}" -> "{edge.dst}"{style};')

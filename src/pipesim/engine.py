@@ -27,6 +27,11 @@ The timed events of the next nanosecond all sit at delta 0 and leave the heap
 together, in schedule order.  SimPy's ``Environment``
 (https://simpy.readthedocs.io) keeps one heap of (time, priority, id, event);
 splitting off the delta phases keeps most resumes out of the heap.
+
+The channels count the effects of the communication policy themselves: a
+:class:`BlockingChannel` counts the writes it refuses in ``stalls``, and a
+:class:`SignalChannel` lists the values it overwrites unread in ``dropped``.
+Nothing else counts them; a simulation reads them off its channels.
 """
 
 from __future__ import annotations
@@ -44,7 +49,6 @@ __all__ = [
     "RoutingFault",
     "JoinError",
     "Read",
-    "Peek",
     "Write",
     "BLOCKED",
     "Process",
@@ -85,21 +89,6 @@ class JoinError(PipelineError):
 
 
 class Read:
-    __slots__ = ("channel",)
-
-    def __init__(self, channel: "ChannelBase"):
-        self.channel = channel
-
-
-class Peek:
-    """Wait for a value without draining the slot.
-
-    A stage peeks its input, works, and only consumes when done: the held
-    slot is the stage's input latch, so a second transaction demanding the
-    stage while it is busy suspends its writer instead of slipping into the
-    buffer.
-    """
-
     __slots__ = ("channel",)
 
     def __init__(self, channel: "ChannelBase"):
@@ -173,8 +162,8 @@ class Engine:
         """Create a process, runnable at the current instant.
 
         The engine calls ``resume(proc)`` on every resume.  It returns after
-        parking on a channel (setting ``proc.pending`` to the ``Peek``,
-        ``Read`` or ``Write`` it is blocked on, and clearing it once past),
+        parking on a channel (setting ``proc.pending`` to the ``Read`` or
+        ``Write`` it is blocked on, and clearing it once past),
         after ``self.sleep(proc, ns)``, or after setting ``proc.done``.
         """
         proc = Process(name, resume)
@@ -252,6 +241,16 @@ class Engine:
 
 
 class ChannelBase:
+    """A named channel between processes.
+
+    ``stalls`` counts the writes it refused and ``dropped`` lists the values
+    it overwrote unread; a channel kind that does neither keeps these
+    defaults.
+    """
+
+    stalls = 0
+    dropped = ()
+
     def __init__(self, name: str, engine: Engine):
         self.name = name
         self.engine = engine
@@ -262,6 +261,7 @@ class ChannelBase:
         raise NotImplementedError
 
     def try_peek(self, proc: Process) -> object:
+        """Like ``try_read``, but a slot keeps the value until ``consume``."""
         return self.try_read(proc)
 
     def consume(self) -> None:
@@ -290,20 +290,17 @@ class BlockingChannel(ChannelBase):
 
     Writers blocked on a full slot are granted it by arrival: earlier
     nanosecond first, ties broken by transaction id, then by suspension order.
+    Each refused write is a stall; ``stalls`` numbers them, which gives the
+    suspension order.
     """
 
-    def __init__(
-        self,
-        name: str,
-        engine: Engine,
-        on_stall: Callable[[str], None] | None = None,
-    ):
+    def __init__(self, name: str, engine: Engine):
         super().__init__(name, engine)
         self.slot = None
-        # (blocked_ns, txn_id, seq, proc); seq is unique, so proc is never compared.
+        # (blocked_ns, txn_id, stall number, proc); the stall number is unique,
+        # so proc is never compared.
         self._writers: list[tuple[int, int, int, Process]] = []
-        self._on_stall = on_stall
-        self._waiter_seq = 0
+        self.stalls = 0
 
     def try_read(self, proc: Process) -> object:
         value = self.slot
@@ -331,11 +328,9 @@ class BlockingChannel(ChannelBase):
             self.slot = value
             self._wake_reader()
             return True
-        if self._on_stall is not None:
-            self._on_stall(self.name)
-        self._waiter_seq += 1
+        self.stalls += 1
         txn_id = getattr(value, "id", 0)
-        self._writers.append((self.engine.ns, txn_id, self._waiter_seq, proc))
+        self._writers.append((self.engine.ns, txn_id, self.stalls, proc))
         return False
 
     def _grant_next_writer(self) -> None:
@@ -357,19 +352,16 @@ class BlockingChannel(ChannelBase):
 
 
 class SignalChannel(ChannelBase):
-    """Overwrite signal: writes never block; an unread value is dropped."""
+    """Overwrite signal: writes never block; an unread value is dropped.
 
-    def __init__(
-        self,
-        name: str,
-        engine: Engine,
-        on_drop: Callable[[str, object], None] | None = None,
-    ):
+    ``dropped`` lists the overwritten values in the order they were dropped.
+    """
+
+    def __init__(self, name: str, engine: Engine):
         super().__init__(name, engine)
         self.value = None
         self.fresh = False
-        self.drop_count = 0
-        self._on_drop = on_drop
+        self.dropped = []
 
     def try_read(self, proc: Process) -> object:
         if self.fresh:
@@ -380,9 +372,7 @@ class SignalChannel(ChannelBase):
 
     def try_write(self, proc: Process, value) -> bool:
         if self.fresh:
-            self.drop_count += 1
-            if self._on_drop is not None:
-                self._on_drop(self.name, self.value)
+            self.dropped.append(self.value)
         self.value = value
         self.fresh = True
         self._wake_reader()
@@ -390,8 +380,8 @@ class SignalChannel(ChannelBase):
 
     def describe(self) -> str:
         state = "fresh" if self.fresh else "idle"
-        if self.drop_count:
-            state += f", {self.drop_count} dropped"
+        if self.dropped:
+            state += f", {len(self.dropped)} dropped"
         return f"{self.name}: {state}"
 
 

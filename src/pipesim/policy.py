@@ -24,7 +24,6 @@ __all__ = [
     "ConfigError",
     "FunctionSpec",
     "parse_function",
-    "eval_function",
     "TimingSpec",
     "ChannelKind",
     "ExecKind",
@@ -69,17 +68,18 @@ _FN_TOKEN = re.compile(
 
 
 # The parser compiles while it parses: each grammar rule returns a closure
-# over its operands' closures that evaluates an environment mapping.  The
-# closures apply the operations in the tree's order (left operand first), so
-# results are bit-identical to a tree walk.
+# over its operands' closures that evaluates a tuple of values, one per
+# variable in declaration order.  The closures apply the operations in the
+# tree's order (left operand first), so results are bit-identical to a tree
+# walk.
 
 
 def _constant(value: float):
     return lambda env: value
 
 
-def _variable(name: str):
-    return lambda env: env[name]
+def _variable(index: int):
+    return lambda env: env[index]
 
 
 def _negate(operand):
@@ -115,7 +115,7 @@ def _binary(op: str, left, right):
 class _FnParser(Cursor):
     def __init__(self, source: str, variables: Sequence[str]):
         super().__init__(tokenize(_FN_TOKEN, source, FunctionParseError), FunctionParseError)
-        self.variables = set(variables)
+        self.slots = {name: i for i, name in enumerate(variables)}
 
     def parse(self):
         node = self.parse_expr()
@@ -145,8 +145,8 @@ class _FnParser(Cursor):
                 inner = self.parse_expr()
                 self.expect("op", ")", what="')'")
                 return _square(inner)
-            if text in self.variables:
-                return _variable(text)
+            if text in self.slots:
+                return _variable(self.slots[text])
             raise FunctionParseError(f"unknown variable {text!r}", position)
         if kind == "op" and text == "-":
             return _negate(self.parse_factor())
@@ -161,16 +161,17 @@ class _FnParser(Cursor):
 class FunctionSpec:
     """A parsed arithmetic expression over named real variables.
 
-    ``compiled`` evaluates an environment mapping each variable to its value;
-    specs compare by source and variables.
+    Calling the spec with one value per variable, in ``variables`` order,
+    evaluates it; ``compiled`` does the same for a tuple of those values.
+    Specs compare by source and variables.
     """
 
     source: str
     variables: tuple[str, ...]
-    compiled: Callable[[Mapping[str, float]], float] = field(compare=False, repr=False)
+    compiled: Callable[[tuple[float, ...]], float] = field(compare=False, repr=False)
 
-    def evaluate(self, env: Mapping[str, float]) -> float:
-        return self.compiled(env)
+    def __call__(self, *values: float) -> float:
+        return self.compiled(values)
 
     def __str__(self) -> str:
         return self.source
@@ -182,18 +183,9 @@ def parse_function(source: str, variables: Sequence[str] = ("orig", "data")) -> 
     return FunctionSpec(source=source, variables=tuple(variables), compiled=compiled)
 
 
-def eval_function(spec: FunctionSpec, orig: float, data: float) -> float:
-    """Apply a stage function to a transaction's payload fields."""
-    return spec.evaluate({"orig": orig, "data": data})
-
-
+# A stage function is called as ``function(orig, data)``: a parsed
+# FunctionSpec over the default variables, or any callable.
 StageFunction = Union[FunctionSpec, Callable[[float, float], float]]
-
-
-def apply_stage_function(fn: StageFunction, orig: float, data: float) -> float:
-    if isinstance(fn, FunctionSpec):
-        return eval_function(fn, orig, data)
-    return fn(orig, data)
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +252,14 @@ class JoinSpec:
     kind: str  # left | right | sum | custom
     expr: FunctionSpec | None = None
 
+    def __post_init__(self):
+        if self.kind not in ("left", "right", "sum", "custom"):
+            raise ConfigError(
+                f"unknown join {self.kind!r}; use left, right, sum or custom"
+            )
+        if self.kind == "custom" and self.expr is None:
+            raise ConfigError("a custom join needs an expression")
+
     @staticmethod
     def left() -> "JoinSpec":
         return JoinSpec(kind="left")
@@ -285,10 +285,7 @@ class JoinSpec:
             return data_right
         if self.kind == "sum":
             return data_left + data_right
-        assert self.expr is not None
-        return self.expr.evaluate(
-            {"orig": orig, "dataL": data_left, "dataR": data_right}
-        )
+        return self.expr(orig, data_left, data_right)
 
     def __str__(self) -> str:
         return self.expr.source if self.kind == "custom" else self.kind
@@ -325,14 +322,20 @@ class IssueSpec:
     kind: str
     interval: int | None = None
 
+    def __post_init__(self):
+        if self.kind not in ("greedy", "fixed", "eager"):
+            raise ConfigError(
+                f"unknown issue policy {self.kind!r}; use greedy, eager or fixed:<k>"
+            )
+        if self.kind == "fixed" and (self.interval is None or self.interval < 1):
+            raise ConfigError(f"fixed issue interval must be >= 1, got {self.interval}")
+
     @staticmethod
     def greedy() -> "IssueSpec":
         return IssueSpec(kind="greedy")
 
     @staticmethod
     def fixed(interval: int) -> "IssueSpec":
-        if interval < 1:
-            raise ConfigError(f"fixed issue interval must be >= 1, got {interval}")
         return IssueSpec(kind="fixed", interval=interval)
 
     @staticmethod

@@ -23,6 +23,11 @@ transaction id, start ns, start delta, end ns, end delta), and the
 :class:`Occupancy` objects with their :class:`SimTime` bounds are built only
 when ``Trace.occupancy`` is first read.  A caller that never reads it pays
 for the tuples alone.
+
+All of a run's mutable state sits on one ``_Runtime`` that every process
+holds.  Stalls and drops are the exception: the stage channels count them
+(``BlockingChannel.stalls``, ``SignalChannel.dropped``), and the stats and
+the deadlock message read them off the channels.
 """
 
 from __future__ import annotations
@@ -37,14 +42,13 @@ from typing import Mapping, Sequence, Union
 
 from . import analysis
 from .dsl import Route, StageId
-from .elaborate import EXIT, Netlist, RouterNode
+from .elaborate import ENTRY, EXIT, Netlist, RouterNode
 from .engine import (
     BLOCKED,
     BlockingChannel,
     ChannelBase,
     Engine,
     JoinError,
-    Peek,
     QueueChannel,
     Read,
     RoutingFault,
@@ -62,7 +66,6 @@ from .policy import (
     IssueSpec,
     JoinSpec,
     StageConfig,
-    apply_stage_function,
     validate_config,
 )
 
@@ -191,70 +194,35 @@ class RunResult:
     warnings: tuple[str, ...]
 
 
-class _Recorder:
-    """Mutable collection point; frozen into Trace/Stats when the run ends."""
-
-    def __init__(self):
-        self.orig: dict[int, float] = {}
-        self.data: dict[int, float] = {}
-        self.injected_at: dict[int, SimTime | None] = {}
-        self.exited_at: dict[int, SimTime] = {}
-        self.dropped_ids: set[int] = set()
-        self.occupancy_log: list[OccupancyEntry] = []
-        self.stalls: dict[str, int] = {}
-        self.drops: dict[str, int] = {}
-        self.timed_waits = 0
-        self.issue_active = True
-
-    def new_txn(self, txn: Transaction) -> None:
-        self.orig[txn.id] = txn.orig
-        self.data[txn.id] = txn.data
-        self.injected_at[txn.id] = None
-
-    def mark_injected(self, txn_id: int, when: SimTime) -> None:
-        self.injected_at[txn_id] = when
-
-    def record_exit(self, txn: Transaction, when: SimTime) -> None:
-        self.exited_at[txn.id] = when
-        self.data[txn.id] = txn.data
-
-    def stall(self, channel: str) -> None:
-        self.stalls[channel] = self.stalls.get(channel, 0) + 1
-
-    def drop(self, channel: str, value) -> None:
-        self.drops[channel] = self.drops.get(channel, 0) + 1
-        if isinstance(value, Transaction):
-            self.dropped_ids.add(value.id)
-
-    def in_flight_ids(self) -> list[int]:
-        return [
-            i
-            for i in self.orig
-            if i not in self.exited_at and i not in self.dropped_ids
-        ]
-
-
 # ---------------------------------------------------------------------------
 # Runtime wiring
 
 
 class _Runtime:
-    def __init__(
-        self,
-        engine: Engine,
-        netlist: Netlist,
-        checked: CheckedConfig,
-        recorder: _Recorder,
-    ):
+    """The state of one run, shared by all its processes.
+
+    Besides the wiring it holds what the run records, frozen into
+    :class:`Trace` and :class:`Stats` when the run ends: each transaction's
+    orig, data and inject and exit times, the occupancy log and the count of
+    timed waits.
+    """
+
+    def __init__(self, engine: Engine, netlist: Netlist, checked: CheckedConfig):
         self.engine = engine
         self.netlist = netlist
         self.checked = checked
-        self.recorder = recorder
         self.route = netlist.route
         self._edges = {(e.src, e.dst) for e in netlist.edges}
         self._severed: dict[tuple[str, str], SeveredChannel] = {}
         self._join_pending: dict[tuple[int, int], list[Transaction]] = {}
-        self._next_id = 0
+
+        self.orig: dict[int, float] = {}
+        self.data: dict[int, float] = {}
+        self.injected_at: dict[int, SimTime | None] = {}
+        self.exited_at: dict[int, SimTime] = {}
+        self.occupancy_log: list[OccupancyEntry] = []
+        self.timed_waits = 0
+        self.issue_active = True
 
         self.in_channels: dict[StageId, ChannelBase] = {}
         self.out_channels: dict[StageId, ChannelBase] = {}
@@ -265,14 +233,26 @@ class _Runtime:
 
     def _make_channel(self, name: str, kind: ChannelKind) -> ChannelBase:
         if kind is ChannelKind.SIGNAL:
-            return SignalChannel(name, self.engine, on_drop=self.recorder.drop)
-        return BlockingChannel(name, self.engine, on_stall=self.recorder.stall)
+            return SignalChannel(name, self.engine)
+        return BlockingChannel(name, self.engine)
+
+    def channels(self) -> list[ChannelBase]:
+        """The stage channels, inputs then outputs, in stage order."""
+        return [*self.in_channels.values(), *self.out_channels.values()]
 
     def new_transaction(self, value: float) -> Transaction:
-        txn = Transaction(id=self._next_id, orig=float(value), data=0.0)
-        self._next_id += 1
-        self.recorder.new_txn(txn)
+        txn = Transaction(id=len(self.orig), orig=float(value), data=0.0)
+        self.orig[txn.id] = txn.orig
+        self.data[txn.id] = txn.data
+        self.injected_at[txn.id] = None
         return txn
+
+    def dropped_ids(self) -> set[int]:
+        return {txn.id for channel in self.channels() for txn in channel.dropped}
+
+    def in_flight_ids(self) -> list[int]:
+        gone = self.dropped_ids()
+        return [i for i in self.orig if i not in self.exited_at and i not in gone]
 
     def channel_into(self, src_node: str, dest: StageId) -> ChannelBase:
         if (src_node, dest.name) in self._edges:
@@ -330,7 +310,8 @@ class _Runtime:
         transaction retires and there is nothing to deliver.
         """
         if dests is EXIT:
-            self.recorder.record_exit(txn, self.engine.now)
+            self.exited_at[txn.id] = self.engine.now
+            self.data[txn.id] = txn.data
             return ()
         if len(dests) == 1:
             (target,) = dests
@@ -340,8 +321,8 @@ class _Runtime:
         return [(target, txn.copy_for(target)) for target in targets]
 
     def quiesced_message(self) -> str | None:
-        in_flight = self.recorder.in_flight_ids()
-        if not in_flight and not self.recorder.issue_active:
+        in_flight = self.in_flight_ids()
+        if not in_flight and not self.issue_active:
             return None
         lines = [
             f"deadlock: {len(in_flight)} transaction(s) in flight and no runnable process"
@@ -383,11 +364,11 @@ def _stage_method(rt: _Runtime, cfg: StageConfig):
     """
     stage = cfg.stage
     name = stage.name
-    engine, recorder = rt.engine, rt.recorder
-    log = recorder.occupancy_log.append
+    engine = rt.engine
+    log = rt.occupancy_log.append
     in_ch = rt.in_channels[stage]
     out_ch = rt.out_channels[stage]
-    peek, write = Peek(in_ch), Write(out_ch)
+    read, write = Read(in_ch), Write(out_ch)
     function = cfg.function
     timed = not cfg.timing.is_untimed
     delay = None if cfg.exec is ExecKind.REACTIVE else _busy_ns(cfg)
@@ -407,12 +388,12 @@ def _stage_method(rt: _Runtime, cfg: StageConfig):
                 # the whole busy window, so contending writers suspend and stall.
                 txn = in_ch.try_peek(proc)
                 if txn is BLOCKED:
-                    proc.pending, txn = peek, None
+                    proc.pending, txn = read, None
                     return
                 proc.pending = None
                 start_ns, start_delta = engine.ns, engine.delta
                 try:
-                    txn.data = apply_stage_function(function, txn.orig, txn.data)
+                    txn.data = function(txn.orig, txn.data)
                     if _not_finite(txn.data):
                         raise FunctionEvalError(f"result {txn.data} is not finite")
                 except FunctionEvalError as exc:
@@ -420,7 +401,7 @@ def _stage_method(rt: _Runtime, cfg: StageConfig):
                         f"stage {name}, transaction {txn.id}: {exc}"
                     ) from None
                 if timed:
-                    recorder.timed_waits += 1
+                    rt.timed_waits += 1
                 if delay is not None:
                     sleep(proc, delay)
                     return
@@ -511,10 +492,10 @@ def _issue_method(rt: _Runtime, values: Sequence[float], issue: IssueSpec):
     on a busy latch; eager issue writes at once.  The call that injects the
     last input finishes the process.
     """
-    engine, recorder = rt.engine, rt.recorder
+    engine = rt.engine
     sleep = engine.sleep
     entry_dests = rt.netlist.entry_router.table.lookup(-1)
-    writes = {stage: Write(rt.channel_into("entry", stage)) for stage in entry_dests}
+    writes = {stage: Write(rt.channel_into(ENTRY, stage)) for stage in entry_dests}
     if issue.kind == "fixed":
         targets = count(0, issue.interval)
     elif issue.kind == "greedy":
@@ -538,7 +519,7 @@ def _issue_method(rt: _Runtime, values: Sequence[float], issue: IssueSpec):
         while True:
             if txn is None:
                 if index == len(values):
-                    recorder.issue_active = False
+                    rt.issue_active = False
                     proc.done = True
                     return
                 if target is not None:
@@ -557,7 +538,7 @@ def _issue_method(rt: _Runtime, values: Sequence[float], issue: IssueSpec):
                 if not write.channel.try_write(proc, held):
                     proc.pending = write
                     return
-            recorder.mark_injected(txn.id, engine.now)
+            rt.injected_at[txn.id] = engine.now
             txn = None
             target = next(targets, None)
 
@@ -609,8 +590,7 @@ def run(
         issue = IssueSpec.greedy()
 
     engine = Engine()
-    recorder = _Recorder()
-    rt = _Runtime(engine, netlist, checked, recorder)
+    rt = _Runtime(engine, netlist, checked)
 
     engine.spawn("issue", _issue_method(rt, inputs, issue))
     for stage in netlist.stages:
@@ -622,39 +602,41 @@ def run(
 
     truncated = engine.run(horizon_ns=horizon_ns, quiesced=rt.quiesced_message)
 
+    dropped_ids = rt.dropped_ids()
     records = tuple(
         TraceRecord(
             txn_id=i,
-            orig=recorder.orig[i],
-            data=recorder.data[i],
-            injected_at=recorder.injected_at[i],
-            exited_at=recorder.exited_at.get(i),
-            dropped=i in recorder.dropped_ids,
+            orig=rt.orig[i],
+            data=rt.data[i],
+            injected_at=rt.injected_at[i],
+            exited_at=rt.exited_at.get(i),
+            dropped=i in dropped_ids,
         )
-        for i in sorted(recorder.orig)
+        for i in sorted(rt.orig)
     )
-    trace = Trace(records=records, occupancy_log=tuple(recorder.occupancy_log))
+    trace = Trace(records=records, occupancy_log=tuple(rt.occupancy_log))
 
-    items = Counter(map(itemgetter(0), recorder.occupancy_log))
+    items = Counter(map(itemgetter(0), rt.occupancy_log))
     stage_stats = {
         s.name: StageStats(
             items=items[s.name],
             busy_ns=items[s.name] * _busy_ns(checked.config_of(s)),
-            stalls=recorder.stalls.get(f"{s.name}.in", 0),
+            stalls=rt.in_channels[s].stalls,
         )
         for s in netlist.stages
     }
+    channels = sorted(rt.channels(), key=lambda c: c.name)
     stats = Stats(
-        injected=len(recorder.orig),
-        exited=len(recorder.exited_at),
-        dropped=len(recorder.dropped_ids),
-        in_flight=len(recorder.in_flight_ids()),
+        injected=len(rt.orig),
+        exited=len(rt.exited_at),
+        dropped=len(dropped_ids),
+        in_flight=len(rt.in_flight_ids()),
         final_time=engine.now,
-        timed_waits=recorder.timed_waits,
-        total_stalls=sum(recorder.stalls.values()),
+        timed_waits=rt.timed_waits,
+        total_stalls=sum(c.stalls for c in channels),
         stage=stage_stats,
-        stalls_by_channel=dict(sorted(recorder.stalls.items())),
-        drops_by_channel=dict(sorted(recorder.drops.items())),
+        stalls_by_channel={c.name: c.stalls for c in channels if c.stalls},
+        drops_by_channel={c.name: len(c.dropped) for c in channels if c.dropped},
         truncated=truncated,
     )
     warnings = checked.warnings + _issue_warnings(netlist.route, issue)

@@ -168,6 +168,12 @@ def test_run_non_finite_inputs_exit_1(write_file, capsys, inputs, bad):
     assert f"input value {bad!r} is not finite" in err
 
 
+def test_run_empty_inputs_exit_1(write_file, capsys):
+    path = write_file("quad.pipe", QUAD)
+    code, out, err = invoke(capsys, "run", path, "--inputs", "")
+    assert (code, out, err) == (1, "", "error: no input values given\n")
+
+
 def test_run_negative_horizon_exit_1(write_file, capsys):
     path = write_file("quad.pipe", QUAD)
     code, out, err = invoke(capsys, "run", path, "--inputs", "1,2", "--horizon", "-5")

@@ -10,7 +10,6 @@ from pipesim.engine import (
     BLOCKED,
     BlockingChannel,
     Engine,
-    Peek,
     QueueChannel,
     Read,
     SignalChannel,
@@ -158,28 +157,26 @@ def test_blocked_writers_earlier_ns_wins_over_smaller_id():
 
 
 def test_stall_hook_counts_writer_suspensions():
-    stalls = []
     engine = Engine()
-    channel = BlockingChannel("c", engine, on_stall=stalls.append)
+    channel = BlockingChannel("c", engine)
 
     writer(engine, "p", channel, [Token(0), Token(1)])
     reader(engine, "c", channel, lambda token: None, after=3)
     engine.run()
-    assert stalls == ["c"]
+    assert channel.stalls == 1
 
 
 def test_signal_channel_overwrites_and_counts_drops():
-    drops = []
     engine = Engine()
-    channel = SignalChannel("s", engine, on_drop=lambda name, v: drops.append(v.id))
+    channel = SignalChannel("s", engine)
     got = []
 
     writer(engine, "p", channel, [Token(i) for i in range(4)])  # never suspends
     reader(engine, "c", channel, lambda token: got.append(token.id))
     engine.run()
-    assert drops == [0, 1, 2]
+    assert [token.id for token in channel.dropped] == [0, 1, 2]
     assert got == [3]
-    assert channel.drop_count == 3
+    assert len(channel.dropped) == 3
 
 
 def test_queue_channel_never_blocks_writers():
@@ -270,7 +267,7 @@ def test_engine_counts_resumes_and_timed_events(monkeypatch):
 
 
 def method_worker(engine, inp, out, delay):
-    peek, write = Peek(inp), Write(out)
+    read, write = Read(inp), Write(out)
     held = None
 
     def resume(proc):
@@ -286,7 +283,7 @@ def method_worker(engine, inp, out, delay):
                 return
         held = inp.try_peek(proc)
         if held is BLOCKED:
-            proc.pending, held = peek, None
+            proc.pending, held = read, None
             return
         proc.pending = None
         engine.sleep(proc, delay)

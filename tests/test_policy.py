@@ -1,7 +1,6 @@
 import pytest
 
 import pipesim as ps
-from pipesim.policy import apply_stage_function
 
 
 @pytest.fixture
@@ -23,28 +22,28 @@ def quad_configs(decls, timing=None):
 
 def test_eval_square_function():
     fn = ps.parse_function("data + 2*sqr(orig)")
-    assert ps.eval_function(fn, orig=2, data=0) == 8
+    assert fn(2, 0) == 8
 
 
 def test_eval_identity():
     fn = ps.parse_function("data")
-    assert ps.eval_function(fn, orig=99, data=5.5) == 5.5
+    assert fn(99, 5.5) == 5.5
 
 
 def test_eval_subtraction():
     fn = ps.parse_function("data - 7")
-    assert ps.eval_function(fn, orig=2, data=16) == 9
+    assert fn(2, 16) == 9
 
 
 def test_eval_precedence_and_unary_minus():
     fn = ps.parse_function("-data + 2*3")
-    assert ps.eval_function(fn, orig=0, data=1) == 5
+    assert fn(0, 1) == 5
 
 
 def test_eval_division_by_zero():
     fn = ps.parse_function("orig / data")
     with pytest.raises(ps.FunctionEvalError, match="division by zero"):
-        ps.eval_function(fn, orig=1, data=0)
+        fn(1, 0)
 
 
 def test_parse_function_rejects_unknown_variable():
@@ -58,8 +57,11 @@ def test_parse_function_position_in_error():
     assert exc.value.position == 7
 
 
-def test_callable_functions_supported():
-    assert apply_stage_function(lambda orig, data: data * orig, 3, 4) == 12
+def test_callable_functions_supported(decls):
+    route = ps.flatten(ps.parse("S1", decls))
+    configs = [ps.StageConfig(decls["S1"], lambda orig, data: data * orig + orig)]
+    result = ps.run(ps.elaborate(route, decls), configs, [3.0])
+    assert result.trace.records[0].data == 3.0
 
 
 # -- join specs ---------------------------------------------------------------
@@ -84,6 +86,41 @@ def test_timing_rejects_negative_delay():
 def test_issue_fixed_requires_positive_interval():
     with pytest.raises(ps.ConfigError):
         ps.IssueSpec.fixed(0)
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"kind": "gready"}, "unknown issue policy 'gready'; use greedy, eager or fixed:<k>"),
+        ({"kind": "fixed"}, "fixed issue interval must be >= 1, got None"),
+        ({"kind": "fixed", "interval": 0}, "fixed issue interval must be >= 1, got 0"),
+    ],
+)
+def test_issue_spec_rejects_unknown_kinds_and_bad_intervals(kwargs, message):
+    with pytest.raises(ps.ConfigError) as exc:
+        ps.IssueSpec(**kwargs)
+    assert str(exc.value) == message
+
+
+def test_issue_spec_constructors_share_the_interval_check():
+    with pytest.raises(ps.ConfigError) as exc:
+        ps.IssueSpec.fixed(-3)
+    assert str(exc.value) == "fixed issue interval must be >= 1, got -3"
+    assert ps.IssueSpec(kind="greedy") == ps.IssueSpec.greedy()
+    assert ps.IssueSpec(kind="fixed", interval=2) == ps.IssueSpec.fixed(2)
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"kind": "bogus"}, "unknown join 'bogus'; use left, right, sum or custom"),
+        ({"kind": "custom"}, "a custom join needs an expression"),
+    ],
+)
+def test_join_spec_rejects_unknown_kinds(kwargs, message):
+    with pytest.raises(ps.ConfigError) as exc:
+        ps.JoinSpec(**kwargs)
+    assert str(exc.value) == message
 
 
 # -- configuration validation ---------------------------------------------------
