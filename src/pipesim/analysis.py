@@ -26,11 +26,11 @@ the cycle is the first one a depth-first search meets in that subgraph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Mapping
 
+from ._value import Value
 from .dsl import ExprLike, Route, StageId, StageSet, flatten
 from .errors import PipelineError
 
@@ -57,8 +57,7 @@ class AnalysisError(PipelineError):
 # Reservation table
 
 
-@dataclass(frozen=True)
-class ReservationTable:
+class ReservationTable(Value):
     """Stage-by-step usage marks for one route.
 
     ``marks[s]`` is the sorted tuple of step indices at which stage ``s`` is
@@ -126,8 +125,7 @@ def forbidden_latencies(table: ReservationTable) -> frozenset[int]:
 # Collision vector
 
 
-@dataclass(frozen=True)
-class CollisionVector:
+class CollisionVector(Value):
     """Forbidden latencies 1..L-1 as bits, lowest latency first.
 
     ``bits[d-1]`` is True exactly when latency ``d`` is forbidden.
@@ -136,9 +134,10 @@ class CollisionVector:
     length: int
     bits: tuple[bool, ...]
 
-    def __post_init__(self):
-        if len(self.bits) != max(self.length - 1, 0):
+    def __init__(self, length: int, bits: tuple[bool, ...]):
+        if len(bits) != max(length - 1, 0):
             raise AnalysisError("collision vector must have one bit per latency 1..L-1")
+        super().__init__(length, bits)
 
     def is_forbidden(self, latency: int) -> bool:
         if 1 <= latency < self.length:
@@ -167,15 +166,15 @@ def collision_vector(forbidden: frozenset[int], length: int) -> CollisionVector:
 # Issue cycles
 
 
-@dataclass(frozen=True)
-class IssueCycle:
+class IssueCycle(Value):
     """A repeating sequence of issue latencies."""
 
     latencies: tuple[int, ...]
 
-    def __post_init__(self):
-        if not self.latencies:
+    def __init__(self, latencies: tuple[int, ...]):
+        if not latencies:
             raise AnalysisError("an issue cycle must contain at least one latency")
+        super().__init__(latencies)
 
     @property
     def average(self) -> Fraction:
@@ -447,8 +446,7 @@ def _find_cycle(adj: list[list[tuple[int, int]]], n: int):
 # Composite report
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
+class AnalysisReport(Value):
     """Everything the analysis derives from one route."""
 
     route: Route

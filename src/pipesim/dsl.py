@@ -16,10 +16,10 @@ that type follows.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Union
 
 from ._lex import Cursor, PositionedError, Token, tokenize, unexpected_character
+from ._value import Value
 from .errors import PipelineError
 
 __all__ = [
@@ -65,8 +65,7 @@ class ParseError(PositionedError):
 # Stage declarations
 
 
-@dataclass(frozen=True)
-class StageId:
+class StageId(Value):
     """Identity of a declared pipeline stage.
 
     ``ordinal`` is the zero-based declaration index; declaration order is the
@@ -177,46 +176,45 @@ class PipeExpr:
         return pretty(self)
 
 
-@dataclass(frozen=True)
-class StageRef(PipeExpr):
+class StageRef(PipeExpr, Value):
     stage: StageId
 
 
-@dataclass(frozen=True)
-class Seq(PipeExpr):
+class Seq(PipeExpr, Value):
     items: tuple[PipeExpr, ...]
 
-    def __post_init__(self):
-        if len(self.items) < 2:
+    def __init__(self, items: tuple[PipeExpr, ...]):
+        if len(items) < 2:
             raise ExpressionError("a sequence needs at least two items")
-        if any(isinstance(item, Seq) for item in self.items):
+        if any(isinstance(item, Seq) for item in items):
             raise ExpressionError("sequences must be flattened at construction")
+        super().__init__(items)
 
 
-@dataclass(frozen=True)
-class Repeat(PipeExpr):
+class Repeat(PipeExpr, Value):
     stage: StageId
     count: int
 
-    def __post_init__(self):
-        if not isinstance(self.count, int) or isinstance(self.count, bool):
+    def __init__(self, stage: StageId, count: int):
+        if not isinstance(count, int) or isinstance(count, bool):
             raise ExpressionError("repeat count must be an integer")
-        if self.count < 1:
-            raise ExpressionError(f"repeat count must be >= 1, got {self.count}")
+        if count < 1:
+            raise ExpressionError(f"repeat count must be >= 1, got {count}")
+        super().__init__(stage, count)
 
 
-@dataclass(frozen=True)
-class Fork(PipeExpr):
+class Fork(PipeExpr, Value):
     stages: tuple[StageId, ...]
 
-    def __post_init__(self):
-        if len(self.stages) < 2:
+    def __init__(self, stages: tuple[StageId, ...]):
+        if len(stages) < 2:
             raise ExpressionError("a fork needs at least two stages")
         seen: set[StageId] = set()
-        for stage in self.stages:
+        for stage in stages:
             if stage in seen:
                 raise ExpressionError(f"duplicate stage {stage.name!r} in fork")
             seen.add(stage)
+        super().__init__(stages)
 
     def __add__(self, other) -> "PipeExpr":
         return fork([*self.stages, *_fork_members(other)])
@@ -287,17 +285,17 @@ def fork(stages: Iterable[StageId]) -> PipeExpr:
 # Routes
 
 
-@dataclass(frozen=True)
-class Route:
+class Route(Value):
     """The ordered steps a transaction visits; each step is a set of stages."""
 
     steps: tuple[frozenset[StageId], ...]
 
-    def __post_init__(self):
-        if not self.steps:
+    def __init__(self, steps: tuple[frozenset[StageId], ...]):
+        if not steps:
             raise ExpressionError("a route must have at least one step")
-        if any(not step for step in self.steps):
+        if any(not step for step in steps):
             raise ExpressionError("route steps must be non-empty")
+        super().__init__(steps)
 
     def __len__(self) -> int:
         return len(self.steps)

@@ -10,9 +10,9 @@ stages, or to the exit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, Union
 
+from ._value import Value
 from .dsl import Route, StageId, StageSet
 from .errors import PipelineError
 from .policy import ChannelKind, CheckedConfig
@@ -50,8 +50,7 @@ EXIT = _ExitMarker()
 Destination = Union[frozenset, _ExitMarker]
 
 
-@dataclass(frozen=True)
-class RoutingTable:
+class RoutingTable(Value):
     """Per-router forwarding table.
 
     Keys are the step indices a transaction has just completed when it
@@ -68,15 +67,13 @@ class RoutingTable:
         return tuple(self.entries[k] for k in sorted(self.entries))
 
 
-@dataclass(frozen=True)
-class RouterNode:
+class RouterNode(Value):
     name: str
     stage: StageId | None  # None for the entry router
     table: RoutingTable
 
 
-@dataclass(frozen=True)
-class ChannelEdge:
+class ChannelEdge(Value):
     """Directed channel between two netlist nodes (router/stage or markers).
 
     ``kind`` is the channel kind of the stage the edge enters or leaves; the
@@ -88,8 +85,7 @@ class ChannelEdge:
     kind: ChannelKind | None
 
 
-@dataclass(frozen=True)
-class Netlist:
+class Netlist(Value):
     """Elaborated pipeline structure, ready for simulation or rendering."""
 
     route: Route

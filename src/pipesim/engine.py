@@ -37,10 +37,11 @@ Nothing else counts them; a simulation reads them off its channels.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from functools import total_ordering
 from heapq import heappop, heappush
 from typing import Callable, Optional
 
+from ._value import Value
 from .errors import PipelineError
 
 __all__ = [
@@ -60,12 +61,22 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, order=True)
-class SimTime:
+@total_ordering
+class SimTime(Value):
     """Simulated time: nanoseconds plus a delta phase for zero-time ordering."""
 
-    ns: int = 0
-    delta: int = 0
+    __slots__ = ("ns", "delta")
+    ns: int
+    delta: int
+
+    def __init__(self, ns: int = 0, delta: int = 0):
+        object.__setattr__(self, "ns", ns)
+        object.__setattr__(self, "delta", delta)
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key < other._key
+        return NotImplemented
 
     def __str__(self) -> str:
         return f"{self.ns}ns+{self.delta}d"

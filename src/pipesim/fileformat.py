@@ -20,12 +20,12 @@ Comments run from a ``#`` outside a quoted string to end of line.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import dsl
 from .dsl import PipeExpr, Route, StageId, StageSet
 from ._lex import Cursor, PositionedError, Token, tokenize
+from ._value import Value
 from .errors import PipelineError
 from .policy import (
     ChannelKind,
@@ -60,8 +60,7 @@ class PipelineFileError(PositionedError):
         return f"line {self.line}, col {self.column}: {self.args[0]}"
 
 
-@dataclass(frozen=True)
-class PipelineSetup:
+class PipelineSetup(Value):
     """Everything a command needs, resolved from one definition file."""
 
     decls: StageSet

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence, Union
 
 from ._lex import Cursor, PositionedError, tokenize
+from ._value import Value
 from .dsl import Route, StageId
 from .errors import PipelineError
 
@@ -157,8 +157,7 @@ class _FnParser(Cursor):
         raise FunctionParseError(f"expected a value, got {self.got(token)}", position)
 
 
-@dataclass(frozen=True)
-class FunctionSpec:
+class FunctionSpec(Value):
     """A parsed arithmetic expression over named real variables.
 
     Calling the spec with one value per variable, in ``variables`` order,
@@ -168,7 +167,8 @@ class FunctionSpec:
 
     source: str
     variables: tuple[str, ...]
-    compiled: Callable[[tuple[float, ...]], float] = field(compare=False, repr=False)
+    compiled: Callable[[tuple[float, ...]], float]
+    _compared = ("source", "variables")
 
     def __call__(self, *values: float) -> float:
         return self.compiled(values)
@@ -192,16 +192,18 @@ StageFunction = Union[FunctionSpec, Callable[[float, float], float]]
 # Timing
 
 
-@dataclass(frozen=True)
-class TimingSpec:
+class TimingSpec(Value):
     """Timed(delay in ns) or untimed (delta ordering only, zero ns)."""
 
     delay: int | None  # None means untimed
 
+    def __init__(self, delay: int | None):
+        if delay is not None and delay < 0:
+            raise ConfigError(f"stage delay must be >= 0, got {delay}")
+        super().__init__(delay)
+
     @staticmethod
     def timed(delay: int) -> "TimingSpec":
-        if delay < 0:
-            raise ConfigError(f"stage delay must be >= 0, got {delay}")
         return TimingSpec(delay=delay)
 
     @property
@@ -240,8 +242,7 @@ class ExecKind(enum.Enum):
 _JOIN_VARIABLES = ("orig", "dataL", "dataR")
 
 
-@dataclass(frozen=True)
-class JoinSpec:
+class JoinSpec(Value):
     """How branch copies of a forked transaction merge back into one.
 
     Branch order is the stage declaration order: the copy that went through
@@ -250,15 +251,14 @@ class JoinSpec:
     """
 
     kind: str  # left | right | sum | custom
-    expr: FunctionSpec | None = None
+    expr: FunctionSpec | None
 
-    def __post_init__(self):
-        if self.kind not in ("left", "right", "sum", "custom"):
-            raise ConfigError(
-                f"unknown join {self.kind!r}; use left, right, sum or custom"
-            )
-        if self.kind == "custom" and self.expr is None:
+    def __init__(self, kind: str, expr: FunctionSpec | None = None):
+        if kind not in ("left", "right", "sum", "custom"):
+            raise ConfigError(f"unknown join {kind!r}; use left, right, sum or custom")
+        if kind == "custom" and expr is None:
             raise ConfigError("a custom join needs an expression")
+        super().__init__(kind, expr)
 
     @staticmethod
     def left() -> "JoinSpec":
@@ -295,8 +295,7 @@ class JoinSpec:
 # Stage configuration
 
 
-@dataclass(frozen=True)
-class StageConfig:
+class StageConfig(Value):
     """Complete behavioral configuration of one stage."""
 
     stage: StageId
@@ -310,8 +309,7 @@ class StageConfig:
 # Issue
 
 
-@dataclass(frozen=True)
-class IssueSpec:
+class IssueSpec(Value):
     """When new transactions enter the pipeline.
 
     greedy   issue as soon as the collision vector permits
@@ -320,15 +318,20 @@ class IssueSpec:
     """
 
     kind: str
-    interval: int | None = None
+    interval: int | None
 
-    def __post_init__(self):
-        if self.kind not in ("greedy", "fixed", "eager"):
-            raise ConfigError(
-                f"unknown issue policy {self.kind!r}; use greedy, eager or fixed:<k>"
-            )
-        if self.kind == "fixed" and (self.interval is None or self.interval < 1):
-            raise ConfigError(f"fixed issue interval must be >= 1, got {self.interval}")
+    def __init__(self, kind: str, interval: int | None = None):
+        if kind not in ("greedy", "fixed", "eager"):
+            raise ConfigError(f"unknown issue policy {kind!r}; use greedy, eager or fixed:<k>")
+        if kind == "fixed":
+            # A float or bool interval would leak into every issue time and report.
+            if interval is not None and (
+                not isinstance(interval, int) or isinstance(interval, bool)
+            ):
+                raise ConfigError(f"fixed issue interval must be an integer, got {interval!r}")
+            if interval is None or interval < 1:
+                raise ConfigError(f"fixed issue interval must be >= 1, got {interval}")
+        super().__init__(kind, interval)
 
     @staticmethod
     def greedy() -> "IssueSpec":
@@ -350,8 +353,7 @@ class IssueSpec:
 # Whole-run validation
 
 
-@dataclass(frozen=True)
-class CheckedConfig:
+class CheckedConfig(Value):
     """A validated run configuration: every route stage covered, joins present."""
 
     route: Route

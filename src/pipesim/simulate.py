@@ -34,13 +34,13 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, count
 from operator import itemgetter
 from typing import Mapping, Sequence, Union
 
 from . import analysis
+from ._value import Value
 from .dsl import Route, StageId
 from .elaborate import ENTRY, EXIT, Netlist, RouterNode
 from .engine import (
@@ -81,8 +81,7 @@ __all__ = [
 ]
 
 
-@dataclass(eq=False)
-class Transaction:
+class Transaction(Value):
     """A unit of work in flight.
 
     ``step`` counts completed progress along the route: a stage increments it
@@ -92,11 +91,26 @@ class Transaction:
     single transaction before their common successor (or the exit).
     """
 
+    __slots__ = ("id", "orig", "data", "step", "branch")
     id: int
     orig: float
     data: float
-    step: int = 0
-    branch: StageId | None = None
+    step: int
+    branch: StageId | None
+
+    # Mutable, and compared by identity.
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, id: int, orig: float, data: float, step: int = 0,
+                 branch: StageId | None = None):
+        self.id = id
+        self.orig = orig
+        self.data = data
+        self.step = step
+        self.branch = branch
 
     def advance(self) -> None:
         self.step += 1
@@ -115,8 +129,8 @@ class Transaction:
 # Results
 
 
-@dataclass(frozen=True)
-class TraceRecord:
+class TraceRecord(Value):
+    __slots__ = ("txn_id", "orig", "data", "injected_at", "exited_at", "dropped")
     txn_id: int
     orig: float
     data: float
@@ -124,21 +138,36 @@ class TraceRecord:
     exited_at: SimTime | None
     dropped: bool
 
+    def __init__(self, txn_id: int, orig: float, data: float,
+                 injected_at: SimTime | None, exited_at: SimTime | None, dropped: bool):
+        setattr = object.__setattr__
+        setattr(self, "txn_id", txn_id)
+        setattr(self, "orig", orig)
+        setattr(self, "data", data)
+        setattr(self, "injected_at", injected_at)
+        setattr(self, "exited_at", exited_at)
+        setattr(self, "dropped", dropped)
 
-@dataclass(frozen=True)
-class Occupancy:
+
+class Occupancy(Value):
+    __slots__ = ("stage", "txn_id", "start", "end")
     stage: str
     txn_id: int
     start: SimTime
     end: SimTime
 
+    def __init__(self, stage: str, txn_id: int, start: SimTime, end: SimTime):
+        setattr = object.__setattr__
+        setattr(self, "stage", stage)
+        setattr(self, "txn_id", txn_id)
+        setattr(self, "start", start)
+        setattr(self, "end", end)
+
 
 # (stage, txn_id, start_ns, start_delta, end_ns, end_delta)
 OccupancyEntry = tuple[str, int, int, int, int, int]
 
-
-@dataclass(frozen=True, repr=False)
-class Trace:
+class Trace(Value):
     """Per-transaction records plus the stage occupancy log.
 
     Two traces are equal when their records and logs are; ``occupancy``
@@ -159,15 +188,13 @@ class Trace:
         return f"Trace(records={self.records!r}, occupancy={self.occupancy!r})"
 
 
-@dataclass(frozen=True)
-class StageStats:
+class StageStats(Value):
     items: int
     busy_ns: int
     stalls: int
 
 
-@dataclass(frozen=True)
-class Stats:
+class Stats(Value):
     injected: int
     exited: int
     dropped: int
@@ -187,8 +214,7 @@ class Stats:
         return None
 
 
-@dataclass(frozen=True)
-class RunResult:
+class RunResult(Value):
     trace: Trace
     stats: Stats
     warnings: tuple[str, ...]
@@ -303,22 +329,34 @@ class _Runtime:
             ) from None
         return merged
 
-    def forward(self, txn: Transaction, dests) -> Sequence[tuple[StageId, Transaction]]:
-        """The (stage, copy) deliveries of a transaction to the next step.
+    def targets(self, src_node: str, dests):
+        """``dests`` of a routing table entry as :meth:`forward` takes them.
+
+        That is EXIT, or one (stage, write) pair per stage in declaration
+        order, the write on the channel from ``src_node`` into the stage.
+        """
+        if dests is EXIT:
+            return EXIT
+        return tuple(
+            (stage, Write(self.channel_into(src_node, stage)))
+            for stage in sorted(dests, key=lambda s: s.ordinal)
+        )
+
+    def forward(self, txn: Transaction, targets) -> Sequence[tuple[Write, Transaction]]:
+        """The (write, copy) deliveries of a transaction to the next step.
 
         Copies go out in stage declaration order.  At the exit the
         transaction retires and there is nothing to deliver.
         """
-        if dests is EXIT:
+        if targets is EXIT:
             self.exited_at[txn.id] = self.engine.now
             self.data[txn.id] = txn.data
             return ()
-        if len(dests) == 1:
-            (target,) = dests
-            txn.branch = target
-            return ((target, txn),)
-        targets = sorted(dests, key=lambda s: s.ordinal)
-        return [(target, txn.copy_for(target)) for target in targets]
+        if len(targets) == 1:
+            ((stage, write),) = targets
+            txn.branch = stage
+            return ((write, txn),)
+        return [(write, txn.copy_for(stage)) for stage, write in targets]
 
     def quiesced_message(self) -> str | None:
         in_flight = self.in_flight_ids()
@@ -425,7 +463,9 @@ def _router_method(rt: _Runtime, router: RouterNode, queue: QueueChannel):
     """
     out_ch = rt.out_channels[router.stage]
     read = Read(out_ch)
-    lookup = router.table.lookup
+    targets = {
+        step: rt.targets(router.name, dests) for step, dests in router.table.entries.items()
+    }
     steps = rt.route.steps
     put = queue.put
 
@@ -436,7 +476,7 @@ def _router_method(rt: _Runtime, router: RouterNode, queue: QueueChannel):
                 proc.pending = read
                 return
             completed = txn.step - 1
-            dests = lookup(completed)
+            dests = targets.get(completed)
             if dests is None:
                 raise RoutingFault(
                     f"router {router.name}: no routing entry for completed step "
@@ -459,8 +499,7 @@ def _router_port_method(rt: _Runtime, router: RouterNode, queue: QueueChannel):
     it is the only process that suspends on a busy stage latch.
     """
     read = Read(queue)
-    writes: dict[StageId, Write] = {}
-    held = None  # the delivery of a blocked write
+    held = None  # the transaction of a blocked write
 
     def resume(proc):
         nonlocal held
@@ -472,10 +511,7 @@ def _router_port_method(rt: _Runtime, router: RouterNode, queue: QueueChannel):
             if delivery is BLOCKED:
                 proc.pending = read
                 return
-            target, held = delivery
-            write = writes.get(target)
-            if write is None:
-                write = writes[target] = Write(rt.channel_into(router.name, target))
+            write, held = delivery
             if not write.channel.try_write(proc, held):
                 proc.pending = write
                 return
@@ -494,8 +530,7 @@ def _issue_method(rt: _Runtime, values: Sequence[float], issue: IssueSpec):
     """
     engine = rt.engine
     sleep = engine.sleep
-    entry_dests = rt.netlist.entry_router.table.lookup(-1)
-    writes = {stage: Write(rt.channel_into(ENTRY, stage)) for stage in entry_dests}
+    entry = rt.targets(ENTRY, rt.netlist.entry_router.table.lookup(-1))
     if issue.kind == "fixed":
         targets = count(0, issue.interval)
     elif issue.kind == "greedy":
@@ -507,7 +542,7 @@ def _issue_method(rt: _Runtime, values: Sequence[float], issue: IssueSpec):
     target = next(targets, None)  # the next input's issue ns, until it is reached
     index = 0
     txn = None  # the transaction being injected
-    copies = held = None  # its (stage, copy) deliveries not yet written; a blocked write's copy
+    copies = held = None  # its (write, copy) deliveries not yet written; a blocked write's copy
 
     def resume(proc):
         nonlocal target, index, txn, held, copies
@@ -532,9 +567,8 @@ def _issue_method(rt: _Runtime, values: Sequence[float], issue: IssueSpec):
                     return
                 txn = rt.new_transaction(values[index])
                 index += 1
-                copies = iter(rt.forward(txn, entry_dests))
-            for stage, held in copies:
-                write = writes[stage]
+                copies = iter(rt.forward(txn, entry))
+            for write, held in copies:
                 if not write.channel.try_write(proc, held):
                     proc.pending = write
                     return

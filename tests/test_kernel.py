@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import random
 
@@ -7,6 +6,7 @@ import pytest
 import pipesim as ps
 from oracles import random_expr, unit_configs
 from pipesim import simulate
+from pipesim.elaborate import RouterNode
 from pipesim.engine import Engine
 from pipesim.report import trace_to_csv
 
@@ -19,6 +19,10 @@ def declare_quad():
         ps.StageConfig(decls["S3"], ps.parse_function("data - 7")),
     ]
     return decls, configs
+
+
+def untimed_config(config):
+    return ps.StageConfig(config.stage, config.function, ps.UNTIMED, config.channels, config.exec)
 
 
 def run_route(decls, text, configs, inputs, **kw):
@@ -75,9 +79,7 @@ def test_stage_delay_defers_output_write():
 
 def test_untimed_run_ends_at_zero_ns():
     decls, configs = declare_quad()
-    untimed = [
-        dataclasses.replace(c, timing=ps.UNTIMED) for c in configs
-    ]
+    untimed = [untimed_config(c) for c in configs]
     result = run_route(
         decls, "S1 >> S2 >> S3", untimed, [0.0, 1.0, 2.0], issue=ps.IssueSpec.eager()
     )
@@ -297,8 +299,8 @@ def test_missing_routing_entry_is_fatal():
     routers = list(netlist.routers)
     table = dict(routers[2].table.entries)
     del table[1]
-    routers[2] = dataclasses.replace(routers[2], table=ps.RoutingTable(entries=table))
-    broken = dataclasses.replace(netlist, routers=tuple(routers))
+    routers[2] = RouterNode(routers[2].name, routers[2].stage, ps.RoutingTable(entries=table))
+    broken = ps.Netlist(netlist.route, netlist.stages, tuple(routers), netlist.edges)
     with pytest.raises(ps.RoutingFault, match="r_S2"):
         ps.run(broken, configs, [1.0])
 
@@ -307,10 +309,7 @@ def test_severed_channel_deadlocks_with_diagnostic():
     decls, configs = declare_quad()
     route = ps.flatten(ps.parse("S1 >> S2 >> S3", decls))
     netlist = ps.elaborate(route, decls)
-    severed = dataclasses.replace(
-        netlist,
-        edges=tuple(e for e in netlist.edges if not (e.src == "r_S1" and e.dst == "S2")),
-    )
+    severed = sever(netlist, "r_S1", "S2")
     with pytest.raises(ps.DeadlockError) as exc:
         ps.run(severed, configs, [1.0])
     message = str(exc.value)
@@ -343,7 +342,7 @@ def pinned_corpus():
             cases[f"{label}-{issue}"] = lambda text=text, spec=spec: run_route(
                 decls, text, quad, PIN_INPUTS, issue=spec)
     cases["feedback-untimed-eager"] = lambda: run_route(
-        decls, FEEDBACK, [dataclasses.replace(c, timing=ps.UNTIMED) for c in quad],
+        decls, FEEDBACK, [untimed_config(c) for c in quad],
         PIN_INPUTS, issue=ps.IssueSpec.eager())
     cases["feedback-horizon"] = lambda: run_route(
         decls, FEEDBACK, quad, PIN_INPUTS, horizon_ns=17)
@@ -423,10 +422,7 @@ def test_run_results_pinned():
     decls, configs = declare_quad()
     route = ps.flatten(ps.parse("S1 >> S2 >> S3", decls))
     netlist = ps.elaborate(route, decls)
-    severed = dataclasses.replace(
-        netlist,
-        edges=tuple(e for e in netlist.edges if not (e.src == "r_S1" and e.dst == "S2")),
-    )
+    severed = sever(netlist, "r_S1", "S2")
     with pytest.raises(ps.DeadlockError) as exc:
         ps.run(severed, configs, PIN_INPUTS[:3])
     assert str(exc.value) == SEVERED_MESSAGE
@@ -515,9 +511,8 @@ deadlock: 1 transaction(s) in flight and no runnable process
 
 
 def sever(netlist, src, dst):
-    return dataclasses.replace(
-        netlist, edges=tuple(e for e in netlist.edges if (e.src, e.dst) != (src, dst))
-    )
+    edges = tuple(e for e in netlist.edges if (e.src, e.dst) != (src, dst))
+    return ps.Netlist(netlist.route, netlist.stages, netlist.routers, edges)
 
 
 @pytest.mark.parametrize("issue", ["greedy", "eager", "fixed:2"])

@@ -83,6 +83,15 @@ def test_timing_rejects_negative_delay():
         ps.TimingSpec.timed(-1)
 
 
+def test_timing_constructor_rejects_negative_delay():
+    # A negative delay used to run as a zero-delay stage with negative busy_ns.
+    with pytest.raises(ps.ConfigError) as exc:
+        ps.TimingSpec(delay=-3)
+    assert str(exc.value) == "stage delay must be >= 0, got -3"
+    assert ps.TimingSpec(0) == ps.TimingSpec.timed(0)
+    assert ps.TimingSpec(None) == ps.UNTIMED
+
+
 def test_issue_fixed_requires_positive_interval():
     with pytest.raises(ps.ConfigError):
         ps.IssueSpec.fixed(0)
@@ -100,6 +109,16 @@ def test_issue_spec_rejects_unknown_kinds_and_bad_intervals(kwargs, message):
     with pytest.raises(ps.ConfigError) as exc:
         ps.IssueSpec(**kwargs)
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("interval", [1.5, 2.0, True, False, "2"])
+def test_fixed_issue_interval_must_be_an_int(interval):
+    # A float would put fractional ns into every issue time; True printed as fixed:True.
+    with pytest.raises(ps.ConfigError) as exc:
+        ps.IssueSpec(kind="fixed", interval=interval)
+    assert str(exc.value) == f"fixed issue interval must be an integer, got {interval!r}"
+    with pytest.raises(ps.ConfigError):
+        ps.IssueSpec.fixed(interval)
 
 
 def test_issue_spec_constructors_share_the_interval_check():
