@@ -17,7 +17,9 @@ class Value:
     as ``Name(field=value, ...)``, equals another instance of the same class
     with equal fields, hashes as the tuple of its fields and refuses
     assignment.  A class may name in ``_compared`` the fields that repr,
-    equality and hash use; by default they use all of them.
+    equality and hash use; by default they use all of them.  Copies and
+    pickles are rebuilt through the constructor, and the fields, in order,
+    are the class's positional match pattern.
 
     A class built once per transaction defines ``__slots__`` and its own
     ``__init__``, setting each field with ``object.__setattr__``: the
@@ -30,6 +32,7 @@ class Value:
         super().__init_subclass__(**kwargs)
         fields = tuple(cls.__annotations__)
         cls._fields = fields
+        cls.__match_args__ = fields
         cls._defaults = {name: cls.__dict__[name] for name in fields if name in cls.__dict__}
         compared = cls.__dict__.get("_compared", fields)
         cls._compared = compared
@@ -67,6 +70,9 @@ class Value:
 
     def __hash__(self) -> int:
         return hash(self._key)
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self._fields)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

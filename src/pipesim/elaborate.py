@@ -44,6 +44,11 @@ class _ExitMarker:
     def __repr__(self) -> str:
         return "EXIT"
 
+    def __reduce__(self):
+        # Copies and pickles resolve to the one module-level marker, so
+        # ``dest is EXIT`` still holds for a copied table.
+        return "EXIT"
+
 
 EXIT = _ExitMarker()
 

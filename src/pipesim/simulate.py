@@ -150,18 +150,10 @@ class TraceRecord(Value):
 
 
 class Occupancy(Value):
-    __slots__ = ("stage", "txn_id", "start", "end")
     stage: str
     txn_id: int
     start: SimTime
     end: SimTime
-
-    def __init__(self, stage: str, txn_id: int, start: SimTime, end: SimTime):
-        setattr = object.__setattr__
-        setattr(self, "stage", stage)
-        setattr(self, "txn_id", txn_id)
-        setattr(self, "start", start)
-        setattr(self, "end", end)
 
 
 # (stage, txn_id, start_ns, start_delta, end_ns, end_delta)
