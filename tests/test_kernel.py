@@ -463,6 +463,58 @@ def test_dispatch_counts_pinned(monkeypatch):
     assert counts == PINNED_DISPATCH
 
 
+def dispatch_corpus():
+    """The pinned corpus plus two runs that block writers and run reactive stages.
+
+    ``feedback-eager-64`` stalls often, so blocked writers are granted by
+    ``(blocked_ns, txn_id, seq)``; ``reactive-untimed`` runs untimed
+    ``REACTIVE`` stages on signal channels behind a timed blocking stage.
+    """
+    cases = pinned_corpus()
+    decls, quad = declare_quad()
+    inputs = [round(0.37 * i + 0.25, 6) for i in range(64)]
+    cases["feedback-eager-64"] = lambda: run_route(
+        decls, FEEDBACK, quad, inputs, issue=ps.IssueSpec.eager())
+
+    def reactive(config):
+        return ps.StageConfig(config.stage, config.function, ps.UNTIMED,
+                              ps.ChannelKind.SIGNAL, ps.ExecKind.REACTIVE)
+
+    cases["reactive-untimed"] = lambda: run_route(
+        decls, FEEDBACK, [quad[0], reactive(quad[1]), reactive(quad[2])],
+        PIN_INPUTS, issue=ps.IssueSpec.eager())
+    return cases
+
+
+# SHA-256 of each run's dispatch sequence, one "(process name) (ns) (delta)"
+# line per resume: the engine resumes the same processes in the same order.
+PINNED_DISPATCH_SEQUENCES = {
+    "quad-greedy": "887e73c3d875ed1c5c3209b552ab320539b5458aba22737fffb53511e3f01663",
+    "quad-eager": "d65beca983e0fb3b1e91d53015c59dfcf016bb10e2b0e1094d98621f4a2ec7d7",
+    "quad-fixed:1": "887e73c3d875ed1c5c3209b552ab320539b5458aba22737fffb53511e3f01663",
+    "quad-fixed:3": "bdd6464f29265c3aaf15eb0256b0266a9663249e7e1ba097ee541f6e717f1e9f",
+    "feedback-greedy": "a3946ccb741e4b833a7bd24f08b1a808f5af5999a52b9979c930705c559c9e39",
+    "feedback-eager": "df1ab32780c28ab56351aa43428f576a472bb5f08377104815e912e788abf1e7",
+    "feedback-fixed:1": "e10468bb0f4bd4bbd4572c786526fafa7c9cb0115716a22c57ab848e6eee30e9",
+    "feedback-fixed:3": "5bd1b33bf4ad1e11a2aaaa2ea8200783c8adf9cb4438d81b5c88761eff0418c3",
+    "feedback-untimed-eager": "02983fd88d6facc672998b9a469fcd948c9c29af3a720f15303a9c2f578248fc",
+    "feedback-horizon": "f62893b34e046af5f462a43c56e63e0ccc80f04fc930a728b65fe7e750e245be",
+    "forkjoin-sum": "df1c27395aff76f5c634156dab05b88708b12a28695a46a75bce81c81bf2516d",
+    "forkjoin-custom": "df1c27395aff76f5c634156dab05b88708b12a28695a46a75bce81c81bf2516d",
+    "signal-drops": "282abec4e0b80caa4bfb748446af779166fd7ecf06bf181fd61c5e8c64cdfed5",
+    "feedback-eager-64": "48d6e8732697acfeb6a218f83b775982ed279dc575a783cdaa2336c898c98f7b",
+    "reactive-untimed": "2f0c75e1ea16eed22eab3613a808ea2b1954a440ee0a1144341e7aec409d4eda",
+}
+
+
+def test_dispatch_sequences_pinned(dispatch_recorder):
+    digests = {}
+    for name, make in dispatch_corpus().items():
+        make()
+        digests[name] = dispatch_recorder.digest()
+    assert digests == PINNED_DISPATCH_SEQUENCES
+
+
 # -- issue process states ----------------------------------------------------------------
 
 ENTRY_SEVERED_MESSAGE = """\
