@@ -28,6 +28,14 @@ together, in schedule order.  SimPy's ``Environment``
 (https://simpy.readthedocs.io) keeps one heap of (time, priority, id, event);
 splitting off the delta phases keeps most resumes out of the heap.
 
+A channel has at most one parked reader.  It parks a reader itself, in the
+``try_read``/``try_peek`` that returns BLOCKED, asserting that no other
+process is parked there ("two readers").  A write that fills the channel
+wakes that reader itself, onto the engine's next-delta list, exactly as
+:meth:`Engine.wake` does and under the same "scheduled twice" assert.  Only
+a blocked writer goes through :meth:`Engine.wake`, when a read or consume
+frees the slot it waits for.
+
 The channels count the effects of the communication policy themselves: a
 :class:`BlockingChannel` counts the writes it refuses in ``stalls``, and a
 :class:`SignalChannel` lists the values it overwrites unread in ``dropped``.
@@ -217,26 +225,31 @@ class Engine:
         diagnostic.
         """
         runnable, woken, timed = self._runnable, self._woken, self._timed
-        while True:
-            while runnable:
-                proc = runnable.popleft()
-                proc.scheduled = False
-                self.resumes += 1
-                proc.resume(proc)
-            if woken:
-                runnable.extend(woken)
-                woken.clear()
-                self.delta += 1
-            elif timed:
-                ns = timed[0][0]
-                if horizon_ns is not None and ns > horizon_ns:
-                    return True
-                self.ns = ns
-                self.delta = 0
-                while timed and timed[0][0] == ns:
-                    runnable.append(heappop(timed)[2])
-            else:
-                break
+        popleft = runnable.popleft
+        resumes = self.resumes
+        try:
+            while True:
+                while runnable:
+                    proc = popleft()
+                    proc.scheduled = False
+                    resumes += 1
+                    proc.resume(proc)
+                if woken:
+                    runnable.extend(woken)
+                    woken.clear()
+                    self.delta += 1
+                elif timed:
+                    ns = timed[0][0]
+                    if horizon_ns is not None and ns > horizon_ns:
+                        return True
+                    self.ns = ns
+                    self.delta = 0
+                    while timed and timed[0][0] == ns:
+                        runnable.append(heappop(timed)[2])
+                else:
+                    break
+        finally:
+            self.resumes = resumes
         if quiesced is not None:
             message = quiesced()
             if message is not None:
@@ -265,6 +278,7 @@ class ChannelBase:
     def __init__(self, name: str, engine: Engine):
         self.name = name
         self.engine = engine
+        self._woken = engine._woken  # where a wake-up goes; see the module doc
         self._reader: Process | None = None
 
     def try_read(self, proc: Process) -> object:
@@ -280,17 +294,6 @@ class ChannelBase:
 
     def try_write(self, proc: Process, value) -> bool:
         raise NotImplementedError
-
-    def _park_reader(self, proc: Process) -> None:
-        assert self._reader is None or self._reader is proc, (
-            f"channel {self.name} has two readers"
-        )
-        self._reader = proc
-
-    def _wake_reader(self) -> None:
-        if self._reader is not None:
-            reader, self._reader = self._reader, None
-            self.engine.wake(reader)
 
     def describe(self) -> str:
         return f"{self.name}: ?"
@@ -317,27 +320,38 @@ class BlockingChannel(ChannelBase):
         value = self.slot
         if value is not None:
             self.slot = None
-            self._grant_next_writer()
+            if self._writers:
+                self._grant_next_writer()
             return value
-        self._park_reader(proc)
+        reader = self._reader
+        assert reader is None or reader is proc, f"channel {self.name} has two readers"
+        self._reader = proc
         return BLOCKED
 
     def try_peek(self, proc: Process) -> object:
         value = self.slot
         if value is not None:
             return value
-        self._park_reader(proc)
+        reader = self._reader
+        assert reader is None or reader is proc, f"channel {self.name} has two readers"
+        self._reader = proc
         return BLOCKED
 
     def consume(self) -> None:
         assert self.slot is not None, f"consume on empty channel {self.name}"
         self.slot = None
-        self._grant_next_writer()
+        if self._writers:
+            self._grant_next_writer()
 
     def try_write(self, proc: Process, value) -> bool:
         if self.slot is None:
             self.slot = value
-            self._wake_reader()
+            reader = self._reader
+            if reader is not None:
+                assert not reader.scheduled, f"{reader.name} scheduled twice"
+                reader.scheduled = True
+                self._reader = None
+                self._woken.append(reader)
             return True
         self.stalls += 1
         txn_id = getattr(value, "id", 0)
@@ -345,8 +359,6 @@ class BlockingChannel(ChannelBase):
         return False
 
     def _grant_next_writer(self) -> None:
-        if not self._writers:
-            return
         winner = min(self._writers)
         self._writers.remove(winner)
         self.engine.wake(winner[3])
@@ -378,7 +390,9 @@ class SignalChannel(ChannelBase):
         if self.fresh:
             self.fresh = False
             return self.value
-        self._park_reader(proc)
+        reader = self._reader
+        assert reader is None or reader is proc, f"channel {self.name} has two readers"
+        self._reader = proc
         return BLOCKED
 
     def try_write(self, proc: Process, value) -> bool:
@@ -386,7 +400,12 @@ class SignalChannel(ChannelBase):
             self.dropped.append(self.value)
         self.value = value
         self.fresh = True
-        self._wake_reader()
+        reader = self._reader
+        if reader is not None:
+            assert not reader.scheduled, f"{reader.name} scheduled twice"
+            reader.scheduled = True
+            self._reader = None
+            self._woken.append(reader)
         return True
 
     def describe(self) -> str:
@@ -400,7 +419,9 @@ class SeveredChannel(ChannelBase):
     """Stands in for a missing netlist edge: never accepts or delivers."""
 
     def try_read(self, proc: Process) -> object:
-        self._park_reader(proc)
+        reader = self._reader
+        assert reader is None or reader is proc, f"channel {self.name} has two readers"
+        self._reader = proc
         return BLOCKED
 
     def try_write(self, proc: Process, value) -> bool:
@@ -427,7 +448,9 @@ class QueueChannel(ChannelBase):
     def try_read(self, proc: Process) -> object:
         if self.items:
             return self.items.popleft()
-        self._park_reader(proc)
+        reader = self._reader
+        assert reader is None or reader is proc, f"channel {self.name} has two readers"
+        self._reader = proc
         return BLOCKED
 
     def try_write(self, proc: Process, value) -> bool:
@@ -437,7 +460,12 @@ class QueueChannel(ChannelBase):
     def put(self, value) -> None:
         """Append ``value``; a writer that never blocks may call this directly."""
         self.items.append(value)
-        self._wake_reader()
+        reader = self._reader
+        if reader is not None:
+            assert not reader.scheduled, f"{reader.name} scheduled twice"
+            reader.scheduled = True
+            self._reader = None
+            self._woken.append(reader)
 
     def describe(self) -> str:
         return f"{self.name}: {len(self.items)} queued"

@@ -32,10 +32,10 @@ the deadlock message read them off the channels.
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from functools import cached_property
 from itertools import accumulate, count
+from math import isfinite
 from operator import itemgetter
 from typing import Mapping, Sequence, Union
 
@@ -63,6 +63,7 @@ from .policy import (
     CheckedConfig,
     ExecKind,
     FunctionEvalError,
+    FunctionSpec,
     IssueSpec,
     JoinSpec,
     StageConfig,
@@ -111,9 +112,6 @@ class Transaction(Value):
         self.data = data
         self.step = step
         self.branch = branch
-
-    def advance(self) -> None:
-        self.step += 1
 
     def copy_for(self, branch: StageId) -> "Transaction":
         return Transaction(
@@ -312,9 +310,9 @@ class _Runtime:
         merged = copies[0]
         try:
             for other in copies[1:]:
-                merged.data = join.merge(merged.orig, merged.data, other.data)
-                if _not_finite(merged.data):
-                    raise FunctionEvalError(f"result {merged.data} is not finite")
+                merged.data = data = join.merge(merged.orig, merged.data, other.data)
+                if type(data) is float and not isfinite(data):
+                    raise FunctionEvalError(f"result {data} is not finite")
         except FunctionEvalError as exc:
             raise FunctionEvalError(
                 f"join for transaction {txn.id} at step {completed_step}: {exc}"
@@ -373,11 +371,6 @@ class _Runtime:
 # Processes
 
 
-def _not_finite(value) -> bool:
-    # Payloads may be any type; only a float can overflow to inf or nan.
-    return type(value) is float and not math.isfinite(value)
-
-
 def _busy_ns(cfg: StageConfig) -> int:
     # Every occupancy of a stage lasts exactly this many ns.
     return cfg.timing.delay or 0
@@ -400,6 +393,9 @@ def _stage_method(rt: _Runtime, cfg: StageConfig):
     out_ch = rt.out_channels[stage]
     read, write = Read(in_ch), Write(out_ch)
     function = cfg.function
+    # Called with (orig, data); a parsed function's closure is called directly.
+    evaluate = (function.compiled if isinstance(function, FunctionSpec)
+                else lambda values: function(*values))
     timed = not cfg.timing.is_untimed
     delay = None if cfg.exec is ExecKind.REACTIVE else _busy_ns(cfg)
     sleep = engine.sleep
@@ -423,9 +419,10 @@ def _stage_method(rt: _Runtime, cfg: StageConfig):
                 proc.pending = None
                 start_ns, start_delta = engine.ns, engine.delta
                 try:
-                    txn.data = function(txn.orig, txn.data)
-                    if _not_finite(txn.data):
-                        raise FunctionEvalError(f"result {txn.data} is not finite")
+                    txn.data = data = evaluate((txn.orig, txn.data))
+                    # Payloads may be any type; only a float can overflow.
+                    if type(data) is float and not isfinite(data):
+                        raise FunctionEvalError(f"result {data} is not finite")
                 except FunctionEvalError as exc:
                     raise FunctionEvalError(
                         f"stage {name}, transaction {txn.id}: {exc}"
@@ -437,7 +434,7 @@ def _stage_method(rt: _Runtime, cfg: StageConfig):
                     return
             # Holding a transaction and not blocked: the busy window is over.
             in_ch.consume()
-            txn.advance()
+            txn.step += 1
             log((name, txn.id, start_ns, start_delta, engine.ns, engine.delta))
             if not out_ch.try_write(proc, txn):
                 proc.pending = write
@@ -452,13 +449,16 @@ def _router_method(rt: _Runtime, router: RouterNode, queue: QueueChannel):
 
     It drains the stage's output channel and queues each delivery; the
     router's port process does the blocking write into the stage latch.
+    Each completed step's table entry is resolved once, to its targets and
+    whether the step is a join.
     """
     out_ch = rt.out_channels[router.stage]
     read = Read(out_ch)
-    targets = {
-        step: rt.targets(router.name, dests) for step, dests in router.table.entries.items()
-    }
     steps = rt.route.steps
+    table = {
+        step: (rt.targets(router.name, dests), len(steps[step]) > 1)
+        for step, dests in router.table.entries.items()
+    }
     put = queue.put
 
     def resume(proc):
@@ -468,18 +468,23 @@ def _router_method(rt: _Runtime, router: RouterNode, queue: QueueChannel):
                 proc.pending = read
                 return
             completed = txn.step - 1
-            dests = targets.get(completed)
-            if dests is None:
+            entry = table.get(completed)
+            if entry is None:
                 raise RoutingFault(
                     f"router {router.name}: no routing entry for completed step "
                     f"{completed} (transaction {txn.id})"
                 )
-            if len(steps[completed]) > 1:
+            targets, is_join = entry
+            if is_join:
                 txn = rt.collect_join(txn, completed)
                 if txn is None:
                     continue
-            for delivery in rt.forward(txn, dests):
-                put(delivery)
+            if targets is not EXIT and len(targets) == 1:
+                ((txn.branch, write),) = targets
+                put((write, txn))
+            else:
+                for delivery in rt.forward(txn, targets):
+                    put(delivery)
 
     return resume
 

@@ -12,6 +12,7 @@ from pipesim.engine import (
     Engine,
     QueueChannel,
     Read,
+    SeveredChannel,
     SignalChannel,
     Write,
 )
@@ -188,6 +189,48 @@ def test_queue_channel_never_blocks_writers():
     reader(engine, "c", queue, got.append)
     engine.run()
     assert got == [0, 1, 2, 3, 4]
+
+
+@pytest.mark.parametrize(
+    "make, method",
+    [
+        (BlockingChannel, "try_read"),
+        (BlockingChannel, "try_peek"),
+        (SignalChannel, "try_read"),
+        (SeveredChannel, "try_read"),
+        (QueueChannel, "try_read"),
+    ],
+)
+def test_a_channel_refuses_a_second_parked_reader(make, method):
+    engine = Engine()
+    channel = make("c", engine)
+    first, second = engine.spawn("a", None), engine.spawn("b", None)
+    read = getattr(channel, method)
+    assert read(first) is BLOCKED
+    assert read(first) is BLOCKED  # the parked reader may retry
+    with pytest.raises(AssertionError, match="channel c has two readers"):
+        read(second)
+
+
+@pytest.mark.parametrize("make", [BlockingChannel, SignalChannel, QueueChannel])
+def test_a_write_refuses_to_wake_a_scheduled_reader(make):
+    engine = Engine()
+    channel = make("c", engine)
+    proc = engine.spawn("p", None)  # runnable from its spawn
+    assert channel.try_read(proc) is BLOCKED
+    with pytest.raises(AssertionError, match="p scheduled twice"):
+        channel.try_write(None, Token(0))
+
+
+def test_a_write_wakes_the_parked_reader_one_delta_later():
+    engine = Engine()
+    channel = BlockingChannel("c", engine)
+    got = []
+
+    reader(engine, "c", channel, lambda token: got.append((token.id, engine.now)))
+    writer(engine, "p", channel, [Token(7)])
+    engine.run()
+    assert got == [(7, ps.SimTime(0, 1))]
 
 
 def test_runnable_processes_step_in_creation_order():
