@@ -198,8 +198,12 @@ class TimingSpec(Value):
     delay: int | None  # None means untimed
 
     def __init__(self, delay: int | None):
-        if delay is not None and delay < 0:
-            raise ConfigError(f"stage delay must be >= 0, got {delay}")
+        if delay is not None:
+            # A float or bool delay would leak into every busy time and report.
+            if not isinstance(delay, int) or isinstance(delay, bool):
+                raise ConfigError(f"stage delay must be an integer, got {delay!r}")
+            if delay < 0:
+                raise ConfigError(f"stage delay must be >= 0, got {delay}")
         super().__init__(delay)
 
     @staticmethod

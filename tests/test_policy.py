@@ -92,6 +92,17 @@ def test_timing_constructor_rejects_negative_delay():
     assert ps.TimingSpec(None) == ps.UNTIMED
 
 
+@pytest.mark.parametrize("delay", [1.5, 2.0, True, False, "1"])
+def test_timing_rejects_a_delay_that_is_not_an_integer(delay):
+    # A float delay used to run, reporting busy_ns=6.0 and ending at 6.0ns;
+    # str(TimingSpec(True)) was "timed(True)".
+    with pytest.raises(ps.ConfigError) as exc:
+        ps.TimingSpec(delay)
+    assert str(exc.value) == f"stage delay must be an integer, got {delay!r}"
+    with pytest.raises(ps.ConfigError):
+        ps.TimingSpec.timed(delay)
+
+
 def test_issue_fixed_requires_positive_interval():
     with pytest.raises(ps.ConfigError):
         ps.IssueSpec.fixed(0)
