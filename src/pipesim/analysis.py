@@ -22,11 +22,15 @@ Howard policy iteration, which Dasdan and Gupta (IEEE TCAD 1998) found the
 fastest minimum-mean-cycle method in practice, finds the MAL p/q, and the
 cycle is read off the tight subgraph for weights (latency*q - p).  Either way
 the cycle is the first one a depth-first search meets in that subgraph.
+
+Means are carried as int pairs (p, q).  Only the public ``average`` and
+``mal`` build a :class:`fractions.Fraction`, and only they import
+``fractions`` (with ``decimal``, milliseconds of every command's start-up);
+the reports print ``_float_average``, which is the same float.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 from typing import Mapping
 
@@ -178,11 +182,18 @@ class IssueCycle(Value):
 
     @property
     def average(self) -> Fraction:
+        from fractions import Fraction
+
         return Fraction(sum(self.latencies), len(self.latencies))
 
     def describe(self) -> str:
         body = ",".join(str(d) for d in self.latencies)
         return f"({body})"
+
+
+def _float_average(cycle: IssueCycle) -> float:
+    # float(cycle.average) without the Fraction: int division rounds correctly.
+    return sum(cycle.latencies) / len(cycle.latencies)
 
 
 def _initial_state(vector: CollisionVector) -> int:
@@ -278,14 +289,14 @@ def _minimal_cycle(vector: CollisionVector, lower_bound: int) -> IssueCycle:
     runs only when no cycle attains the bound."""
     _, edges = _state_graph(vector)
     cheapest = _cheapest_edges(edges)
-    mal = Fraction(lower_bound)
-    cycle = _tight_cycle(edges, cheapest, mal)
+    p, q = lower_bound, 1
+    cycle = _tight_cycle(edges, cheapest, p, q)
     if cycle is None:
-        mal = _howard_mal(cheapest)
-        cycle = _tight_cycle(edges, cheapest, mal)
+        p, q = _howard_mal(cheapest)
+        cycle = _tight_cycle(edges, cheapest, p, q)
     assert cycle is not None, "tight subgraph always contains a cycle"
     result = IssueCycle(tuple(w for _, w in cycle))
-    assert result.average == mal
+    assert sum(result.latencies) * q == p * len(result.latencies)
     return result
 
 
@@ -304,16 +315,15 @@ def _cheapest_edges(edges: list[list[tuple[int, int]]]) -> list[list[tuple[int, 
     return cheapest
 
 
-def _tight_cycle(edges, cheapest, mean: Fraction):
-    """A cycle of average ``mean`` from the tight subgraph, or None.
+def _tight_cycle(edges, cheapest, p: int, q: int):
+    """A cycle of average p/q from the tight subgraph, or None.
 
-    ``mean`` must not exceed the MAL.  Shortest-path potentials from state 0
-    under the integer weights (w*q - p), with mean = p/q, then exist, and an
-    edge is tight when it attains its head's potential.  Any cycle of tight
-    edges telescopes to total zero, i.e. averages exactly ``mean``; one
-    exists exactly when ``mean`` is the MAL.
+    p/q must not exceed the MAL.  Shortest-path potentials from state 0
+    under the integer weights (w*q - p) then exist, and an edge is tight
+    when it attains its head's potential.  Any cycle of tight edges
+    telescopes to total zero, i.e. averages exactly p/q; one exists exactly
+    when p/q is the MAL.
     """
-    p, q = mean.numerator, mean.denominator
     n = len(edges)
     weighted = [[(v, w * q - p) for v, w in out] for out in cheapest]
     pot: list[int | None] = [None] * n
@@ -340,8 +350,9 @@ def _tight_cycle(edges, cheapest, mean: Fraction):
     return _find_cycle(tight, n)
 
 
-def _howard_mal(cheapest: list[list[tuple[int, int]]]) -> Fraction:
-    """Minimum cycle mean by Howard policy iteration (Cochet-Terrasson et al.).
+def _howard_mal(cheapest: list[list[tuple[int, int]]]) -> tuple[int, int]:
+    """Minimum cycle mean p/q, as (p, q), by Howard policy iteration
+    (Cochet-Terrasson et al.).
 
     A policy picks one out-edge per state.  Each state's value is the mean
     ``p/q`` (in lowest terms) of the policy cycle it runs into, and its
@@ -407,7 +418,7 @@ def _howard_mal(cheapest: list[list[tuple[int, int]]]) -> Fraction:
                     policy[u] = edge
                     improved = True
         if not improved:
-            return Fraction(num[0], den[0])
+            return num[0], den[0]
 
 
 def _find_cycle(adj: list[list[tuple[int, int]]], n: int):
@@ -470,13 +481,13 @@ class AnalysisReport(Value):
             "collision_vector": self.vector.bitstring(),
             "greedy_cycle": {
                 "latencies": list(self.greedy.latencies),
-                "average": float(self.greedy.average),
+                "average": _float_average(self.greedy),
             },
             "mal_cycle": {
                 "latencies": list(self.mal_cycle.latencies),
-                "average": float(self.mal_cycle.average),
+                "average": _float_average(self.mal_cycle),
             },
-            "mal": float(self.mal),
+            "mal": _float_average(self.mal_cycle),
             "mal_lower_bound": self.table.max_row_marks(),
         }
 
@@ -489,7 +500,7 @@ def analyze(expr: ExprLike | Route, decls: StageSet | None = None) -> AnalysisRe
     vector = collision_vector(forbidden, table.length)
     greedy = greedy_cycle(vector)
     mal_cycle = _minimal_cycle(vector, table.max_row_marks())
-    if mal_cycle.average < table.max_row_marks():
+    if sum(mal_cycle.latencies) < table.max_row_marks() * len(mal_cycle.latencies):
         raise AnalysisError(
             "internal error: MAL fell below the reservation-table lower bound"
         )

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
-from pathlib import Path
 
 from . import analysis, report, simulate
 from .elaborate import Netlist, elaborate, to_dot
@@ -87,8 +87,8 @@ def _select_pipeline(setup: PipelineSetup, txn_type: str | None) -> str:
 
 
 def _parse_inputs(spec: str) -> list[float]:
-    # Path("") is the current directory, so an empty spec is never a path.
-    if spec and Path(spec).exists() and not spec.replace(".", "").replace(",", "").isdigit():
+    # os.path.exists is False for "" and for names too long to be a path.
+    if os.path.exists(spec) and not spec.replace(".", "").replace(",", "").isdigit():
         text = read_text(spec)
     else:
         text = spec
@@ -104,6 +104,11 @@ def _parse_inputs(spec: str) -> list[float]:
     if not values:
         raise PipelineError("no input values given")
     return values
+
+
+def _write_text(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(text)
 
 
 def _parse_issue(spec: str) -> IssueSpec:
@@ -145,7 +150,7 @@ def run_and_report(
     # Write the trace before any report output, so an unwritable path fails
     # with nothing on stdout.
     if trace_path is not None:
-        Path(trace_path).write_text(report.trace_to_csv(result.trace), encoding="utf-8")
+        _write_text(trace_path, report.trace_to_csv(result.trace))
     for warning in result.warnings:
         print(f"warning: {warning}", file=err)
     if fmt == "json-like":
@@ -207,7 +212,7 @@ def _cmd_elaborate(args) -> int:
     checked = validate_config(route, setup.configs, join=setup.join)
     dot = to_dot(elaborate(route, setup.decls, checked))
     if args.dot is not None:
-        Path(args.dot).write_text(dot, encoding="utf-8")
+        _write_text(args.dot, dot)
     else:
         sys.stdout.write(dot)
     return EXIT_OK

@@ -19,8 +19,8 @@ Comments run from a ``#`` outside a quoted string to end of line.
 
 from __future__ import annotations
 
+import os
 import re
-from pathlib import Path
 
 from . import dsl
 from .dsl import PipeExpr, Route, StageId, StageSet
@@ -313,15 +313,16 @@ def parse_pipeline_text(text: str) -> PipelineSetup:
     )
 
 
-def read_text(path: str | Path) -> str:
+def read_text(path: str | os.PathLike) -> str:
     """The text of a UTF-8 file; other bytes raise PipelineError naming the file."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
     except UnicodeDecodeError as exc:
         raise PipelineError(
             f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
         ) from None
 
 
-def load_pipeline_file(path: str | Path) -> PipelineSetup:
+def load_pipeline_file(path: str | os.PathLike) -> PipelineSetup:
     return parse_pipeline_text(read_text(path))

@@ -8,11 +8,10 @@ inputs therefore always serialize to identical bytes.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping
 
-from .analysis import AnalysisReport
+from .analysis import AnalysisReport, _float_average
 from .policy import IssueSpec
 from .simulate import RunResult, Trace
 
@@ -63,12 +62,16 @@ def canonical(obj, indent: int = 0) -> str:
         return json.dumps(obj)
     if isinstance(obj, int):
         return str(obj)
-    if isinstance(obj, (float, Fraction)):
-        return format_real(float(obj))
+    if isinstance(obj, float):
+        return format_real(obj)
     if isinstance(obj, Mapping):
         return _canonical_mapping(obj, indent)
     if isinstance(obj, (list, tuple)):
         return _canonical_sequence(obj, indent)
+    from fractions import Fraction  # only here, off every command's start-up
+
+    if isinstance(obj, Fraction):
+        return format_real(float(obj))
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
@@ -117,7 +120,7 @@ def trace_to_csv(trace: Trace) -> str:
 
 
 def _cycle_text(cycle) -> str:
-    return f"{cycle.describe()} average {format_real(float(cycle.average))}"
+    return f"{cycle.describe()} average {format_real(_float_average(cycle))}"
 
 
 def analysis_text(name: str, report: AnalysisReport) -> str:
@@ -130,7 +133,7 @@ def analysis_text(name: str, report: AnalysisReport) -> str:
     bits = report.vector.bitstring()
     lines.append(f"collision vector: {bits if bits else '(empty)'}")
     lines.append(f"greedy cycle: {_cycle_text(report.greedy)}")
-    lines.append(f"MAL: {format_real(float(report.mal))}  cycle {report.mal_cycle.describe()}")
+    lines.append(f"MAL: {format_real(_float_average(report.mal_cycle))}  cycle {report.mal_cycle.describe()}")
     return "\n".join(lines) + "\n"
 
 
@@ -225,6 +228,6 @@ def run_report_text(
     lines.append(f"  forbidden latencies: {forbidden}")
     lines.append(f"  greedy cycle: {_cycle_text(report.greedy)}")
     lines.append(
-        f"  MAL: {format_real(float(report.mal))}  cycle {report.mal_cycle.describe()}"
+        f"  MAL: {format_real(_float_average(report.mal_cycle))}  cycle {report.mal_cycle.describe()}"
     )
     return "\n".join(lines) + "\n"

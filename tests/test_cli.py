@@ -174,6 +174,17 @@ def test_run_empty_inputs_exit_1(write_file, capsys):
     assert (code, out, err) == (1, "", "error: no input values given\n")
 
 
+def test_run_reads_a_long_inline_value_list(write_file, capsys):
+    # Longer than a file name may be: it used to exit 1 with
+    # "File name too long" while the CLI checked whether it was a path.
+    path = write_file("quad.pipe", QUAD)
+    values = ",".join(str(i) for i in range(120))
+    assert len(values) > 255
+    code, out, err = invoke(capsys, "run", path, "--inputs", values, "--format", "json-like")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["stats"]["exited"] == 120
+
+
 def test_run_negative_horizon_exit_1(write_file, capsys):
     path = write_file("quad.pipe", QUAD)
     code, out, err = invoke(capsys, "run", path, "--inputs", "1,2", "--horizon", "-5")

@@ -36,3 +36,19 @@ def test_cli_import_loads_no_dataclasses():
         [sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, check=True
     )
     assert out.stdout == "[]\n"
+
+
+def test_cli_import_loads_no_fractions_or_pathlib():
+    """``fractions`` (with ``decimal``) and ``pathlib`` (with ``urllib.parse``
+    and ``ipaddress``) cost milliseconds on every command; only a caller that
+    asks for an exact ``average`` or ``mal`` loads ``fractions``."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    modules = ("fractions", "decimal", "pathlib")
+    code = (
+        f"import sys; sys.path.insert(0, {str(src)!r}); import pipesim.cli; "
+        f"print(sorted(m for m in {modules!r} if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, check=True
+    )
+    assert out.stdout == "[]\n"
