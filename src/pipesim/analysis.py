@@ -23,10 +23,9 @@ fastest minimum-mean-cycle method in practice, finds the MAL p/q, and the
 cycle is read off the tight subgraph for weights (latency*q - p).  Either way
 the cycle is the first one a depth-first search meets in that subgraph.
 
-Means are carried as int pairs (p, q).  Only the public ``average`` and
-``mal`` build a :class:`fractions.Fraction`, and only they import
-``fractions`` (with ``decimal``, milliseconds of every command's start-up);
-the reports print ``_float_average``, which is the same float.
+Means are int pairs (p, q).  Only the public ``average`` and ``mal`` build a
+``Fraction`` and import ``fractions``, which costs milliseconds of start-up;
+reports print the same float from ``_float_average``.
 """
 
 from __future__ import annotations

@@ -106,11 +106,6 @@ def _parse_inputs(spec: str) -> list[float]:
     return values
 
 
-def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(text)
-
-
 def _parse_issue(spec: str) -> IssueSpec:
     if spec == "greedy":
         return IssueSpec.greedy()
@@ -150,7 +145,8 @@ def run_and_report(
     # Write the trace before any report output, so an unwritable path fails
     # with nothing on stdout.
     if trace_path is not None:
-        _write_text(trace_path, report.trace_to_csv(result.trace))
+        with open(trace_path, "w", encoding="utf-8") as handle:
+            handle.write(report.trace_to_csv(result.trace))
     for warning in result.warnings:
         print(f"warning: {warning}", file=err)
     if fmt == "json-like":
@@ -212,7 +208,8 @@ def _cmd_elaborate(args) -> int:
     checked = validate_config(route, setup.configs, join=setup.join)
     dot = to_dot(elaborate(route, setup.decls, checked))
     if args.dot is not None:
-        _write_text(args.dot, dot)
+        with open(args.dot, "w", encoding="utf-8") as handle:
+            handle.write(dot)
     else:
         sys.stdout.write(dot)
     return EXIT_OK

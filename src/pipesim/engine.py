@@ -295,9 +295,6 @@ class ChannelBase:
     def try_write(self, proc: Process, value) -> bool:
         raise NotImplementedError
 
-    def describe(self) -> str:
-        return f"{self.name}: ?"
-
 
 class BlockingChannel(ChannelBase):
     """Single-slot FIFO: reads block while empty, writes block while full.
@@ -323,8 +320,7 @@ class BlockingChannel(ChannelBase):
             if self._writers:
                 self._grant_next_writer()
             return value
-        reader = self._reader
-        assert reader is None or reader is proc, f"channel {self.name} has two readers"
+        assert self._reader in (None, proc), f"channel {self.name} has two readers"
         self._reader = proc
         return BLOCKED
 
@@ -332,8 +328,7 @@ class BlockingChannel(ChannelBase):
         value = self.slot
         if value is not None:
             return value
-        reader = self._reader
-        assert reader is None or reader is proc, f"channel {self.name} has two readers"
+        assert self._reader in (None, proc), f"channel {self.name} has two readers"
         self._reader = proc
         return BLOCKED
 
@@ -390,8 +385,7 @@ class SignalChannel(ChannelBase):
         if self.fresh:
             self.fresh = False
             return self.value
-        reader = self._reader
-        assert reader is None or reader is proc, f"channel {self.name} has two readers"
+        assert self._reader in (None, proc), f"channel {self.name} has two readers"
         self._reader = proc
         return BLOCKED
 
@@ -419,16 +413,12 @@ class SeveredChannel(ChannelBase):
     """Stands in for a missing netlist edge: never accepts or delivers."""
 
     def try_read(self, proc: Process) -> object:
-        reader = self._reader
-        assert reader is None or reader is proc, f"channel {self.name} has two readers"
+        assert self._reader in (None, proc), f"channel {self.name} has two readers"
         self._reader = proc
         return BLOCKED
 
     def try_write(self, proc: Process, value) -> bool:
         return False
-
-    def describe(self) -> str:
-        return f"{self.name}: severed"
 
 
 class QueueChannel(ChannelBase):
@@ -448,8 +438,7 @@ class QueueChannel(ChannelBase):
     def try_read(self, proc: Process) -> object:
         if self.items:
             return self.items.popleft()
-        reader = self._reader
-        assert reader is None or reader is proc, f"channel {self.name} has two readers"
+        assert self._reader in (None, proc), f"channel {self.name} has two readers"
         self._reader = proc
         return BLOCKED
 
@@ -466,6 +455,3 @@ class QueueChannel(ChannelBase):
             reader.scheduled = True
             self._reader = None
             self._woken.append(reader)
-
-    def describe(self) -> str:
-        return f"{self.name}: {len(self.items)} queued"

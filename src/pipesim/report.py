@@ -123,6 +123,11 @@ def _cycle_text(cycle) -> str:
     return f"{cycle.describe()} average {format_real(_float_average(cycle))}"
 
 
+def _mal_text(report: AnalysisReport) -> str:
+    cycle = report.mal_cycle
+    return f"MAL: {format_real(_float_average(cycle))}  cycle {cycle.describe()}"
+
+
 def analysis_text(name: str, report: AnalysisReport) -> str:
     lines = [f"pipeline {name}: {report.route.describe()}  ({len(report.route)} steps)"]
     lines.append("reservation table:")
@@ -133,7 +138,7 @@ def analysis_text(name: str, report: AnalysisReport) -> str:
     bits = report.vector.bitstring()
     lines.append(f"collision vector: {bits if bits else '(empty)'}")
     lines.append(f"greedy cycle: {_cycle_text(report.greedy)}")
-    lines.append(f"MAL: {format_real(_float_average(report.mal_cycle))}  cycle {report.mal_cycle.describe()}")
+    lines.append(_mal_text(report))
     return "\n".join(lines) + "\n"
 
 
@@ -227,7 +232,5 @@ def run_report_text(
     lines.append("analysis:")
     lines.append(f"  forbidden latencies: {forbidden}")
     lines.append(f"  greedy cycle: {_cycle_text(report.greedy)}")
-    lines.append(
-        f"  MAL: {format_real(_float_average(report.mal_cycle))}  cycle {report.mal_cycle.describe()}"
-    )
+    lines.append(f"  {_mal_text(report)}")
     return "\n".join(lines) + "\n"
