@@ -28,13 +28,14 @@ together, in schedule order.  SimPy's ``Environment``
 (https://simpy.readthedocs.io) keeps one heap of (time, priority, id, event);
 splitting off the delta phases keeps most resumes out of the heap.
 
-A channel has at most one parked reader.  It parks a reader itself, in the
-``try_read``/``try_peek`` that returns BLOCKED, asserting that no other
-process is parked there ("two readers").  A write that fills the channel
-wakes that reader itself, onto the engine's next-delta list, exactly as
-:meth:`Engine.wake` does and under the same "scheduled twice" assert.  Only
-a blocked writer goes through :meth:`Engine.wake`, when a read or consume
-frees the slot it waits for.
+A channel has at most one parked reader, and wakes and parks it inline, with
+no helper call per hop.  The ``try_read``/``try_peek`` that returns BLOCKED
+parks the reader, asserting that no other process is parked there ("two
+readers").  A write that gives the channel a value wakes that reader onto
+the engine's next-delta list, exactly as :meth:`Engine.wake` does and under
+the same "scheduled twice" assert.  A blocked writer is woken through
+:meth:`Engine.wake`, and only when a read or consume frees a slot that
+writers wait for.
 
 The channels count the effects of the communication policy themselves: a
 :class:`BlockingChannel` counts the writes it refuses in ``stalls``, and a
