@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pipesim as ps
@@ -183,6 +184,90 @@ def random_expr(rng: random.Random, max_stages: int = 6, max_terms: int = 10):
             term = ps.fork(rng.sample(stages, rng.randint(2, min(3, n))))
         expr = term if expr is None else ps.seq(expr, term)
     return decls, expr
+
+
+_FUNCTION_TOKEN = re.compile(r"\s*(\d+(?:\.\d+)?(?:[eE][+-]?\d+)?|[A-Za-z_]\w*|[-+*/()])")
+
+
+def reference_function(source: str, variables, values):
+    """Evaluate a stage function by parsing it to a tree and walking the tree.
+
+    Written from the README grammar: ``+ -`` below ``* /``, both left
+    associative, then unary minus, ``sqr(...)``, real constants, variables
+    and parentheses.  Each node evaluates its left operand, then its right,
+    then applies its operation; ``/`` by zero raises ``FunctionEvalError``.
+    """
+    tokens = []
+    at = 0
+    while source[at:].strip():
+        match = _FUNCTION_TOKEN.match(source, at)
+        assert match, f"no token at {at} in {source!r}"
+        tokens.append(match.group(1))
+        at = match.end()
+    tokens.append(None)
+    pos = 0
+
+    def take():
+        nonlocal pos
+        pos += 1
+        return tokens[pos - 1]
+
+    def expr():
+        node = term()
+        while tokens[pos] in ("+", "-"):
+            node = (take(), node, term())
+        return node
+
+    def term():
+        node = factor()
+        while tokens[pos] in ("*", "/"):
+            node = (take(), node, factor())
+        return node
+
+    def factor():
+        token = take()
+        if token == "-":
+            return ("neg", factor())
+        if token == "(":
+            node = expr()
+            assert take() == ")"
+            return node
+        if token == "sqr":
+            assert take() == "("
+            node = expr()
+            assert take() == ")"
+            return ("sqr", node)
+        if token in variables:
+            return ("var", variables.index(token))
+        return ("num", float(token))
+
+    tree = expr()
+    assert tokens[pos] is None, f"trailing tokens in {source!r}"
+
+    def walk(node):
+        kind = node[0]
+        if kind == "num":
+            return node[1]
+        if kind == "var":
+            return values[node[1]]
+        if kind == "neg":
+            return -walk(node[1])
+        if kind == "sqr":
+            inner = walk(node[1])
+            return inner * inner
+        left = walk(node[1])
+        right = walk(node[2])
+        if kind == "+":
+            return left + right
+        if kind == "-":
+            return left - right
+        if kind == "*":
+            return left * right
+        if right == 0:
+            raise ps.FunctionEvalError("division by zero")
+        return left / right
+
+    return walk(tree)
 
 
 def unit_configs(route: ps.Route, fn: str = "data + 1") -> list[ps.StageConfig]:
