@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 import re
+from functools import lru_cache
 from typing import Callable, Mapping, Sequence, Union
 
 from ._lex import Cursor, PositionedError, tokenize
@@ -67,92 +68,154 @@ _FN_TOKEN = re.compile(
 )
 
 
-# The parser compiles while it parses: each grammar rule returns a closure
-# over its operands' closures that evaluates a tuple of values, one per
-# variable in declaration order.  The closures apply the operations in the
-# tree's order (left operand first), so results are bit-identical to a tree
-# walk.
+# The parser translates while it parses: each grammar rule returns the
+# Python expression text of its part, that text's precedence and its depth in
+# operations.  Values are ``env[i]``, one per variable in declaration order,
+# and constants are the parameters ``k0``, ``k1``, ...  The text applies the
+# operations in the tree's order, left operand first, and carries only the
+# parentheses Python needs to keep that tree, so results are bit-identical to a
+# tree walk.  ``sqr(x)`` evaluates ``x`` once into a local, and every divisor
+# passes through ``_divisor``.
+
+# Limits that keep every accepted expression inside the recursion of this
+# parser and of Python's compiler, which also nests parentheses at most 200
+# deep; the text can need two parentheses for one level of nesting.
+_MAX_NESTING = 64  # levels of parentheses, sqr(...) and unary minus
+_MAX_DEPTH = 1000  # operations on the longest path from the whole to a value
+
+# Python precedence of a piece of text, lowest first.
+_SUM, _PRODUCT, _NEGATION, _ATOM = range(4)
 
 
-def _constant(value: float):
-    return lambda env: value
+def _divisor(value):
+    """``value`` as the right operand of ``/``; zero raises."""
+    if value == 0:
+        raise FunctionEvalError("division by zero")
+    return value
 
 
-def _variable(index: int):
-    return lambda env: env[index]
+@lru_cache(maxsize=256)
+def _factory(text: str, constants: int):
+    # One compile per expression shape: functions that differ only in their
+    # constants, like ``data + 2*orig`` and ``data + 5*orig``, share it.  The
+    # file name shows the shape in tracebacks and gives each shape its own
+    # row in a profile.
+    params = ", ".join(f"k{i}" for i in range(constants))
+    source = f"def factory({params}):\n    return lambda env: {text}\n"
+    namespace = {"_divisor": _divisor}
+    exec(compile(source, f"<function {text}>", "exec"), namespace)
+    return namespace["factory"]
 
 
-def _negate(operand):
-    return lambda env: -operand(env)
+class _Code:
+    """A parsed function: Python expression text over ``env``, and its constants.
 
+    Calling it evaluates the function for one tuple of values.  The text
+    compiles on the first call, or on the first :meth:`evaluator`, never
+    while parsing.
+    """
 
-def _square(operand):
-    def square(env):
-        value = operand(env)
-        return value * value
+    __slots__ = ("text", "constants", "_evaluate")
 
-    return square
+    def __init__(self, text: str, constants: tuple[float, ...]):
+        self.text = text
+        self.constants = constants
+        self._evaluate = None
 
+    def evaluator(self) -> Callable[[tuple[float, ...]], float]:
+        if self._evaluate is None:
+            self._evaluate = _factory(self.text, len(self.constants))(*self.constants)
+        return self._evaluate
 
-def _binary(op: str, left, right):
-    if op == "+":
-        return lambda env: left(env) + right(env)
-    if op == "-":
-        return lambda env: left(env) - right(env)
-    if op == "*":
-        return lambda env: left(env) * right(env)
+    def __call__(self, env: tuple[float, ...]) -> float:
+        return (self._evaluate or self.evaluator())(env)
 
-    def divide(env):
-        numerator = left(env)
-        denominator = right(env)
-        if denominator == 0:
-            raise FunctionEvalError("division by zero")
-        return numerator / denominator
-
-    return divide
+    def __reduce__(self):
+        return _Code, (self.text, self.constants)
 
 
 class _FnParser(Cursor):
     def __init__(self, source: str, variables: Sequence[str]):
         super().__init__(tokenize(_FN_TOKEN, source, FunctionParseError), FunctionParseError)
         self.slots = {name: i for i, name in enumerate(variables)}
+        self.constants: list[float] = []
+        self.squares = 0
+        self.nesting = 0
 
-    def parse(self):
-        node = self.parse_expr()
+    def parse(self) -> _Code:
+        text, _, _ = self.parse_expr()
         self.finish()
-        return node
+        return _Code(text, tuple(self.constants))
 
     def parse_expr(self):
-        node = self.parse_term()
-        while self.peek().kind == "op" and self.peek().text in "+-":
-            node = _binary(self.advance().text, node, self.parse_term())
-        return node
+        return self.parse_chain("+-", self.parse_term, _SUM)
 
     def parse_term(self):
-        node = self.parse_factor()
-        while self.peek().kind == "op" and self.peek().text in "*/":
-            node = _binary(self.advance().text, node, self.parse_factor())
-        return node
+        return self.parse_chain("*/", self.parse_factor, _PRODUCT)
+
+    def parse_chain(self, ops: str, parse_operand, precedence: int):
+        """A left-associative chain of ``ops`` over ``parse_operand``."""
+        text, own, depth = parse_operand()
+        if not (self.peek().kind == "op" and self.peek().text in ops):
+            return text, own, depth
+        parts = [text if own >= precedence else f"({text})"]
+        while self.peek().kind == "op" and self.peek().text in ops:
+            _, op, position = self.advance()
+            right, right_own, right_depth = parse_operand()
+            depth = self.deeper(max(depth, right_depth), position)
+            if op == "/":
+                parts.append(f" / _divisor({right})")
+            elif right_own > precedence:
+                parts.append(f" {op} {right}")
+            else:
+                parts.append(f" {op} ({right})")
+        return "".join(parts), precedence, depth
+
+    def deeper(self, depth: int, position: int) -> int:
+        if depth >= _MAX_DEPTH:
+            raise FunctionParseError(
+                f"expression is more than {_MAX_DEPTH} operations deep", position
+            )
+        return depth + 1
+
+    def nest(self, position: int) -> None:
+        self.nesting += 1
+        if self.nesting > _MAX_NESTING:
+            raise FunctionParseError(
+                f"expression nests more than {_MAX_NESTING} levels deep", position
+            )
 
     def parse_factor(self):
         token = self.advance()
         kind, text, position = token
         if kind == "num":
-            return _constant(float(text))
+            self.constants.append(float(text))
+            return f"k{len(self.constants) - 1}", _ATOM, 0
         if kind == "ident":
             if text == "sqr":
+                self.nest(position)
                 self.expect("op", "(", what="'('")
-                inner = self.parse_expr()
+                inner, own, depth = self.parse_expr()
                 self.expect("op", ")", what="')'")
-                return _square(inner)
+                self.nesting -= 1
+                name = f"s{self.squares}"
+                self.squares += 1
+                return f"({name} := {inner}) * {name}", _PRODUCT, self.deeper(depth, position)
             if text in self.slots:
-                return _variable(self.slots[text])
+                return f"env[{self.slots[text]}]", _ATOM, 0
             raise FunctionParseError(f"unknown variable {text!r}", position)
         if kind == "op" and text == "-":
-            return _negate(self.parse_factor())
+            self.nest(position)
+            operand, own, depth = self.parse_factor()
+            self.nesting -= 1
+            if own < _NEGATION:
+                operand = f"({operand})"
+            return f"-{operand}", _NEGATION, self.deeper(depth, position)
         if kind == "op" and text == "(":
+            self.nest(position)
             inner = self.parse_expr()
             self.expect("op", ")", what="')'")
+            self.nesting -= 1
             return inner
         raise FunctionParseError(f"expected a value, got {self.got(token)}", position)
 
@@ -162,7 +225,9 @@ class FunctionSpec(Value):
 
     Calling the spec with one value per variable, in ``variables`` order,
     evaluates it; ``compiled`` does the same for a tuple of those values.
-    Specs compare by source and variables.
+    A parsed spec compiles to one code object on its first evaluation, or
+    when a run asks for its :meth:`evaluator`.  Specs compare by source and
+    variables.
     """
 
     source: str
@@ -173,8 +238,10 @@ class FunctionSpec(Value):
     def __call__(self, *values: float) -> float:
         return self.compiled(values)
 
-    def __str__(self) -> str:
-        return self.source
+    def evaluator(self) -> Callable[[tuple[float, ...]], float]:
+        """``compiled``, compiled now if parsed: what a run calls for each item."""
+        compiled = self.compiled
+        return compiled.evaluator() if type(compiled) is _Code else compiled
 
 
 def parse_function(source: str, variables: Sequence[str] = ("orig", "data")) -> FunctionSpec:

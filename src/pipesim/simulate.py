@@ -393,8 +393,9 @@ def _stage_method(rt: _Runtime, cfg: StageConfig):
     out_ch = rt.out_channels[stage]
     read, write = Read(in_ch), Write(out_ch)
     function = cfg.function
-    # Called with (orig, data); a parsed function's closure is called directly.
-    evaluate = (function.compiled if isinstance(function, FunctionSpec)
+    # Called with (orig, data); a parsed function compiles here, once, and its
+    # code is called directly.
+    evaluate = (function.evaluator() if isinstance(function, FunctionSpec)
                 else lambda values: function(*values))
     timed = not cfg.timing.is_untimed
     delay = None if cfg.exec is ExecKind.REACTIVE else _busy_ns(cfg)

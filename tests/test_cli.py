@@ -433,6 +433,33 @@ def test_malformed_file_diagnostics(write_file, capsys, text, message):
     assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
+def _one_stage(fn):
+    return f'stage A {{ fn = "{fn}"; delay = 1; }}\npipeline = A;\n'
+
+
+def test_deep_functions_run_or_fail_with_a_position(write_file, capsys):
+    # A chain of 1,001 terms is 1,000 operations deep, the README's limit.
+    chain = " + ".join(["orig"] * 1001)
+    code, out, err = invoke(
+        capsys, "run", write_file("chain.pipe", _one_stage(chain)),
+        "--inputs", "1.5", "--format", "json-like",
+    )
+    assert (code, err) == (0, "")
+    assert '"data": 1501.5,' in out
+    # Operator k of the chain sits at offset 5 + 7 * (k - 1).
+    longer = chain + " + orig"
+    cases = [
+        (longer, "col 7006: expression is more than 1000 operations deep"),
+        ("(" * 65 + "orig" + ")" * 65, "col 65: expression nests more than 64 levels deep"),
+        ("-" * 400 + "orig", "col 65: expression nests more than 64 levels deep"),
+        ("sqr(" * 400 + "orig" + ")" * 400, "col 257: expression nests more than 64 levels deep"),
+    ]
+    for fn, message in cases:
+        code, out, err = invoke(capsys, "run", write_file("deep.pipe", _one_stage(fn)),
+                                "--inputs", "1")
+        assert (code, out, err) == (1, "", f"error: line 1, col 16: in fn of stage 'A': {message}\n")
+
+
 def test_comments_inside_a_multi_line_pipeline(write_file, capsys):
     text = (
         _A + "# a note with \"quotes and (parens)\n"

@@ -1,3 +1,7 @@
+import builtins
+import struct
+import sys
+
 import pytest
 
 import pipesim as ps
@@ -55,6 +59,98 @@ def test_parse_function_position_in_error():
     with pytest.raises(ps.FunctionParseError) as exc:
         ps.parse_function("data + + 1")
     assert exc.value.position == 7
+
+
+APPLY = {
+    "+": lambda a, b: a + b,
+    "-": lambda a, b: a - b,
+    "*": lambda a, b: a * b,
+    "/": lambda a, b: a / b,
+}
+
+
+@pytest.mark.parametrize("ops, terms", [
+    ("+-", ["orig", "data", "0.1", "sqr(orig)", "3"]),
+    ("*/", ["orig", "data", "1.1", "0.9", "sqr(data)"]),
+])
+def test_long_left_associative_chains_keep_their_bits(ops, terms):
+    # 1,001 terms: the deepest chain the README allows, folded left to right.
+    orig, data = 1.25, -0.75
+    values = {"orig": orig, "data": data, "sqr(orig)": orig * orig, "sqr(data)": data * data}
+    terms = (terms * 201)[:1001]
+    source = terms[0]
+    expected = orig
+    for i, term in enumerate(terms[1:]):
+        op = ops[i % 2]
+        source += f" {op} {term}"
+        expected = APPLY[op](expected, values[term] if term in values else float(term))
+    got = ps.parse_function(source)(orig, data)
+    assert struct.pack("<d", got) == struct.pack("<d", expected)
+
+
+def test_expressions_at_both_limits_compile_and_evaluate():
+    # sqr under '/' needs two parentheses per level in the generated code.
+    source = "data"
+    for _ in range(64):
+        source = f"orig / sqr({source})"
+    assert ps.parse_function(source)(1.0, 1.0) == 1.0
+    # 64 levels of 15 operations each, then 40 more: 1,000 deep.
+    nested = "orig"
+    for _ in range(64):
+        nested = "(" + nested + " - 2 - orig * orig" + " - orig" * 13 + ")"
+    nested += " - orig" * 40
+    assert ps.parse_function(nested)(1.0, 0.0) == -1063.0
+    with pytest.raises(ps.FunctionParseError, match="more than 1000 operations deep"):
+        ps.parse_function(nested + " - orig")
+
+
+def test_functions_of_one_shape_share_one_code_object():
+    two = ps.parse_function("data + 2*orig")
+    five = ps.parse_function("data + 5*orig")
+    assert (two(3.0, 1.0), five(3.0, 1.0)) == (7.0, 16.0)
+    assert two.evaluator() is not five.evaluator()
+    assert two.evaluator().__code__ is five.evaluator().__code__
+
+
+def code_generating_calls(action):
+    """The calls of builtin ``compile``, ``eval`` and ``exec`` while ``action`` runs."""
+    watched = (builtins.compile, builtins.eval, builtins.exec)
+    seen = []
+
+    def profile(frame, event, arg):
+        if event == "c_call" and any(arg is builtin for builtin in watched):
+            seen.append(arg.__name__)
+
+    sys.setprofile(profile)
+    try:
+        action()
+    finally:
+        sys.setprofile(None)
+    return seen
+
+
+README_FEEDBACK_FILE = """\
+stage S1 { fn = "data + 2*sqr(orig)"; delay = 1; }
+stage S2 { fn = "data + 4*orig";      delay = 1; }
+stage S3 { fn = "data - 7";           delay = 1; }
+pipeline = S1 >> S2 >> S3 >> S1 >> S3*2 >> S1 >> S2;
+join = "orig / (dataL - sqr(dataR))";
+"""
+
+
+def test_set_up_generates_no_code(tmp_path):
+    path = tmp_path / "feedback.pipe"
+    path.write_text(README_FEEDBACK_FILE, encoding="utf-8")
+
+    def set_up():
+        setup = ps.load_pipeline_file(str(path))
+        checked = ps.validate_config(setup.routes["main"], setup.configs, join=setup.join)
+        ps.elaborate(setup.routes["main"], setup.decls, checked)
+
+    assert code_generating_calls(set_up) == []
+    # The watch does see the compile of a shape no test has evaluated.
+    fresh = ps.parse_function("sqr(data) / 3 - orig * sqr(orig) - data - 11")
+    assert code_generating_calls(fresh.evaluator) == ["compile", "exec"]
 
 
 def test_callable_functions_supported(decls):

@@ -20,9 +20,6 @@ ROUND_TRIPS = {
     "deepcopy": copy.deepcopy,
     "pickle": lambda value: pickle.loads(pickle.dumps(value)),
 }
-# These cases hold a parsed function, which compiles to a closure; closures
-# do not pickle.
-HOLDS_PARSED_FUNCTION = {PipelineSetup, ps.JoinSpec, ps.StageConfig, ps.CheckedConfig}
 # Transactions, and the StageSet in a PipelineSetup, compare by identity.
 COMPARED_BY_IDENTITY = {PipelineSetup, Transaction}
 
@@ -30,7 +27,6 @@ ROUND_TRIP_CASES = [
     pytest.param(cls, fields, text, how, id=f"{ids((cls,))}-{how}")
     for cls, fields, text in CASES
     for how in sorted(ROUND_TRIPS)
-    if not (how == "pickle" and cls in HOLDS_PARSED_FUNCTION)
 ]
 
 
@@ -69,3 +65,11 @@ def test_run_result_survives_pickle_and_deepcopy():
     for how in ROUND_TRIPS.values():
         again = how(result)
         assert again == result and repr(again) == repr(result)
+
+
+def test_parsed_functions_survive_pickle_and_copies():
+    function = ps.parse_function("data + 2*sqr(orig)")
+    assert function(3.0, 1.0) == 19.0  # compiled before the copies
+    for how in ROUND_TRIPS.values():
+        again = how(function)
+        assert again == function and again(3.0, 1.0) == 19.0
