@@ -142,18 +142,19 @@ def run_and_report(
     except DeadlockError as exc:
         print(str(exc), file=err)
         return EXIT_DEADLOCK
+    if fmt == "json-like":
+        text, csv = report.run_report_json_and_csv(name, result, analysis_report, issue)
+    else:
+        text = report.run_report_text(name, result, analysis_report, issue)
+        csv = None if trace_path is None else report.trace_to_csv(result.trace)
     # Write the trace before any report output, so an unwritable path fails
     # with nothing on stdout.
     if trace_path is not None:
         with open(trace_path, "w", encoding="utf-8") as handle:
-            handle.write(report.trace_to_csv(result.trace))
+            handle.write(csv)
     for warning in result.warnings:
         print(f"warning: {warning}", file=err)
-    if fmt == "json-like":
-        mapping = report.run_report_mapping(name, result, analysis_report, issue)
-        print(report.canonical(mapping), file=out)
-    else:
-        out.write(report.run_report_text(name, result, analysis_report, issue))
+    out.write(text)
     return EXIT_HORIZON if result.stats.truncated else EXIT_OK
 
 

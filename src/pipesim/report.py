@@ -22,6 +22,7 @@ __all__ = [
     "analysis_text",
     "run_report_text",
     "run_report_mapping",
+    "run_report_json_and_csv",
 ]
 
 FORMAT_VERSION = 1
@@ -58,6 +59,8 @@ def canonical(obj, indent: int = 0) -> str:
         return "true"
     if obj is False:
         return "false"
+    if kind is _Verbatim:
+        return obj
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, int):
@@ -73,6 +76,10 @@ def canonical(obj, indent: int = 0) -> str:
     if isinstance(obj, Fraction):
         return format_real(float(obj))
     raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+class _Verbatim(str):
+    """Text already in canonical form, which :func:`canonical` emits as is."""
 
 
 def _canonical_mapping(obj: Mapping, indent: int) -> str:
@@ -102,9 +109,12 @@ def _canonical_sequence(obj, indent: int) -> str:
 # CSV trace
 
 
+_CSV_HEADER = "id,inject_ns,exit_ns,orig,data"
+
+
 def trace_to_csv(trace: Trace) -> str:
     """One row per transaction; columns exactly id,inject_ns,exit_ns,orig,data."""
-    lines = ["id,inject_ns,exit_ns,orig,data"]
+    lines = [_CSV_HEADER]
     for rec in trace.records:
         inject = "" if rec.injected_at is None else str(rec.injected_at.ns)
         exit_ns = "" if rec.exited_at is None else str(rec.exited_at.ns)
@@ -152,22 +162,29 @@ def run_report_mapping(
     report: AnalysisReport,
     issue: IssueSpec,
 ) -> dict:
+    results = [_result_mapping(rec) for rec in result.trace.records]
+    return _report_mapping(name, result, report, issue, results)
+
+
+def _result_mapping(rec) -> dict:
+    return {
+        "id": rec.txn_id,
+        "orig": rec.orig,
+        "data": rec.data,
+        "inject_ns": None if rec.injected_at is None else rec.injected_at.ns,
+        "exit_ns": None if rec.exited_at is None else rec.exited_at.ns,
+        "dropped": rec.dropped,
+    }
+
+
+def _report_mapping(name: str, result: RunResult, report: AnalysisReport, issue: IssueSpec,
+                    results) -> dict:
     stats = result.stats
     return {
         "format_version": FORMAT_VERSION,
         "pipeline": name,
         "issue": str(issue),
-        "results": [
-            {
-                "id": rec.txn_id,
-                "orig": rec.orig,
-                "data": rec.data,
-                "inject_ns": None if rec.injected_at is None else rec.injected_at.ns,
-                "exit_ns": None if rec.exited_at is None else rec.exited_at.ns,
-                "dropped": rec.dropped,
-            }
-            for rec in result.trace.records
-        ],
+        "results": results,
         "stats": {
             "injected": stats.injected,
             "exited": stats.exited,
@@ -193,6 +210,43 @@ def run_report_mapping(
         "analysis": report.to_mapping(),
         "warnings": list(result.warnings),
     }
+
+
+def run_report_json_and_csv(
+    name: str,
+    result: RunResult,
+    report: AnalysisReport,
+    issue: IssueSpec,
+) -> tuple[str, str]:
+    """The json-like run report and the CSV trace of a run, from one pass.
+
+    The bytes are those of ``canonical(run_report_mapping(...)) + "\n"`` and
+    ``trace_to_csv(result.trace)``, which specify them.  The pass formats
+    each record's ``orig`` and ``data`` once for both rows, and renders the
+    ``results`` row from one template with the keys in sorted order.  A
+    record whose ``orig`` or ``data`` is not exactly a float renders its
+    ``results`` row through ``canonical``.
+    """
+    csv_rows = [_CSV_HEADER]
+    rows = []
+    for rec in result.trace.records:
+        orig, data = rec.orig, rec.data
+        inject = "" if rec.injected_at is None else str(rec.injected_at.ns)
+        exit_ns = "" if rec.exited_at is None else str(rec.exited_at.ns)
+        orig_text, data_text = format_real(orig), format_real(data)
+        csv_rows.append(f"{rec.txn_id},{inject},{exit_ns},{orig_text},{data_text}")
+        if type(orig) is float and type(data) is float:
+            rows.append(
+                f'    {{\n      "data": {data_text},\n'
+                f'      "dropped": {"true" if rec.dropped else "false"},\n'
+                f'      "exit_ns": {exit_ns or "null"},\n      "id": {rec.txn_id},\n'
+                f'      "inject_ns": {inject or "null"},\n      "orig": {orig_text}\n    }}'
+            )
+        else:
+            rows.append("    " + canonical(_result_mapping(rec), 2))
+    results = _Verbatim("[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]")
+    mapping = _report_mapping(name, result, report, issue, results)
+    return canonical(mapping) + "\n", "\n".join(csv_rows) + "\n"
 
 
 def run_report_text(

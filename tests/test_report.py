@@ -1,11 +1,17 @@
-"""The canonical structured-text serialiser, byte for byte."""
+"""The canonical structured-text serialiser, byte for byte, and the run
+report's one-pass rendering, checked against the serialiser."""
 
 from fractions import Fraction
 from types import MappingProxyType
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from pipesim.report import canonical
+import pipesim as ps
+from pipesim.report import canonical, run_report_json_and_csv, run_report_mapping, trace_to_csv
+from pipesim.simulate import StageStats, Stats, TraceRecord
+from test_kernel import pinned_corpus
 
 MIXED = {
     "flags": [True, False, None],
@@ -71,3 +77,59 @@ def test_canonical_sorts_keys_by_their_string_form():
     assert canonical({2: "int", "a": "str"}) == '{\n  "2": "int",\n  "a": "str"\n}'
     with pytest.raises(TypeError, match="cannot serialize a mapping with two keys"):
         canonical({1: "int", "1": "str"})
+
+
+# -- the run report's one-pass rendering -----------------------------------------
+
+RUN_ROUTE = ps.flatten(ps.parse("S1 >> S2 >> S1", ps.declare_stages(["S1", "S2"])))
+RUN_ANALYSIS = ps.analyze(RUN_ROUTE)
+RUN_STATS = Stats(3, 1, 1, 1, ps.SimTime(9, 2), 4, 2, {"S1": StageStats(2, 4, 1)},
+                  {"S1.in": 2}, {"S2.in": 1}, False)
+
+
+def assert_one_pass_matches_the_specification(result, issue):
+    json_like, csv = run_report_json_and_csv("main", result, RUN_ANALYSIS, issue)
+    assert json_like == canonical(run_report_mapping("main", result, RUN_ANALYSIS, issue)) + "\n"
+    assert csv == trace_to_csv(result.trace)
+
+
+@pytest.mark.parametrize("name", sorted(pinned_corpus()))
+def test_one_pass_report_of_every_pinned_run(name):
+    assert_one_pass_matches_the_specification(pinned_corpus()[name](), ps.IssueSpec.fixed(3))
+
+
+REALS = st.one_of(
+    st.sampled_from([-0.0, 0.0, 1e-7, 1e21, 123456.5, 2.0, 1e16, float("inf"), float("nan")]),
+    st.floats(),
+)
+RECORDS = st.lists(
+    st.tuples(
+        st.one_of(REALS, st.integers(-10**6, 10**6)),
+        st.one_of(REALS, st.integers(-10**20, 10**20)),
+        st.one_of(st.none(), st.integers(0, 10**6)),
+        st.one_of(st.none(), st.integers(0, 10**6)),
+        st.booleans(),
+    ),
+    max_size=5,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(RECORDS)
+@example([])
+@example([(-0.0, 3, None, None, True), (1e21, 1e-7, 0, None, False)])
+def test_one_pass_report_of_any_record_values(records):
+    trace = ps.Trace(
+        records=tuple(
+            TraceRecord(
+                i, orig, data,
+                None if inject is None else ps.SimTime(inject, 1),
+                None if exit_ns is None else ps.SimTime(exit_ns, 0),
+                dropped,
+            )
+            for i, (orig, data, inject, exit_ns, dropped) in enumerate(records)
+        ),
+        occupancy_log=(),
+    )
+    result = ps.RunResult(trace, RUN_STATS, ("a warning",))
+    assert_one_pass_matches_the_specification(result, ps.IssueSpec.greedy())
