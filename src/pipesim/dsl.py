@@ -172,9 +172,6 @@ class PipeExpr:
             "fork with + combines stage names only, not composite expressions"
         )
 
-    def __str__(self) -> str:
-        return pretty(self)
-
 
 class StageRef(PipeExpr, Value):
     stage: StageId

@@ -268,6 +268,9 @@ class Engine:
 class ChannelBase:
     """A named channel between processes.
 
+    Each kind defines ``try_read(proc)``, which returns the next value, or
+    BLOCKED after parking ``proc`` as the reader, and ``try_write(proc,
+    value)``, which returns whether the channel took the value.
     ``stalls`` counts the writes it refused and ``dropped`` lists the values
     it overwrote unread; a channel kind that does neither keeps these
     defaults.
@@ -282,19 +285,12 @@ class ChannelBase:
         self._woken = engine._woken  # where a wake-up goes; see the module doc
         self._reader: Process | None = None
 
-    def try_read(self, proc: Process) -> object:
-        """The next value, or BLOCKED after parking ``proc`` as the reader."""
-        raise NotImplementedError
-
     def try_peek(self, proc: Process) -> object:
         """Like ``try_read``, but a slot keeps the value until ``consume``."""
         return self.try_read(proc)
 
     def consume(self) -> None:
         """Drain a previously peeked value; a no-op for channels without slots."""
-
-    def try_write(self, proc: Process, value) -> bool:
-        raise NotImplementedError
 
 
 class BlockingChannel(ChannelBase):

@@ -358,9 +358,6 @@ class JoinSpec(Value):
             return data_left + data_right
         return self.expr(orig, data_left, data_right)
 
-    def __str__(self) -> str:
-        return self.expr.source if self.kind == "custom" else self.kind
-
 
 # ---------------------------------------------------------------------------
 # Stage configuration

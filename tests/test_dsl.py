@@ -136,6 +136,11 @@ def test_fork_of_composite_rejected(decls):
         decls["S1"] + (decls["S2"] >> decls["S3"])
 
 
+def test_fork_from_composite_rejected(decls):
+    with pytest.raises(ps.ExpressionError, match="combines stage names only"):
+        (decls["S1"] >> decls["S2"]) + decls["S3"]
+
+
 # -- parsing ----------------------------------------------------------------
 
 
