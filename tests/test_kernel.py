@@ -515,6 +515,54 @@ def test_dispatch_sequences_pinned(dispatch_recorder):
     assert digests == PINNED_DISPATCH_SEQUENCES
 
 
+def issue_corpus():
+    """Issue runs that the pinned corpus leaves out, by name.
+
+    The custom-join fork route under greedy and ``fixed:2`` issue, and the
+    feedback route with every stage at delay 2, on inputs 1..6, under greedy
+    and ``fixed:4`` issue.  Analysis counts latencies in route steps, not ns,
+    so greedy issue of the slow feedback route stalls without a warning.
+    """
+    fork = ps.declare_stages(["S1", "S2", "S3", "S4"])
+    custom = ps.JoinSpec.custom("dataL / (dataR + 1) - 0.5 * orig")
+    decls, quad = declare_quad()
+    slow = [ps.StageConfig(c.stage, c.function, timing=ps.TimingSpec.timed(2)) for c in quad]
+    cases = {}
+    for issue in (ps.IssueSpec.greedy(), ps.IssueSpec.fixed(2)):
+        cases[f"forkjoin-custom-{issue.kind}"] = lambda issue=issue: run_route(
+            fork, "S1 >> S2 + S3 >> S4 >> S2 + S3", fork_configs(fork, d2=2),
+            PIN_INPUTS, issue=issue, join=custom)
+    for issue in (ps.IssueSpec.greedy(), ps.IssueSpec.fixed(4)):
+        cases[f"feedback-delay2-{issue.kind}"] = lambda issue=issue: run_route(
+            decls, FEEDBACK, slow, [1.0, 2.0, 3.0, 4.0, 5.0, 6.0], issue=issue)
+    return cases
+
+
+# SHA-256 of each issue run's repr(RunResult), then of its dispatch sequence.
+PINNED_ISSUE_RUNS = {
+    "forkjoin-custom-greedy": ("6983c9db0ba8db857c1057c3222e094df08a5526442fbbb8d35f1d46a7897fd1",
+        "f0a88abe583ac3a1afe9749de251cb70bd599b615a8e17a49907dadae144ba92"),
+    "forkjoin-custom-fixed": ("f283b3da491ff56ba662091bd295751d43390f6dc2e2a7f66bdc40ad9e5d0210",
+        "639517ac7ee79693641a8d4c282bd386d05f6c5e2c86353b7fb5e0705fd0a469"),
+    "feedback-delay2-greedy": ("bb82e5a0cc8aebb335a8c1cd94884d2a3dd0dd68a052eaca82c872f1393dc78d",
+        "93e1f742fd196423bcc103e5995088ffaf9a0489efb62915bbf855e27b333050"),
+    "feedback-delay2-fixed": ("bb82e5a0cc8aebb335a8c1cd94884d2a3dd0dd68a052eaca82c872f1393dc78d",
+        "93e1f742fd196423bcc103e5995088ffaf9a0489efb62915bbf855e27b333050"),
+}
+
+
+def test_issue_runs_pinned(dispatch_recorder):
+    digests = {}
+    for name, make in issue_corpus().items():
+        result = make()
+        if name.startswith("feedback-delay2"):
+            # Step latencies read as ns: 17 structural stalls and no warning.
+            assert (result.stats.total_stalls, result.warnings) == (17, ())
+        digests[name] = (hashlib.sha256(repr(result).encode()).hexdigest(),
+                         dispatch_recorder.digest())
+    assert digests == PINNED_ISSUE_RUNS
+
+
 # -- issue process states ----------------------------------------------------------------
 
 ENTRY_SEVERED_MESSAGE = """\
