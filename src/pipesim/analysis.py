@@ -6,8 +6,10 @@ when S is a member of step i.  From the table this module derives
 * the forbidden latency set: issue-time differences that would make two
   transactions demand the same stage in the same cycle,
 * the collision vector over latencies 1..L-1,
-* the greedy issue cycle, and
-* the minimal average latency (MAL), the best sustainable issue rate.
+* the greedy issue cycle,
+* the minimal average latency (MAL), the best sustainable issue rate, and
+* the issue times of an issue policy, with the warning for a fixed interval
+  that collides with a forbidden latency.
 
 MAL is computed exactly, as the minimum mean cycle of the collision-state
 graph.  States are collision vectors reachable from the initial vector under
@@ -25,17 +27,20 @@ the cycle is the first one a depth-first search meets in that subgraph.
 
 Means are int pairs (p, q).  Only the public ``average`` and ``mal`` build a
 ``Fraction`` and import ``fractions``, which costs milliseconds of start-up;
-reports print the same float from ``_float_average``.
+reports print the same float from ``IssueCycle.float_average``.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate, count, islice
 from math import gcd
-from typing import Mapping
+from operator import itemgetter
+from typing import Iterator, Mapping
 
 from ._value import Value
 from .dsl import ExprLike, Route, StageId, StageSet, flatten
 from .errors import PipelineError
+from .policy import IssueSpec
 
 __all__ = [
     "AnalysisError",
@@ -48,6 +53,8 @@ __all__ = [
     "collision_vector",
     "greedy_cycle",
     "minimal_average_latency",
+    "issue_times",
+    "issue_warnings",
     "analyze",
 ]
 
@@ -185,14 +192,13 @@ class IssueCycle(Value):
 
         return Fraction(sum(self.latencies), len(self.latencies))
 
+    def float_average(self) -> float:
+        """``float(self.average)`` without the Fraction: int division rounds correctly."""
+        return sum(self.latencies) / len(self.latencies)
+
     def describe(self) -> str:
         body = ",".join(str(d) for d in self.latencies)
         return f"({body})"
-
-
-def _float_average(cycle: IssueCycle) -> float:
-    # float(cycle.average) without the Fraction: int division rounds correctly.
-    return sum(cycle.latencies) / len(cycle.latencies)
 
 
 def _initial_state(vector: CollisionVector) -> int:
@@ -453,6 +459,43 @@ def _find_cycle(adj: list[list[tuple[int, int]]], n: int):
 
 
 # ---------------------------------------------------------------------------
+# Issue schedule
+
+
+def issue_times(issue: IssueSpec, vector: CollisionVector) -> Iterator[int]:
+    """The issue time of each input in turn, from an empty pipeline.
+
+    ``fixed:k`` issues every k; greedy adds up the latencies of the greedy
+    walk over ``vector``.  Eager issue has no schedule and yields nothing:
+    each input enters when the entry accepts it.  Latencies count route
+    steps, so the times are ns only when every stage has delay 1.
+    """
+    if issue.kind == "fixed":
+        return count(0, issue.interval)
+    if issue.kind == "greedy":
+        return accumulate(map(itemgetter(0), _greedy_walk(vector)), initial=0)
+    return iter(())
+
+
+def issue_warnings(issue: IssueSpec, vector: CollisionVector) -> tuple[str, ...]:
+    """The warning for the first issue time below L that is forbidden from issue 0.
+
+    Under ``fixed:k`` that is the smallest multiple of k that is a forbidden
+    latency.  Greedy times are permissible by construction and eager issue
+    has none, so neither warns.
+    """
+    for time in islice(issue_times(issue, vector), 1, None):
+        if time >= vector.length:
+            break
+        if vector.is_forbidden(time):
+            return (
+                f"fixed issue interval {issue.interval} collides with forbidden latency "
+                f"{time}; expect structural stalls",
+            )
+    return ()
+
+
+# ---------------------------------------------------------------------------
 # Composite report
 
 
@@ -480,13 +523,13 @@ class AnalysisReport(Value):
             "collision_vector": self.vector.bitstring(),
             "greedy_cycle": {
                 "latencies": list(self.greedy.latencies),
-                "average": _float_average(self.greedy),
+                "average": self.greedy.float_average(),
             },
             "mal_cycle": {
                 "latencies": list(self.mal_cycle.latencies),
-                "average": _float_average(self.mal_cycle),
+                "average": self.mal_cycle.float_average(),
             },
-            "mal": _float_average(self.mal_cycle),
+            "mal": self.mal_cycle.float_average(),
             "mal_lower_bound": self.table.max_row_marks(),
         }
 

@@ -11,7 +11,7 @@ import json
 from functools import lru_cache
 from typing import Mapping
 
-from .analysis import AnalysisReport, _float_average
+from .analysis import AnalysisReport
 from .policy import IssueSpec
 from .simulate import RunResult, Trace
 
@@ -130,12 +130,12 @@ def trace_to_csv(trace: Trace) -> str:
 
 
 def _cycle_text(cycle) -> str:
-    return f"{cycle.describe()} average {format_real(_float_average(cycle))}"
+    return f"{cycle.describe()} average {format_real(cycle.float_average())}"
 
 
 def _mal_text(report: AnalysisReport) -> str:
     cycle = report.mal_cycle
-    return f"MAL: {format_real(_float_average(cycle))}  cycle {cycle.describe()}"
+    return f"MAL: {format_real(cycle.float_average())}  cycle {cycle.describe()}"
 
 
 def analysis_text(name: str, report: AnalysisReport) -> str:

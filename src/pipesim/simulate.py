@@ -34,14 +34,13 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import cached_property
-from itertools import accumulate, count
 from math import isfinite
 from operator import itemgetter
-from typing import Mapping, Sequence, Union
+from typing import Iterator, Mapping, Sequence, Union
 
 from . import analysis
 from ._value import Value
-from .dsl import Route, StageId
+from .dsl import StageId
 from .elaborate import ENTRY, EXIT, Netlist, RouterNode
 from .engine import (
     BLOCKED,
@@ -517,27 +516,20 @@ def _router_port_method(rt: _Runtime, router: RouterNode, queue: QueueChannel):
     return resume
 
 
-def _issue_method(rt: _Runtime, values: Sequence[float], issue: IssueSpec):
+def _issue_method(rt: _Runtime, values: Sequence[float], times: Iterator[int]):
     """Build the resume callable of the issue process's method process.
 
-    Under fixed and greedy issue each input first sleeps until its issue
-    time, when that is in the future, then one delta more.  Its transaction
-    then writes a copy into each entry stage's input in stage order, parking
-    on a busy latch; eager issue writes at once.  The call that injects the
-    last input finishes the process.
+    ``times`` holds the issue ns of each input in turn (see
+    :func:`.analysis.issue_times`).  An input with an issue time first sleeps
+    until it, when that is in the future, then one delta more; an input past
+    the end of ``times`` goes at once.  Its transaction then writes a copy
+    into each entry stage's input in stage order, parking on a busy latch.
+    The call that injects the last input finishes the process.
     """
     engine = rt.engine
     sleep = engine.sleep
     entry = rt.targets(ENTRY, rt.netlist.entry_router.table.lookup(-1))
-    if issue.kind == "fixed":
-        targets = count(0, issue.interval)
-    elif issue.kind == "greedy":
-        table = analysis.reservation_table(rt.route)
-        vector = analysis.collision_vector(analysis.forbidden_latencies(table), table.length)
-        targets = accumulate(map(itemgetter(0), analysis._greedy_walk(vector)), initial=0)
-    else:
-        targets = iter(())
-    target = next(targets, None)  # the next input's issue ns, until it is reached
+    target = next(times, None)  # the next input's issue ns, until it is reached
     index = 0
     txn = None  # the transaction being injected
     copies = held = None  # its (write, copy) deliveries not yet written; a blocked write's copy
@@ -572,29 +564,13 @@ def _issue_method(rt: _Runtime, values: Sequence[float], issue: IssueSpec):
                     return
             rt.injected_at[txn.id] = engine.now
             txn = None
-            target = next(targets, None)
+            target = next(times, None)
 
     return resume
 
 
 # ---------------------------------------------------------------------------
 # Top-level run
-
-
-def _issue_warnings(route: Route, issue: IssueSpec) -> tuple[str, ...]:
-    if issue.kind != "fixed":
-        return ()
-    forbidden = analysis.forbidden_latencies(analysis.reservation_table(route))
-    k = issue.interval
-    multiple = k
-    while multiple < len(route):
-        if multiple in forbidden:
-            return (
-                f"fixed issue interval {k} collides with forbidden latency "
-                f"{multiple}; expect structural stalls",
-            )
-        multiple += k
-    return ()
 
 
 def run(
@@ -620,11 +596,13 @@ def run(
         checked = validate_config(netlist.route, stage_configs, join=join)
     if issue is None:
         issue = IssueSpec.greedy()
+    table = analysis.reservation_table(netlist.route)
+    vector = analysis.collision_vector(analysis.forbidden_latencies(table), table.length)
 
     engine = Engine()
     rt = _Runtime(engine, netlist, checked)
 
-    engine.spawn("issue", _issue_method(rt, inputs, issue))
+    engine.spawn("issue", _issue_method(rt, inputs, analysis.issue_times(issue, vector)))
     for stage in netlist.stages:
         engine.spawn(stage.name, _stage_method(rt, checked.config_of(stage)))
     for router in netlist.routers[1:]:
@@ -671,5 +649,5 @@ def run(
         drops_by_channel={c.name: len(c.dropped) for c in channels if c.dropped},
         truncated=truncated,
     )
-    warnings = checked.warnings + _issue_warnings(netlist.route, issue)
+    warnings = checked.warnings + analysis.issue_warnings(issue, vector)
     return RunResult(trace=trace, stats=stats, warnings=warnings)
