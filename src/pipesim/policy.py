@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 import re
 from functools import lru_cache
+from operator import itemgetter
 from typing import Callable, Mapping, Sequence, Union
 
 from ._lex import Cursor, PositionedError, tokenize
@@ -349,14 +350,22 @@ class JoinSpec(Value):
             expression = parse_function(expression, _JOIN_VARIABLES)
         return JoinSpec(kind="custom", expr=expression)
 
-    def merge(self, orig: float, data_left: float, data_right: float) -> float:
+    def merger(self) -> Callable[[tuple[float, float, float]], float]:
+        """The merge as one call on an (orig, dataL, dataR) tuple.
+
+        A run resolves it when it builds: a custom expression compiles then,
+        once, and the run calls its code directly.
+        """
         if self.kind == "left":
-            return data_left
+            return itemgetter(1)
         if self.kind == "right":
-            return data_right
+            return itemgetter(2)
         if self.kind == "sum":
-            return data_left + data_right
-        return self.expr(orig, data_left, data_right)
+            return lambda values: values[1] + values[2]
+        return self.expr.evaluator()
+
+    def merge(self, orig: float, data_left: float, data_right: float) -> float:
+        return self.merger()((orig, data_left, data_right))
 
 
 # ---------------------------------------------------------------------------

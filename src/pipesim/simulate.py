@@ -230,6 +230,8 @@ class _Runtime:
         self._edges = {(e.src, e.dst) for e in netlist.edges}
         self._severed: dict[tuple[str, str], SeveredChannel] = {}
         self._join_pending: dict[tuple[int, int], list[Transaction]] = {}
+        # Resolved now, so that a custom join compiles when the run builds.
+        self._merge = checked.join.merger() if checked.join is not None else None
 
         self.orig: dict[int, float] = {}
         self.data: dict[int, float] = {}
@@ -300,8 +302,8 @@ class _Runtime:
                 f"join for transaction {txn.id} at step {completed_step} received "
                 f"copies with mismatched orig fields"
             )
-        join = self.checked.join
-        if join is None:
+        merge = self._merge
+        if merge is None:
             raise JoinError(
                 f"transaction {txn.id} forked at step {completed_step} but no join "
                 f"specification was configured"
@@ -309,7 +311,7 @@ class _Runtime:
         merged = copies[0]
         try:
             for other in copies[1:]:
-                merged.data = data = join.merge(merged.orig, merged.data, other.data)
+                merged.data = data = merge((merged.orig, merged.data, other.data))
                 if type(data) is float and not isfinite(data):
                     raise FunctionEvalError(f"result {data} is not finite")
         except FunctionEvalError as exc:
@@ -379,10 +381,15 @@ def _stage_method(rt: _Runtime, cfg: StageConfig):
     """Build the resume callable of a stage's method process.
 
     Each call carries the stage from where it last suspended: blocked peeking
-    its input, busy for its delay, or blocked writing its output.  ``LOOP``
-    sleeps its delay between peek and consume.  ``REACTIVE`` (zero delay,
-    by validation) never sleeps: it finishes each arrival within the call
-    that the arrival's wake-up triggers.
+    its input, or busy for its delay.  ``LOOP`` sleeps its delay between
+    peek and consume.  ``REACTIVE`` (zero delay, by validation) never
+    sleeps: it finishes each arrival within the call that the arrival's
+    wake-up triggers.
+
+    The output write never blocks.  It wakes the router, which drains the
+    output one delta later.  A ``LOOP`` stage sleeps before its next write,
+    and that wake-up queues behind the router's, so the slot is free again
+    by then; a ``REACTIVE`` stage writes to a signal channel.
     """
     stage = cfg.stage
     name = stage.name
@@ -390,7 +397,7 @@ def _stage_method(rt: _Runtime, cfg: StageConfig):
     log = rt.occupancy_log.append
     in_ch = rt.in_channels[stage]
     out_ch = rt.out_channels[stage]
-    read, write = Read(in_ch), Write(out_ch)
+    read = Read(in_ch)
     function = cfg.function
     # Called with (orig, data); a parsed function compiles here, once, and its
     # code is called directly.
@@ -399,15 +406,11 @@ def _stage_method(rt: _Runtime, cfg: StageConfig):
     timed = not cfg.timing.is_untimed
     delay = None if cfg.exec is ExecKind.REACTIVE else _busy_ns(cfg)
     sleep = engine.sleep
-    txn = None  # held from its peek until its output write is accepted
+    txn = None  # held from its peek until its output write
     start_ns = start_delta = 0
 
     def resume(proc):
         nonlocal txn, start_ns, start_delta
-        if proc.pending is write:
-            if not out_ch.try_write(proc, txn):
-                return
-            proc.pending = txn = None
         while True:
             if txn is None:
                 # Peek now, consume when done: the input slot stays full for
@@ -436,9 +439,7 @@ def _stage_method(rt: _Runtime, cfg: StageConfig):
             in_ch.consume()
             txn.step += 1
             log((name, txn.id, start_ns, start_delta, engine.ns, engine.delta))
-            if not out_ch.try_write(proc, txn):
-                proc.pending = write
-                return
+            out_ch.try_write(proc, txn)
             txn = None
 
     return resume

@@ -563,6 +563,14 @@ def test_issue_runs_pinned(dispatch_recorder):
     assert digests == PINNED_ISSUE_RUNS
 
 
+def test_stage_outputs_never_stall():
+    # A stage writes its output without a blocked-write path: the router
+    # drains each output one delta after the write, before the next one.
+    for name, make in {**dispatch_corpus(), **issue_corpus()}.items():
+        stalls = make().stats.stalls_by_channel
+        assert [c for c in stalls if c.endswith(".out")] == [], name
+
+
 # -- issue process states ----------------------------------------------------------------
 
 ENTRY_SEVERED_MESSAGE = """\

@@ -153,6 +153,16 @@ def test_set_up_generates_no_code(tmp_path):
     assert code_generating_calls(fresh.evaluator) == ["compile", "exec"]
 
 
+def test_run_build_compiles_a_custom_join():
+    # The join's code is made when the run builds, with no copy to merge yet.
+    fork = ps.declare_stages(["S1", "S2"])
+    route = ps.flatten(ps.parse("S1 + S2", fork))
+    configs = [ps.StageConfig(s, lambda orig, data: data) for s in route.stages]
+    join = ps.JoinSpec.custom("sqr(dataR) / 9 - dataL * sqr(orig) - 13")
+    build = lambda: ps.run(ps.elaborate(route, fork), configs, [], join=join)
+    assert code_generating_calls(build) == ["compile", "exec"]
+
+
 def test_callable_functions_supported(decls):
     route = ps.flatten(ps.parse("S1", decls))
     configs = [ps.StageConfig(decls["S1"], lambda orig, data: data * orig + orig)]
@@ -169,6 +179,15 @@ def test_join_variants():
     assert ps.JoinSpec.sum().merge(1, 10, 20) == 30
     custom = ps.JoinSpec.custom("dataL - dataR + orig")
     assert custom.merge(5, 10, 20) == -5
+
+
+def test_join_merger_is_one_call_on_a_tuple():
+    for join in (ps.JoinSpec.left(), ps.JoinSpec.right(), ps.JoinSpec.sum(),
+                 ps.JoinSpec.custom("dataL - dataR + orig")):
+        assert join.merger()((5, 10, 20)) == join.merge(5, 10, 20)
+    # A custom join's merger is its compiled code, with no wrapper around it.
+    custom = ps.JoinSpec.custom("dataL * orig - dataR")
+    assert custom.merger() is custom.expr.evaluator()
 
 
 # -- timing / issue validation -------------------------------------------------
