@@ -29,6 +29,7 @@ from ._value import Value
 from .errors import PipelineError
 from .policy import (
     ChannelKind,
+    ConfigError,
     ExecKind,
     FunctionParseError,
     IssueSpec,
@@ -107,7 +108,7 @@ class _FileParser(Cursor):
         stage_blocks = []
         pipelines = []
         join_token = None
-        issue_token = None
+        issue = None
         while self.peek().kind != "end":
             token = self.peek()
             if token.text == "stage":
@@ -119,15 +120,15 @@ class _FileParser(Cursor):
                     self.fail("duplicate join setting", token.position)
                 join_token = self.parse_join_def()
             elif token.text == "issue":
-                if issue_token is not None:
+                if issue is not None:
                     self.fail("duplicate issue setting", token.position)
-                issue_token = self.parse_issue_def()
+                issue = self.parse_issue_def()
             else:
                 self.fail(
                     f"expected 'stage', 'pipeline', 'join' or 'issue', got {token.text!r}",
                     token.position,
                 )
-        return stage_blocks, pipelines, join_token, issue_token
+        return stage_blocks, pipelines, join_token, issue
 
     def parse_stage_block(self):
         self.expect("ident", "stage")
@@ -179,23 +180,23 @@ class _FileParser(Cursor):
         self.expect("punct", ";")
         return value
 
-    def parse_issue_def(self):
+    def parse_issue_def(self) -> IssueSpec:
         self.expect("ident", "issue")
         self.expect("punct", "=")
         value = self.advance()
         if value.kind != "ident" or value.text not in ("greedy", "eager", "fixed"):
             self.fail("expected greedy, eager or fixed:<interval>", value.position)
-        interval = None
-        if value.text == "fixed":
+        if value.text != "fixed":
+            issue = IssueSpec(kind=value.text)
+        else:
             self.expect("punct", ":")
             interval = self.expect("int", what="an issue interval")
-            if int(interval.text) < 1:
-                self.fail(
-                    f"fixed issue interval must be >= 1, got {int(interval.text)}",
-                    interval.position,
-                )
+            try:
+                issue = IssueSpec.fixed(int(interval.text))
+            except ConfigError as exc:
+                self.fail(str(exc), interval.position)
         self.expect("punct", ";")
-        return value, interval
+        return issue
 
 
 def _unquote(raw: str) -> str:
@@ -206,7 +207,7 @@ def _unquote(raw: str) -> str:
 def parse_pipeline_text(text: str) -> PipelineSetup:
     """Parse and resolve a pipeline definition from source text."""
     parser = _FileParser(text)
-    stage_blocks, pipeline_defs, join_token, issue_token = parser.parse_file()
+    stage_blocks, pipeline_defs, join_token, issue = parser.parse_file()
 
     if not stage_blocks:
         parser.fail("no stage declarations", 0)
@@ -294,14 +295,6 @@ def parse_pipeline_text(text: str) -> PipelineSetup:
                 "join must be left, right, sum or a quoted expression",
                 join_token.position,
             )
-
-    issue = None
-    if issue_token is not None:
-        value, interval = issue_token
-        if value.text == "fixed":
-            issue = IssueSpec.fixed(int(interval.text))
-        else:
-            issue = IssueSpec(kind=value.text)
 
     return PipelineSetup(
         decls=decls,
