@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction
+from itertools import combinations, islice
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pipesim as ps
+from pipesim.analysis import issue_times, issue_warnings
 from oracles import (
     brute_force_mal,
     cycle_is_permissible,
@@ -275,6 +277,66 @@ def test_appending_a_step_never_removes_forbidden_latencies():
         extended = ps.Route(route.steps + (frozenset({rng.choice(list(decls))}),))
         after = ps.forbidden_latencies(ps.reservation_table(extended))
         assert before <= after
+
+
+# -- issue schedules ---------------------------------------------------------
+
+
+def vector_of(route):
+    table = ps.reservation_table(route)
+    return ps.collision_vector(ps.forbidden_latencies(table), table.length)
+
+
+@settings(max_examples=100, deadline=None)
+@given(routes())
+def test_greedy_issue_times_never_differ_by_a_forbidden_latency(route):
+    times = list(islice(issue_times(ps.IssueSpec.greedy(), vector_of(route)), 2 * len(route)))
+    assert times[0] == 0
+    differences = {b - a for a, b in combinations(times, 2)}
+    assert min(differences, default=1) > 0
+    assert not differences & forbidden_by_differences(route)
+
+
+@settings(max_examples=100, deadline=None)
+@given(routes())
+def test_greedy_issue_gaps_repeat_the_greedy_cycle(route):
+    # The greedy walk repeats once a collision state recurs, and there are at
+    # most 2**(L-1) states, so the gaps are periodic after that many issues.
+    vector = vector_of(route)
+    cycle = list(ps.greedy_cycle(vector).latencies)
+    n = len(cycle)
+    states = 2 ** (len(route) - 1)
+    times = list(islice(issue_times(ps.IssueSpec.greedy(), vector), states + 2 * n + 1))
+    gaps = [b - a for a, b in zip(times, times[1:])]
+    # The prefix ends after the last gap that breaks the period n.
+    prefix = max((i + 1 for i in range(len(gaps) - n) if gaps[i] != gaps[i + n]), default=0)
+    assert prefix <= states
+    assert any(gaps[p:p + n] == cycle for p in range(prefix, prefix + n))
+
+
+@settings(max_examples=100, deadline=None)
+@given(routes())
+def test_fixed_issue_warns_exactly_when_a_multiple_is_forbidden(route):
+    vector = vector_of(route)
+    length = len(route)
+    forbidden = forbidden_by_differences(route)
+    for k in range(1, length + 1):
+        collisions = [m for m in range(k, length, k) if m in forbidden]
+        expected = (
+            (f"fixed issue interval {k} collides with forbidden latency "
+             f"{collisions[0]}; expect structural stalls",)
+            if collisions else ()
+        )
+        assert issue_warnings(ps.IssueSpec.fixed(k), vector) == expected
+    assert issue_warnings(ps.IssueSpec.greedy(), vector) == ()
+    assert issue_warnings(ps.IssueSpec.eager(), vector) == ()
+
+
+def test_issue_times_of_each_kind(looped_route):
+    vector = vector_of(looped_route)
+    assert list(islice(issue_times(ps.IssueSpec.fixed(3), vector), 4)) == [0, 3, 6, 9]
+    assert list(islice(issue_times(ps.IssueSpec.greedy(), vector), 4)) == [0, 4, 8, 12]
+    assert list(issue_times(ps.IssueSpec.eager(), vector)) == []
 
 
 # -- composite report -------------------------------------------------------

@@ -128,7 +128,10 @@ def test_run_fixed_forbidden_interval_warns(write_file, capsys):
         "--format", "json-like",
     )
     assert code == 0
-    assert "warning" in err and "forbidden" in err
+    assert err == (
+        "warning: fixed issue interval 2 collides with forbidden latency 2; "
+        "expect structural stalls\n"
+    )
     payload = json.loads(out)
     assert payload["stats"]["total_stalls"] > 0
 
