@@ -6,10 +6,8 @@ when S is a member of step i.  From the table this module derives
 * the forbidden latency set: issue-time differences that would make two
   transactions demand the same stage in the same cycle,
 * the collision vector over latencies 1..L-1,
-* the greedy issue cycle,
-* the minimal average latency (MAL), the best sustainable issue rate, and
-* the issue times of an issue policy, with the warning for a fixed interval
-  that collides with a forbidden latency.
+* the greedy issue cycle and the issue times of each issue policy, and
+* the minimal average latency (MAL), the best sustainable issue rate.
 
 MAL is computed exactly, as the minimum mean cycle of the collision-state
 graph.  States are collision vectors reachable from the initial vector under
@@ -203,11 +201,7 @@ class IssueCycle(Value):
 
 def _initial_state(vector: CollisionVector) -> int:
     """The collision vector as an int: bit ``d`` set when latency ``d`` is forbidden."""
-    state = 0
-    for d in range(1, vector.length):
-        if vector.bits[d - 1]:
-            state |= 1 << d
-    return state
+    return sum(1 << d for d, forbidden in enumerate(vector.bits, 1) if forbidden)
 
 
 def _state_graph(vector: CollisionVector):
@@ -463,13 +457,9 @@ def _find_cycle(adj: list[list[tuple[int, int]]], n: int):
 
 
 def issue_times(issue: IssueSpec, vector: CollisionVector) -> Iterator[int]:
-    """The issue time of each input in turn, from an empty pipeline.
-
-    ``fixed:k`` issues every k; greedy adds up the latencies of the greedy
-    walk over ``vector``.  Eager issue has no schedule and yields nothing:
-    each input enters when the entry accepts it.  Latencies count route
-    steps, so the times are ns only when every stage has delay 1.
-    """
+    """Each input's issue time: every k under ``fixed:k``, the greedy walk's
+    running sum under greedy, and none under eager.  Latencies count route
+    steps, so the times are ns only when every stage has delay 1."""
     if issue.kind == "fixed":
         return count(0, issue.interval)
     if issue.kind == "greedy":
@@ -478,12 +468,9 @@ def issue_times(issue: IssueSpec, vector: CollisionVector) -> Iterator[int]:
 
 
 def issue_warnings(issue: IssueSpec, vector: CollisionVector) -> tuple[str, ...]:
-    """The warning for the first issue time below L that is forbidden from issue 0.
-
-    Under ``fixed:k`` that is the smallest multiple of k that is a forbidden
-    latency.  Greedy times are permissible by construction and eager issue
-    has none, so neither warns.
-    """
+    """A warning naming the first issue time below L that is a forbidden
+    latency from issue 0: under ``fixed:k``, the smallest forbidden multiple
+    of k.  Greedy times are permissible by construction; eager has none."""
     for time in islice(issue_times(issue, vector), 1, None):
         if time >= vector.length:
             break

@@ -184,10 +184,8 @@ def _cmd_run(args) -> int:
     inputs = _parse_inputs(args.inputs)
     if args.issue is not None:
         issue = _parse_issue(args.issue)
-    elif setup.issue is not None:
-        issue = setup.issue
     else:
-        issue = IssueSpec.greedy()
+        issue = setup.issue or IssueSpec.greedy()
     checked = validate_config(route, setup.configs, join=setup.join)
     netlist = elaborate(route, setup.decls, checked)
     return run_and_report(

@@ -259,13 +259,7 @@ def parse_pipeline_text(text: str) -> PipelineSetup:
                 parser.fail("exec must be 'loop' or 'reactive'", value.position)
             exec_kind = ExecKind(value.text)
 
-        configs[stage] = StageConfig(
-            stage=stage,
-            function=function,
-            timing=timing,
-            channels=channels,
-            exec=exec_kind,
-        )
+        configs[stage] = StageConfig(stage, function, timing, channels, exec_kind)
 
     pipelines: dict[str, PipeExpr] = {}
     routes: dict[str, Route] = {}

@@ -351,11 +351,8 @@ class JoinSpec(Value):
         return JoinSpec(kind="custom", expr=expression)
 
     def merger(self) -> Callable[[tuple[float, float, float]], float]:
-        """The merge as one call on an (orig, dataL, dataR) tuple.
-
-        A run resolves it when it builds: a custom expression compiles then,
-        once, and the run calls its code directly.
-        """
+        """The merge as one call on an (orig, dataL, dataR) tuple; a custom
+        expression compiles here, once, and is its own compiled code."""
         if self.kind == "left":
             return itemgetter(1)
         if self.kind == "right":

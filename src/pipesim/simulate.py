@@ -225,7 +225,6 @@ class _Runtime:
     def __init__(self, engine: Engine, netlist: Netlist, checked: CheckedConfig):
         self.engine = engine
         self.netlist = netlist
-        self.checked = checked
         self.route = netlist.route
         self._edges = {(e.src, e.dst) for e in netlist.edges}
         self._severed: dict[tuple[str, str], SeveredChannel] = {}
@@ -520,12 +519,11 @@ def _router_port_method(rt: _Runtime, router: RouterNode, queue: QueueChannel):
 def _issue_method(rt: _Runtime, values: Sequence[float], times: Iterator[int]):
     """Build the resume callable of the issue process's method process.
 
-    ``times`` holds the issue ns of each input in turn (see
-    :func:`.analysis.issue_times`).  An input with an issue time first sleeps
-    until it, when that is in the future, then one delta more; an input past
-    the end of ``times`` goes at once.  Its transaction then writes a copy
-    into each entry stage's input in stage order, parking on a busy latch.
-    The call that injects the last input finishes the process.
+    ``times`` are the inputs' issue ns (:func:`.analysis.issue_times`).  An
+    input with a time first sleeps until it, if it is ahead, then one delta
+    more; an input past the end of ``times`` goes at once.  Its transaction
+    then writes a copy into each entry stage's input in stage order, parking
+    on a busy latch.  The call that injects the last input finishes the process.
     """
     engine = rt.engine
     sleep = engine.sleep
