@@ -270,6 +270,38 @@ def test_horizon_stops_before_later_events():
     assert reached == [3]
 
 
+def same_ns_dispatches(*horizons):
+    """Dispatches of timed events that land on 5 ns from 0, 2 and 3 ns.
+
+    The engine first runs up to each of ``horizons`` in turn, then to the
+    end.  Returns each resume as (name, ns, delta) and each run's result.
+    """
+    engine = Engine()
+    log = []
+
+    def logged(name):
+        return lambda: log.append((name, engine.ns, engine.delta))
+
+    sleeper(engine, "a", [5, 1], logged("a"))  # 0 -> 5 -> 6
+    sleeper(engine, "b", [3, 2, 0], logged("b"))  # 0 -> 3 -> 5 -> 5+1d
+    sleeper(engine, "c", [2, 3, 1], logged("c"))  # 0 -> 2 -> 5 -> 6
+    stopped = [engine.run(horizon_ns=h) for h in horizons] + [engine.run()]
+    return log, stopped
+
+
+@pytest.mark.parametrize("horizons", [(4,), (3, 4), (0, 2, 5), (5,)])
+def test_a_run_resumed_after_its_horizon_dispatches_as_one_run(horizons):
+    whole, _ = same_ns_dispatches()
+    assert whole[3:] == [
+        ("c", 2, 0), ("b", 3, 0),
+        ("a", 5, 0), ("c", 5, 0), ("b", 5, 0), ("b", 5, 1),
+        ("a", 6, 0), ("c", 6, 0),
+    ]  # 5 ns, reached from 0, 2 and 3 ns, keeps the order of the sleeps
+    resumed, stopped = same_ns_dispatches(*horizons)
+    assert resumed == whole
+    assert stopped == [True] * len(horizons) + [False]
+
+
 def test_quiesced_hook_raises_deadlock():
     engine = Engine()
     channel = BlockingChannel("c", engine)
