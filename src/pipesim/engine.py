@@ -18,24 +18,25 @@ collections:
 
 - a FIFO of the processes runnable in the current delta phase;
 - a list of the processes woken for the next delta phase;
-- a heap of (ns, sequence, process) entries for timed events only.
+- one list of timed events per nanosecond, and a heap of those nanoseconds.
 
 Within one (ns, delta) phase the dispatch order is the schedule order, which
 is the order processes were appended.  Delta d + 1 of a nanosecond runs right
 after delta d, because nothing else can land at that nanosecond in between.
-The timed events of the next nanosecond all sit at delta 0 and leave the heap
-together, in schedule order.  SimPy's ``Environment``
+The timed events of the next nanosecond all sit at delta 0 and become the
+next phase together, in schedule order.  SimPy's ``Environment``
 (https://simpy.readthedocs.io) keeps one heap of (time, priority, id, event);
-splitting off the delta phases keeps most resumes out of the heap.
+splitting off the delta phases and each nanosecond's list keeps most resumes
+out of the heap.
 
 A channel has at most one parked reader, and wakes and parks it inline, with
 no helper call per hop.  The ``try_read``/``try_peek`` that returns BLOCKED
-parks the reader, asserting that no other process is parked there ("two
-readers").  A write that gives the channel a value wakes that reader onto
-the engine's next-delta list, exactly as :meth:`Engine.wake` does and under
-the same "scheduled twice" assert.  A blocked writer is woken through
-:meth:`Engine.wake`, and only when a read or consume frees a slot that
-writers wait for.
+parks the reader, and so does every ``take``, asserting that no other
+process is parked there ("two readers").  A write that gives the channel a
+value wakes that reader onto the engine's next-delta list, exactly as
+:meth:`Engine.wake` does and under the same "scheduled twice" assert.  A
+blocked writer is woken through :meth:`Engine.wake`, and only when a read
+or consume frees a slot that writers wait for.
 
 The channels count the effects of the communication policy themselves: a
 :class:`BlockingChannel` counts the writes it refuses in ``stalls``, and a
@@ -161,13 +162,14 @@ class Engine:
     The current instant is the two ints ``ns`` and ``delta``; ``now`` builds
     a :class:`SimTime` from them for callers that want one.  ``resumes``
     counts processes resumed and ``timed`` counts timed events scheduled
-    (heap pushes); both only grow.
+    (positive sleeps); both only grow.
     """
 
     def __init__(self):
         self._runnable: deque[Process] = deque()  # the current delta phase
         self._woken: list[Process] = []  # the next delta phase
-        self._timed: list[tuple[int, int, Process]] = []  # (ns, seq, proc)
+        self._timed: list[int] = []  # heap of the ns that have timed events
+        self._at: dict[int, list[Process]] = {}  # each such ns's events, in schedule order
         self.ns = 0
         self.delta = 0
         self.processes: list[Process] = []
@@ -201,8 +203,8 @@ class Engine:
     def sleep(self, proc: Process, ns: int) -> None:
         """Schedule ``proc`` ``ns`` after the current instant.
 
-        A positive ``ns`` is a timed event on the heap; 0 wakes ``proc`` one
-        delta later at the current nanosecond.
+        A positive ``ns`` is a timed event, appended to the list of its
+        nanosecond; 0 wakes ``proc`` one delta later at the current nanosecond.
         """
         if ns <= 0:
             proc.until = self.ns
@@ -211,8 +213,13 @@ class Engine:
         assert not proc.scheduled, f"{proc.name} scheduled twice"
         proc.scheduled = True
         proc.until = ns = self.ns + ns
-        self.timed += 1  # also the entry's schedule sequence
-        heappush(self._timed, (ns, self.timed, proc))
+        self.timed += 1
+        at = self._at
+        if ns in at:
+            at[ns].append(proc)
+        else:
+            at[ns] = [proc]
+            heappush(self._timed, ns)
 
     def run(
         self,
@@ -225,7 +232,7 @@ class Engine:
         message means work was still pending and is raised as a deadlock
         diagnostic.
         """
-        runnable, woken, timed = self._runnable, self._woken, self._timed
+        runnable, woken, timed, at = self._runnable, self._woken, self._timed, self._at
         popleft = runnable.popleft
         resumes = self.resumes
         try:
@@ -240,13 +247,13 @@ class Engine:
                     woken.clear()
                     self.delta += 1
                 elif timed:
-                    ns = timed[0][0]
+                    ns = timed[0]
                     if horizon_ns is not None and ns > horizon_ns:
                         return True
+                    heappop(timed)
                     self.ns = ns
                     self.delta = 0
-                    while timed and timed[0][0] == ns:
-                        runnable.append(heappop(timed)[2])
+                    runnable.extend(at.pop(ns))
                 else:
                     break
         finally:
@@ -270,7 +277,9 @@ class ChannelBase:
 
     Each kind defines ``try_read(proc)``, which returns the next value, or
     BLOCKED after parking ``proc`` as the reader, and ``try_write(proc,
-    value)``, which returns whether the channel took the value.
+    value)``, which returns whether the channel took the value.  On a stage
+    output, ``take(proc)`` is a ``try_read`` that parks ``proc`` even after
+    returning a value, for a reader that only this channel's writes wake.
     ``stalls`` counts the writes it refused and ``dropped`` lists the values
     it overwrote unread; a channel kind that does neither keeps these
     defaults.
@@ -320,6 +329,15 @@ class BlockingChannel(ChannelBase):
         assert self._reader in (None, proc), f"channel {self.name} has two readers"
         self._reader = proc
         return BLOCKED
+
+    def take(self, proc: Process) -> object:
+        value = self.slot
+        self.slot = None
+        if value is not None and self._writers:
+            self._grant_next_writer()
+        assert self._reader in (None, proc), f"channel {self.name} has two readers"
+        self._reader = proc
+        return BLOCKED if value is None else value
 
     def try_peek(self, proc: Process) -> object:
         value = self.slot
@@ -386,6 +404,13 @@ class SignalChannel(ChannelBase):
         self._reader = proc
         return BLOCKED
 
+    def take(self, proc: Process) -> object:
+        value = self.value if self.fresh else BLOCKED
+        self.fresh = False
+        assert self._reader in (None, proc), f"channel {self.name} has two readers"
+        self._reader = proc
+        return value
+
     def try_write(self, proc: Process, value) -> bool:
         if self.fresh:
             self.dropped.append(self.value)
@@ -419,32 +444,21 @@ class SeveredChannel(ChannelBase):
 
 
 class QueueChannel(ChannelBase):
-    """Unbounded FIFO for router-internal plumbing; writes never block.
+    """Unbounded FIFO of a router's (write, value) deliveries; ``put`` never blocks.
 
     A router must keep servicing its input even while a destination latch is
     busy, otherwise feedback routes could close a circular wait.  Its pending
-    deliveries therefore queue here and a dedicated output-port process drains
-    them; that process is the one that suspends (and records the stall) when
-    a stage's input latch is occupied.
+    deliveries therefore queue here and the output-port process that
+    :meth:`drainer` builds writes them; that process is the one that suspends
+    (and records the stall) when a stage's input latch is occupied.
     """
 
     def __init__(self, name: str, engine: Engine):
         super().__init__(name, engine)
         self.items: deque = deque()
 
-    def try_read(self, proc: Process) -> object:
-        if self.items:
-            return self.items.popleft()
-        assert self._reader in (None, proc), f"channel {self.name} has two readers"
-        self._reader = proc
-        return BLOCKED
-
-    def try_write(self, proc: Process, value) -> bool:
-        self.put(value)
-        return True
-
     def put(self, value) -> None:
-        """Append ``value``; a writer that never blocks may call this directly."""
+        """Append ``value``, waking the port if it is parked on the empty queue."""
         self.items.append(value)
         reader = self._reader
         if reader is not None:
@@ -452,3 +466,30 @@ class QueueChannel(ChannelBase):
             reader.scheduled = True
             self._reader = None
             self._woken.append(reader)
+
+    def drainer(self) -> Callable[[Process], None]:
+        """Build the resume callable of the port process that drains the queue.
+
+        A resume retries a refused write, then writes the queued deliveries
+        in one loop, parking on a refused write or else on the empty queue.
+        """
+        read = Read(self)
+        items = self.items
+        popleft = items.popleft
+        held = None  # the value of a refused write
+
+        def resume(proc):
+            nonlocal held
+            pending = proc.pending
+            if type(pending) is Write and not pending.channel.try_write(proc, held):
+                return
+            while items:
+                write, held = popleft()
+                if not write.channel.try_write(proc, held):
+                    proc.pending = write
+                    return
+            proc.pending = read
+            assert self._reader in (None, proc), f"channel {self.name} has two readers"
+            self._reader = proc
+
+        return resume

@@ -5,8 +5,10 @@ peeks its input channel, applies its function, waits out its timing model,
 consumes the input, advances the transaction's step counter, and writes its
 output.  The router on a stage's output looks the transaction up in its table
 by the step just completed and forwards it, duplicating on forks, collecting
-and merging branch copies at joins, and retiring transactions at the exit;
-its port process writes each delivery into the next stage's input.  The
+and merging branch copies at joins, and retiring transactions at the exit.
+It takes one transaction per resume, and puts each delivery on the queue
+(:class:`.QueueChannel`) that its port process drains into the next stage's
+input; a put wakes the port only when it is parked on the empty queue.  The
 issue process injects fresh transactions at the entry router according to
 the issue policy.
 
@@ -113,13 +115,7 @@ class Transaction(Value):
         self.branch = branch
 
     def copy_for(self, branch: StageId) -> "Transaction":
-        return Transaction(
-            id=self.id,
-            orig=self.orig,
-            data=self.data,
-            step=self.step,
-            branch=branch,
-        )
+        return Transaction(self.id, self.orig, self.data, self.step, branch)
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +253,7 @@ class _Runtime:
         return [*self.in_channels.values(), *self.out_channels.values()]
 
     def new_transaction(self, value: float) -> Transaction:
-        txn = Transaction(id=len(self.orig), orig=float(value), data=0.0)
+        txn = Transaction(len(self.orig), float(value), 0.0)
         self.orig[txn.id] = txn.orig
         self.data[txn.id] = txn.data
         self.injected_at[txn.id] = None
@@ -447,71 +443,44 @@ def _stage_method(rt: _Runtime, cfg: StageConfig):
 def _router_method(rt: _Runtime, router: RouterNode, queue: QueueChannel):
     """Build the resume callable of a router's method process, which never sleeps.
 
-    It drains the stage's output channel and queues each delivery; the
-    router's port process does the blocking write into the stage latch.
-    Each completed step's table entry is resolved once, to its targets and
-    whether the step is a join.
+    Each resume takes the transaction whose write to the stage's output woke
+    it and queues its deliveries; the port process does the blocking writes.
+    Each completed step's table entry is resolved once, to its targets,
+    whether the step is a join, and its one (stage, write) pair if any.
     """
     out_ch = rt.out_channels[router.stage]
     read = Read(out_ch)
     steps = rt.route.steps
-    table = {
-        step: (rt.targets(router.name, dests), len(steps[step]) > 1)
-        for step, dests in router.table.entries.items()
-    }
+    table = {}
+    for step, dests in router.table.entries.items():
+        targets = rt.targets(router.name, dests)
+        single = targets[0] if targets is not EXIT and len(targets) == 1 else None
+        table[step] = (targets, len(steps[step]) > 1, single)
     put = queue.put
 
     def resume(proc):
-        while True:
-            txn = out_ch.try_read(proc)
-            if txn is BLOCKED:
-                proc.pending = read
-                return
-            completed = txn.step - 1
-            entry = table.get(completed)
-            if entry is None:
-                raise RoutingFault(
-                    f"router {router.name}: no routing entry for completed step "
-                    f"{completed} (transaction {txn.id})"
-                )
-            targets, is_join = entry
-            if is_join:
-                txn = rt.collect_join(txn, completed)
-                if txn is None:
-                    continue
-            if targets is not EXIT and len(targets) == 1:
-                ((txn.branch, write),) = targets
-                put((write, txn))
-            else:
-                for delivery in rt.forward(txn, targets):
-                    put(delivery)
-
-    return resume
-
-
-def _router_port_method(rt: _Runtime, router: RouterNode, queue: QueueChannel):
-    """Build the resume callable of a router port's method process.
-
-    It drains the router's pending deliveries, one blocking write at a time;
-    it is the only process that suspends on a busy stage latch.
-    """
-    read = Read(queue)
-    held = None  # the transaction of a blocked write
-
-    def resume(proc):
-        nonlocal held
-        pending = proc.pending
-        if type(pending) is Write and not pending.channel.try_write(proc, held):
+        txn = out_ch.take(proc)
+        if txn is BLOCKED:  # only the first resume: any later one follows a write
+            proc.pending = read
             return
-        while True:
-            delivery = queue.try_read(proc)
-            if delivery is BLOCKED:
-                proc.pending = read
+        completed = txn.step - 1
+        try:
+            targets, is_join, single = table[completed]
+        except KeyError:
+            raise RoutingFault(
+                f"router {router.name}: no routing entry for completed step "
+                f"{completed} (transaction {txn.id})"
+            ) from None
+        if is_join:
+            txn = rt.collect_join(txn, completed)
+            if txn is None:
                 return
-            write, held = delivery
-            if not write.channel.try_write(proc, held):
-                proc.pending = write
-                return
+        if single is not None:
+            txn.branch, write = single
+            put((write, txn))
+        else:
+            for delivery in rt.forward(txn, targets):
+                put(delivery)
 
     return resume
 
@@ -607,20 +576,15 @@ def run(
     for router in netlist.routers[1:]:
         queue = QueueChannel(f"{router.name}.q", engine)
         engine.spawn(router.name, _router_method(rt, router, queue))
-        engine.spawn(f"{router.name}.out", _router_port_method(rt, router, queue))
+        engine.spawn(f"{router.name}.out", queue.drainer())
 
     truncated = engine.run(horizon_ns=horizon_ns, quiesced=rt.quiesced_message)
 
     dropped_ids = rt.dropped_ids()
+    # Positional arguments: keywords cost about twice as much per record.
     records = tuple(
-        TraceRecord(
-            txn_id=i,
-            orig=rt.orig[i],
-            data=rt.data[i],
-            injected_at=rt.injected_at[i],
-            exited_at=rt.exited_at.get(i),
-            dropped=i in dropped_ids,
-        )
+        TraceRecord(i, rt.orig[i], rt.data[i], rt.injected_at[i], rt.exited_at.get(i),
+                    i in dropped_ids)
         for i in sorted(rt.orig)
     )
     trace = Trace(records=records, occupancy_log=tuple(rt.occupancy_log))
