@@ -22,7 +22,7 @@ from .elaborate import Netlist, elaborate, to_dot
 from .engine import DeadlockError
 from .errors import PipelineError
 from .fileformat import PipelineSetup, load_pipeline_file, read_text
-from .policy import CheckedConfig, IssueSpec, validate_config
+from .policy import ISSUE_KINDS, ISSUE_KINDS_TEXT, CheckedConfig, IssueSpec, validate_config
 
 __all__ = ["main", "console_main", "run_and_report"]
 
@@ -107,16 +107,15 @@ def _parse_inputs(spec: str) -> list[float]:
 
 
 def _parse_issue(spec: str) -> IssueSpec:
-    if spec == "greedy":
-        return IssueSpec.greedy()
-    if spec == "eager":
-        return IssueSpec.eager()
-    if spec.startswith("fixed:"):
+    kind, colon, interval = spec.partition(":")
+    if kind == "fixed" and colon:
         try:
-            return IssueSpec.fixed(int(spec.split(":", 1)[1]))
+            return IssueSpec.fixed(int(interval))
         except ValueError:
             raise PipelineError(f"bad fixed issue interval in {spec!r}") from None
-    raise PipelineError(f"unknown issue policy {spec!r}; use greedy, eager or fixed:<k>")
+    if kind in ISSUE_KINDS[:-1] and not colon:
+        return IssueSpec(kind)
+    raise PipelineError(f"unknown issue policy {spec!r}; use {ISSUE_KINDS_TEXT}<k>")
 
 
 def run_and_report(
@@ -143,7 +142,9 @@ def run_and_report(
         print(str(exc), file=err)
         return EXIT_DEADLOCK
     if fmt == "json-like":
-        text, csv = report.run_report_json_and_csv(name, result, analysis_report, issue)
+        text, csv = report.run_report_json_and_csv(
+            name, result, analysis_report, issue, csv=trace_path is not None
+        )
     else:
         text = report.run_report_text(name, result, analysis_report, issue)
         csv = None if trace_path is None else report.trace_to_csv(result.trace)

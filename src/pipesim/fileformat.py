@@ -28,6 +28,8 @@ from ._lex import Cursor, PositionedError, Token, tokenize
 from ._value import Value
 from .errors import PipelineError
 from .policy import (
+    ISSUE_KINDS,
+    ISSUE_KINDS_TEXT,
     ChannelKind,
     ConfigError,
     ExecKind,
@@ -184,8 +186,8 @@ class _FileParser(Cursor):
         self.expect("ident", "issue")
         self.expect("punct", "=")
         value = self.advance()
-        if value.kind != "ident" or value.text not in ("greedy", "eager", "fixed"):
-            self.fail("expected greedy, eager or fixed:<interval>", value.position)
+        if value.kind != "ident" or value.text not in ISSUE_KINDS:
+            self.fail(f"expected {ISSUE_KINDS_TEXT}<interval>", value.position)
         if value.text != "fixed":
             issue = IssueSpec(kind=value.text)
         else:

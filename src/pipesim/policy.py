@@ -383,6 +383,12 @@ class StageConfig(Value):
 # Issue
 
 
+# The issue kinds in the order diagnostics list them; only the last takes an
+# interval, so a diagnostic appends its placeholder to ISSUE_KINDS_TEXT.
+ISSUE_KINDS = ("greedy", "eager", "fixed")
+ISSUE_KINDS_TEXT = f"{', '.join(ISSUE_KINDS[:-1])} or {ISSUE_KINDS[-1]}:"
+
+
 class IssueSpec(Value):
     """When new transactions enter the pipeline.
 
@@ -395,8 +401,8 @@ class IssueSpec(Value):
     interval: int | None
 
     def __init__(self, kind: str, interval: int | None = None):
-        if kind not in ("greedy", "fixed", "eager"):
-            raise ConfigError(f"unknown issue policy {kind!r}; use greedy, eager or fixed:<k>")
+        if kind not in ISSUE_KINDS:
+            raise ConfigError(f"unknown issue policy {kind!r}; use {ISSUE_KINDS_TEXT}<k>")
         if kind == "fixed":
             # A float or bool interval would leak into every issue time and report.
             if interval is not None and (

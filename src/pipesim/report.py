@@ -217,7 +217,8 @@ def run_report_json_and_csv(
     result: RunResult,
     report: AnalysisReport,
     issue: IssueSpec,
-) -> tuple[str, str]:
+    csv: bool = True,
+) -> tuple[str, str | None]:
     """The json-like run report and the CSV trace of a run, from one pass.
 
     The bytes are those of ``canonical(run_report_mapping(...)) + "\n"`` and
@@ -225,16 +226,18 @@ def run_report_json_and_csv(
     each record's ``orig`` and ``data`` once for both rows, and renders the
     ``results`` row from one template with the keys in sorted order.  A
     record whose ``orig`` or ``data`` is not exactly a float renders its
-    ``results`` row through ``canonical``.
+    ``results`` row through ``canonical``.  With ``csv`` false no CSV row is
+    built and the trace is None.
     """
-    csv_rows = [_CSV_HEADER]
+    csv_rows = [_CSV_HEADER] if csv else None
     rows = []
     for rec in result.trace.records:
         orig, data = rec.orig, rec.data
         inject = "" if rec.injected_at is None else str(rec.injected_at.ns)
         exit_ns = "" if rec.exited_at is None else str(rec.exited_at.ns)
         orig_text, data_text = format_real(orig), format_real(data)
-        csv_rows.append(f"{rec.txn_id},{inject},{exit_ns},{orig_text},{data_text}")
+        if csv:
+            csv_rows.append(f"{rec.txn_id},{inject},{exit_ns},{orig_text},{data_text}")
         if type(orig) is float and type(data) is float:
             rows.append(
                 f'    {{\n      "data": {data_text},\n'
@@ -246,7 +249,7 @@ def run_report_json_and_csv(
             rows.append("    " + canonical(_result_mapping(rec), 2))
     results = _Verbatim("[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]")
     mapping = _report_mapping(name, result, report, issue, results)
-    return canonical(mapping) + "\n", "\n".join(csv_rows) + "\n"
+    return canonical(mapping) + "\n", "\n".join(csv_rows) + "\n" if csv else None
 
 
 def run_report_text(

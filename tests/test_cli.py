@@ -301,6 +301,42 @@ def test_run_unwritable_trace_prints_no_report(write_file, capsys, tmp_path):
     assert trace.read_text(encoding="utf-8").startswith("id,inject_ns,exit_ns,orig,data\n")
 
 
+def test_json_report_without_trace_builds_no_csv(write_file, capsys, tmp_path, monkeypatch):
+    path = write_file("looped.pipe", LOOPED)
+    inputs = ",".join(str(i) for i in range(12))
+    traces = []
+    build = cli.report.run_report_json_and_csv
+
+    def recorded(*args, **kwargs):
+        text, csv = build(*args, **kwargs)
+        traces.append(csv)
+        return text, csv
+
+    monkeypatch.setattr(cli.report, "run_report_json_and_csv", recorded)
+    trace = tmp_path / "trace.csv"
+    with_trace = invoke(capsys, "run", path, "--inputs", inputs, "--format", "json-like",
+                        "--trace", str(trace))
+    without = invoke(capsys, "run", path, "--inputs", inputs, "--format", "json-like")
+    assert without == with_trace
+    assert with_trace[0] == 0
+    assert traces == [trace.read_text(encoding="utf-8"), None]
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("slow", "unknown issue policy 'slow'; use greedy, eager or fixed:<k>"),
+    ("fixed", "unknown issue policy 'fixed'; use greedy, eager or fixed:<k>"),
+    ("greedy:2", "unknown issue policy 'greedy:2'; use greedy, eager or fixed:<k>"),
+    ("fixed:x", "bad fixed issue interval in 'fixed:x'"),
+    ("fixed:2:3", "bad fixed issue interval in 'fixed:2:3'"),
+    ("fixed:0", "fixed issue interval must be >= 1, got 0"),
+])
+def test_run_issue_flag_diagnostics(write_file, capsys, spec, message):
+    path = write_file("quad.pipe", QUAD)
+    assert invoke(capsys, "run", path, "--inputs", "1", "--issue", spec) == (
+        1, "", f"error: {message}\n"
+    )
+
+
 # -- elaborate ----------------------------------------------------------------------
 
 
