@@ -31,12 +31,13 @@ out of the heap.
 
 A channel has at most one parked reader, and wakes and parks it inline, with
 no helper call per hop.  The ``try_read``/``try_peek`` that returns BLOCKED
-parks the reader, and so does every ``take``, asserting that no other
-process is parked there ("two readers").  A write that gives the channel a
-value wakes that reader onto the engine's next-delta list, exactly as
-:meth:`Engine.wake` does and under the same "scheduled twice" assert.  A
-blocked writer is woken through :meth:`Engine.wake`, and only when a read
-or consume frees a slot that writers wait for.
+parks the reader, as do every ``take`` and a queue's port on the empty
+queue, asserting that no other process is parked there ("two readers").
+A write that gives the channel a value wakes that reader onto the engine's
+next-delta list, exactly as :meth:`Engine.wake` does and under the same
+"scheduled twice" assert.  A blocked writer is woken through
+:meth:`Engine.wake`, and only when a read or consume frees a slot that
+writers wait for.
 
 The channels count the effects of the communication policy themselves: a
 :class:`BlockingChannel` counts the writes it refuses in ``stalls``, and a
