@@ -462,6 +462,43 @@ MALFORMED_FILES = [
      "line 3, col 9: expected greedy, eager or fixed:<interval>"),
     (_A + "pipeline = A;\nissue = fixed:0;\n",
      "line 3, col 15: fixed issue interval must be >= 1, got 0"),
+    # Stage blocks.
+    ("stage { fn = \"data\"; delay = 1; }\npipeline = A;\n",
+     "line 1, col 7: expected a stage name, got '{'"),
+    ('stage A fn = "data"; delay = 1; }\npipeline = A;\n', "line 1, col 9: expected {, got 'fn'"),
+    ("stage A { 3 = 1; }\npipeline = A;\n",
+     "line 1, col 11: expected a setting name (fn, delay, channel, exec), got '3'"),
+    ('stage A { fn = "data"; delay = 1;',
+     "line 1, col 34: expected a setting name (fn, delay, channel, exec), got end of file"),
+    ('stage A { fn "data"; delay = 1; }\npipeline = A;\n',
+     "line 1, col 14: expected =, got '\"data\"'"),
+    ('stage A { fn = "data" delay = 1; }\npipeline = A;\n', "line 1, col 23: expected ;, got 'delay'"),
+    ('stage A { fn = "data"; delay = 1; fn = "data"; }\npipeline = A;\n',
+     "line 1, col 35: duplicate setting 'fn'"),
+    ('stage A { fn = "data"; delay =', "line 1, col 31: unterminated stage block"),
+    ("stage A { fn = data; delay = 1; }\npipeline = A;\n",
+     "line 1, col 16: fn must be a quoted expression"),
+    ('stage A { fn = "data"; delay = 1; channel = fast; }\npipeline = A;\n',
+     "line 1, col 45: channel must be 'blocking' or 'signal'"),
+    ('stage A { fn = "data"; delay = 1; channel = "signal"; }\npipeline = A;\n',
+     "line 1, col 45: channel must be 'blocking' or 'signal'"),
+    ('stage A { fn = "data"; delay = 1; exec = 2; }\npipeline = A;\n',
+     "line 1, col 42: exec must be 'loop' or 'reactive'"),
+    # File-level settings.
+    (_A + "pipeline = A;\nspeed = 3;\n",
+     "line 3, col 1: expected 'stage', 'pipeline', 'join' or 'issue', got 'speed'"),
+    (_A + "pipeline A;\n", "line 2, col 11: expected =, got ';'"),
+    (_AB + "pipeline = A + B;\njoin = 3;\n",
+     "line 4, col 8: expected left, right, sum or a quoted expression"),
+    (_AB + "pipeline = A + B;\njoin = custom;\n",
+     "line 4, col 8: join must be left, right, sum or a quoted expression"),
+    (_AB + "pipeline = A + B;\njoin left;\n", "line 4, col 6: expected =, got 'left'"),
+    (_AB + "pipeline = A + B;\njoin = sum\n", "line 5, col 1: expected ;, got end of file"),
+    (_AB + "pipeline = A + B;\njoin = sum;\njoin = left;\n", "line 5, col 1: duplicate join setting"),
+    (_A + "pipeline = A;\nissue = fixed;\n", "line 3, col 14: expected :, got ';'"),
+    (_A + "pipeline = A;\nissue greedy;\n", "line 3, col 7: expected =, got 'greedy'"),
+    (_A + "pipeline = A;\nissue = eager;\nissue = greedy;\n",
+     "line 4, col 1: duplicate issue setting"),
 ]
 
 
