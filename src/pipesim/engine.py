@@ -2,7 +2,7 @@
 
 Every process is a method process, the ``SC_METHOD`` kind of IEEE 1666
 SystemC (:meth:`Engine.spawn`): a callable that the engine calls once per
-resume.  It calls the channels' ``try_peek``/``try_read``/``try_write``
+resume.  It calls the channels' ``try_peek``/``take``/``try_write``
 itself, and suspends by returning: parked on a channel, with ``proc.pending``
 set to the request it is blocked on, or after :meth:`Engine.sleep`.
 
@@ -30,14 +30,14 @@ splitting off the delta phases and each nanosecond's list keeps most resumes
 out of the heap.
 
 A channel has at most one parked reader, and wakes and parks it inline, with
-no helper call per hop.  The ``try_read``/``try_peek`` that returns BLOCKED
-parks the reader, as do every ``take`` and a queue's port on the empty
-queue, asserting that no other process is parked there ("two readers").
-A write that gives the channel a value wakes that reader onto the engine's
+no helper call per hop.  A ``try_peek`` that returns BLOCKED parks the
+reader, as do every ``take`` and a queue's port on the empty queue,
+asserting that no other process is parked there ("two readers").  A write
+that gives the channel a value wakes that reader onto the engine's
 next-delta list, exactly as :meth:`Engine.wake` does and under the same
 "scheduled twice" assert.  A blocked writer is woken through
-:meth:`Engine.wake`, and only when a read or consume frees a slot that
-writers wait for.
+:meth:`Engine.wake`, and only when a ``take`` or ``consume`` frees a slot
+that writers wait for.
 
 The channels count the effects of the communication policy themselves: a
 :class:`BlockingChannel` counts the writes it refuses in ``stalls``, and a
@@ -124,7 +124,7 @@ class Write:
         self.channel = channel
 
 
-# What a channel's try_read/try_peek return when the caller must suspend.
+# What a channel's try_peek/take return when the caller must suspend.
 BLOCKED = object()
 
 
@@ -276,14 +276,15 @@ class Engine:
 class ChannelBase:
     """A named channel between processes.
 
-    Each kind defines ``try_read(proc)``, which returns the next value, or
-    BLOCKED after parking ``proc`` as the reader, and ``try_write(proc,
-    value)``, which returns whether the channel took the value.  On a stage
-    output, ``take(proc)`` is a ``try_read`` that parks ``proc`` even after
-    returning a value, for a reader that only this channel's writes wake.
-    ``stalls`` counts the writes it refused and ``dropped`` lists the values
-    it overwrote unread; a channel kind that does neither keeps these
-    defaults.
+    Each kind defines ``try_write(proc, value)``, which returns whether the
+    channel took the value.  A stage's input is read in two calls:
+    ``try_peek(proc)`` returns the next value, or BLOCKED after parking
+    ``proc`` as the reader, and ``consume()`` frees the slot once the stage
+    is done with it.  A stage's output is read with ``take(proc)``, which
+    parks ``proc`` even after returning a value, for a reader that only this
+    channel's writes wake.  ``stalls`` counts the writes it refused and
+    ``dropped`` lists the values it overwrote unread; a channel kind that
+    does neither keeps these defaults.
     """
 
     stalls = 0
@@ -294,10 +295,6 @@ class ChannelBase:
         self.engine = engine
         self._woken = engine._woken  # where a wake-up goes; see the module doc
         self._reader: Process | None = None
-
-    def try_peek(self, proc: Process) -> object:
-        """Like ``try_read``, but a slot keeps the value until ``consume``."""
-        return self.try_read(proc)
 
     def consume(self) -> None:
         """Drain a previously peeked value; a no-op for channels without slots."""
@@ -319,17 +316,6 @@ class BlockingChannel(ChannelBase):
         # so proc is never compared.
         self._writers: list[tuple[int, int, int, Process]] = []
         self.stalls = 0
-
-    def try_read(self, proc: Process) -> object:
-        value = self.slot
-        if value is not None:
-            self.slot = None
-            if self._writers:
-                self._grant_next_writer()
-            return value
-        assert self._reader in (None, proc), f"channel {self.name} has two readers"
-        self._reader = proc
-        return BLOCKED
 
     def take(self, proc: Process) -> object:
         value = self.slot
@@ -397,7 +383,8 @@ class SignalChannel(ChannelBase):
         self.fresh = False
         self.dropped = []
 
-    def try_read(self, proc: Process) -> object:
+    def try_peek(self, proc: Process) -> object:
+        # A signal has no slot to hold: the peek reads the value.
         if self.fresh:
             self.fresh = False
             return self.value
@@ -433,12 +420,7 @@ class SignalChannel(ChannelBase):
 
 
 class SeveredChannel(ChannelBase):
-    """Stands in for a missing netlist edge: never accepts or delivers."""
-
-    def try_read(self, proc: Process) -> object:
-        assert self._reader in (None, proc), f"channel {self.name} has two readers"
-        self._reader = proc
-        return BLOCKED
+    """Stands in for a missing netlist edge: never accepts a write."""
 
     def try_write(self, proc: Process, value) -> bool:
         return False
