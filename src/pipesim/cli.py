@@ -30,6 +30,7 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_DEADLOCK = 2
 EXIT_HORIZON = 3
+_FORMATS = ("text", "json-like")  # of analyze and run reports
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -45,7 +46,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_analyze = sub.add_parser("analyze", help="derive scheduling quantities")
     p_analyze.add_argument("file", help="pipeline definition file")
     p_analyze.add_argument(
-        "--format", choices=("text", "json-like"), default="text", dest="fmt"
+        "--format", choices=_FORMATS, default=_FORMATS[0], dest="fmt"
     )
 
     p_run = sub.add_parser("run", help="simulate transactions through the pipeline")
@@ -55,11 +56,11 @@ def _build_parser() -> argparse.ArgumentParser:
         required=True,
         help="comma separated orig values, or a path to a file of values",
     )
-    p_run.add_argument("--issue", help="greedy, eager, or fixed:<interval>")
+    p_run.add_argument("--issue", help=f"{ISSUE_KINDS_TEXT}<interval>")
     p_run.add_argument("--horizon", type=int, help="stop after this many ns")
     p_run.add_argument("--trace", help="write the CSV transaction trace here")
     p_run.add_argument(
-        "--format", choices=("text", "json-like"), default="text", dest="fmt"
+        "--format", choices=_FORMATS, default=_FORMATS[0], dest="fmt"
     )
     p_run.add_argument("--type", dest="txn_type", help="pipeline name to run")
 
@@ -126,20 +127,16 @@ def run_and_report(
     horizon_ns: int | None,
     name: str,
     fmt: str,
-    out=None,
-    err=None,
     trace_path: str | None = None,
 ) -> int:
     """Execute one run and emit its report; returns the process exit code."""
-    out = out if out is not None else sys.stdout
-    err = err if err is not None else sys.stderr
     analysis_report = analysis.analyze(netlist.route)
     try:
         result = simulate.run(
             netlist, checked, inputs, issue=issue, horizon_ns=horizon_ns
         )
     except DeadlockError as exc:
-        print(str(exc), file=err)
+        print(str(exc), file=sys.stderr)
         return EXIT_DEADLOCK
     if fmt == "json-like":
         text, csv = report.run_report_json_and_csv(
@@ -154,8 +151,8 @@ def run_and_report(
         with open(trace_path, "w", encoding="utf-8") as handle:
             handle.write(csv)
     for warning in result.warnings:
-        print(f"warning: {warning}", file=err)
-    out.write(text)
+        print(f"warning: {warning}", file=sys.stderr)
+    sys.stdout.write(text)
     return EXIT_HORIZON if result.stats.truncated else EXIT_OK
 
 

@@ -15,7 +15,7 @@ from typing import Mapping, Union
 from ._value import Value
 from .dsl import Route, StageId, StageSet
 from .errors import PipelineError
-from .policy import ChannelKind, CheckedConfig
+from .policy import ChannelKind, CheckedConfig, StageConfig
 
 __all__ = [
     "ElaborationError",
@@ -141,7 +141,7 @@ def elaborate(
 
     A stage is instantiated once no matter how often the route reuses it;
     feedback is realized purely by routing.  Edges take their stage's channel
-    kind from ``checked``; without it every stage channel is blocking.
+    kind from ``checked``, or else the :class:`.StageConfig` default.
     """
     if decls is not None:
         for stage in route.stages:
@@ -171,7 +171,7 @@ def elaborate(
     seen: set[tuple[str, str]] = set()
 
     def kind_of(stage: StageId) -> ChannelKind:
-        return ChannelKind.BLOCKING if checked is None else checked.config_of(stage).channels
+        return StageConfig.channels if checked is None else checked.config_of(stage).channels
 
     def add_edge(src: str, dst: str, kind: ChannelKind | None) -> None:
         if (src, dst) not in seen:

@@ -9,12 +9,12 @@ and issue policies::
     stage S3 { fn = "data - 7";           delay = 1; }
     pipeline = S1 >> S2 >> S3;
 
-Stage blocks accept optional ``channel = blocking|signal;`` and
-``exec = loop|reactive;`` settings, and ``delay = untimed;`` selects the
+Stage blocks accept optional ``channel`` and ``exec`` settings, worded as
+:class:`.ChannelKind` and :class:`.ExecKind`; ``delay = untimed;`` selects the
 untimed model.  Multi-function pipelines repeat ``pipeline <name> = ...;``
-with distinct names.  ``join = left|right|sum|"<expr>";`` configures fork
-merging and ``issue = greedy|eager|fixed:<k>;`` the default issue policy.
-Comments run from a ``#`` outside a quoted string to end of line.
+with distinct names.  ``join`` (:data:`.JOIN_KINDS`, or a quoted expression)
+merges forks and ``issue`` (:data:`.ISSUE_KINDS`) sets the default issue
+policy.  Comments run from a ``#`` outside a quoted string to end of line.
 """
 
 from __future__ import annotations
@@ -30,6 +30,8 @@ from .errors import PipelineError
 from .policy import (
     ISSUE_KINDS,
     ISSUE_KINDS_TEXT,
+    JOIN_KINDS,
+    JOIN_KINDS_TEXT,
     ChannelKind,
     ConfigError,
     ExecKind,
@@ -73,6 +75,12 @@ class PipelineSetup(Value):
     join: JoinSpec | None
     issue: IssueSpec | None
 
+
+# The settings a stage block may give, in the order diagnostics list them; a
+# kind setting names a word of the policy enum that sets its StageConfig field.
+_KIND_SETTINGS = {"channel": ("channels", ChannelKind), "exec": ("exec", ExecKind)}
+_STAGE_SETTINGS = ("fn", "delay", *_KIND_SETTINGS)
+_JOIN_WORDS = f"{JOIN_KINDS_TEXT} or a quoted expression"  # what a join setting gives
 
 # A comment is tried after a string, so a '#' inside quotes stays in the string.
 # Kinds a pipeline expression uses are named as in the expression lexer.
@@ -138,8 +146,8 @@ class _FileParser(Cursor):
         self.expect("punct", "{")
         settings: dict[str, Token] = {}
         while not self.at("punct", "}"):
-            key = self.expect("ident", what="a setting name (fn, delay, channel, exec)")
-            if key.text not in ("fn", "delay", "channel", "exec"):
+            key = self.expect("ident", what=f"a setting name ({', '.join(_STAGE_SETTINGS)})")
+            if key.text not in _STAGE_SETTINGS:
                 self.fail(f"unknown stage setting {key.text!r}", key.position)
             if key.text in settings:
                 self.fail(f"duplicate setting {key.text!r}", key.position)
@@ -178,7 +186,7 @@ class _FileParser(Cursor):
         self.expect("punct", "=")
         value = self.advance()
         if value.kind not in ("ident", "string"):
-            self.fail("expected left, right, sum or a quoted expression", value.position)
+            self.fail(f"expected {_JOIN_WORDS}", value.position)
         self.expect("punct", ";")
         return value
 
@@ -247,21 +255,18 @@ def parse_pipeline_text(text: str) -> PipelineSetup:
         else:
             parser.fail("delay must be an integer or 'untimed'", value.position)
 
-        channels = ChannelKind.BLOCKING
-        if "channel" in settings:
-            value = settings["channel"]
-            if value.kind != "ident" or value.text not in ("blocking", "signal"):
-                parser.fail("channel must be 'blocking' or 'signal'", value.position)
-            channels = ChannelKind(value.text)
-
-        exec_kind = ExecKind.LOOP
-        if "exec" in settings:
-            value = settings["exec"]
-            if value.kind != "ident" or value.text not in ("loop", "reactive"):
-                parser.fail("exec must be 'loop' or 'reactive'", value.position)
-            exec_kind = ExecKind(value.text)
-
-        configs[stage] = StageConfig(stage, function, timing, channels, exec_kind)
+        # Only the kinds the block gives: StageConfig holds the defaults.
+        kinds = {}
+        for name, (field, cls) in _KIND_SETTINGS.items():
+            if name in settings:
+                value, words = settings[name], [kind.value for kind in cls]
+                if value.kind != "ident" or value.text not in words:
+                    parser.fail(f"{name} must be {' or '.join(map(repr, words))}", value.position)
+                kinds[field] = cls(value.text)
+        try:
+            configs[stage] = StageConfig(stage, function, timing, **kinds)
+        except ConfigError as exc:
+            parser.fail(str(exc), name_token.position)
 
     pipelines: dict[str, PipeExpr] = {}
     routes: dict[str, Route] = {}
@@ -284,13 +289,10 @@ def parse_pipeline_text(text: str) -> PipelineSetup:
                 join = JoinSpec.custom(_unquote(join_token.text))
             except FunctionParseError as exc:
                 parser.fail(f"in join expression: {exc}", join_token.position)
-        elif join_token.text in ("left", "right", "sum"):
+        elif join_token.text in JOIN_KINDS[:-1]:
             join = JoinSpec(kind=join_token.text)
         else:
-            parser.fail(
-                "join must be left, right, sum or a quoted expression",
-                join_token.position,
-            )
+            parser.fail(f"join must be {_JOIN_WORDS}", join_token.position)
 
     return PipelineSetup(
         decls=decls,

@@ -245,15 +245,17 @@ class FunctionSpec(Value):
         return compiled.evaluator() if type(compiled) is _Code else compiled
 
 
-def parse_function(source: str, variables: Sequence[str] = ("orig", "data")) -> FunctionSpec:
+# A stage function is called as ``function(orig, data)``: a FunctionSpec over
+# _STAGE_VARIABLES, or any callable.  A custom join is over _JOIN_VARIABLES.
+_STAGE_VARIABLES = ("orig", "data")
+_JOIN_VARIABLES = ("orig", "dataL", "dataR")
+StageFunction = Union[FunctionSpec, Callable[[float, float], float]]
+
+
+def parse_function(source: str, variables: Sequence[str] = _STAGE_VARIABLES) -> FunctionSpec:
     """Parse a function expression; the default variable set is a stage's."""
     compiled = _FnParser(source, variables).parse()
     return FunctionSpec(source=source, variables=tuple(variables), compiled=compiled)
-
-
-# A stage function is called as ``function(orig, data)``: a parsed
-# FunctionSpec over the default variables, or any callable.
-StageFunction = Union[FunctionSpec, Callable[[float, float], float]]
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +313,9 @@ class ExecKind(enum.Enum):
 # Join
 
 
-_JOIN_VARIABLES = ("orig", "dataL", "dataR")
+# As with ISSUE_KINDS, only the last kind takes an argument: an expression.
+JOIN_KINDS = ("left", "right", "sum", "custom")
+JOIN_KINDS_TEXT = ", ".join(JOIN_KINDS[:-1])
 
 
 class JoinSpec(Value):
@@ -322,14 +326,21 @@ class JoinSpec(Value):
     folding left to right.
     """
 
-    kind: str  # left | right | sum | custom
+    kind: str  # one of JOIN_KINDS
     expr: FunctionSpec | None
 
     def __init__(self, kind: str, expr: FunctionSpec | None = None):
-        if kind not in ("left", "right", "sum", "custom"):
-            raise ConfigError(f"unknown join {kind!r}; use left, right, sum or custom")
-        if kind == "custom" and expr is None:
+        if kind not in JOIN_KINDS:
+            raise ConfigError(f"unknown join {kind!r}; use {JOIN_KINDS_TEXT} or {JOIN_KINDS[-1]}")
+        if kind != "custom":
+            if expr is not None:
+                raise ConfigError(f"a {kind} join takes no expression, got {expr!r}")
+        elif expr is None:
             raise ConfigError("a custom join needs an expression")
+        elif not isinstance(expr, FunctionSpec) or expr.variables != _JOIN_VARIABLES:
+            raise ConfigError(
+                f"a custom join needs a function of {', '.join(_JOIN_VARIABLES)}, got {expr!r}"
+            )
         super().__init__(kind, expr)
 
     @staticmethod
@@ -370,13 +381,33 @@ class JoinSpec(Value):
 
 
 class StageConfig(Value):
-    """Complete behavioral configuration of one stage."""
+    """Complete behavioral configuration of one stage; the class attributes
+    are the defaults.  Each field is checked when built (:class:`ConfigError`)."""
 
     stage: StageId
     function: StageFunction
     timing: TimingSpec = TimingSpec(delay=1)
     channels: ChannelKind = ChannelKind.BLOCKING
     exec: ExecKind = ExecKind.LOOP
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        if not isinstance(self.stage, StageId):
+            raise ConfigError(f"a stage configuration needs a StageId, got {self.stage!r}")
+        where = f"stage {self.stage.name!r}"
+        for field, cls in (("timing", TimingSpec), ("channels", ChannelKind), ("exec", ExecKind)):
+            value = getattr(self, field)
+            if not isinstance(value, cls):
+                raise ConfigError(f"{where}: {field} {value!r} is not of type {cls.__name__}")
+        function = self.function
+        if not callable(function) or (
+            isinstance(function, FunctionSpec) and function.variables != _STAGE_VARIABLES
+        ):
+            raise ConfigError(f"{where}: function must take (orig, data), got {function!r}")
+        if self.exec is ExecKind.REACTIVE and self.channels is not ChannelKind.SIGNAL:
+            raise ConfigError(f"{where}: reactive execution requires signal channels")
+        if self.exec is ExecKind.REACTIVE and self.timing.delay:
+            raise ConfigError(f"{where}: reactive execution cannot delay (got {self.timing})")
 
 
 # ---------------------------------------------------------------------------
@@ -411,6 +442,8 @@ class IssueSpec(Value):
                 raise ConfigError(f"fixed issue interval must be an integer, got {interval!r}")
             if interval is None or interval < 1:
                 raise ConfigError(f"fixed issue interval must be >= 1, got {interval}")
+        elif interval is not None:
+            raise ConfigError(f"the {kind} issue policy takes no interval, got {interval!r}")
         super().__init__(kind, interval)
 
     @staticmethod
@@ -452,10 +485,10 @@ def validate_config(
 ) -> CheckedConfig:
     """Check a set of stage configs against a route.
 
-    Raises :class:`ConfigError` for a missing or duplicate stage config, a
-    reactive stage with blocking channels or a positive delay, or a fork
-    without a join spec.  Returns the checked configuration together with
-    non-fatal warnings.
+    Raises :class:`ConfigError` for a missing or duplicate stage config, or a
+    fork without a join spec; each :class:`StageConfig` checked itself when
+    it was built.  Returns the checked configuration together with non-fatal
+    warnings.
     """
     if not isinstance(configs, Mapping):
         table: dict[StageId, StageConfig] = {}
@@ -476,16 +509,6 @@ def validate_config(
             raise ConfigError(
                 f"configuration keyed by {stage.name!r} describes {cfg.stage.name!r}"
             )
-        if cfg.exec is ExecKind.REACTIVE:
-            if cfg.channels is not ChannelKind.SIGNAL:
-                raise ConfigError(
-                    f"stage {stage.name!r}: reactive execution requires signal channels"
-                )
-            if not cfg.timing.is_untimed and cfg.timing.delay > 0:
-                raise ConfigError(
-                    f"stage {stage.name!r}: reactive execution cannot delay "
-                    f"(got {cfg.timing})"
-                )
 
     warnings: list[str] = []
     fork_steps = route.fork_steps()

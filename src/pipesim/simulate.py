@@ -62,6 +62,7 @@ from .errors import PipelineError
 from .policy import (
     ChannelKind,
     CheckedConfig,
+    ConfigError,
     ExecKind,
     FunctionEvalError,
     FunctionSpec,
@@ -239,14 +240,10 @@ class _Runtime:
         self.in_channels: dict[StageId, ChannelBase] = {}
         self.out_channels: dict[StageId, ChannelBase] = {}
         for stage in netlist.stages:
-            kind = checked.config_of(stage).channels
-            self.in_channels[stage] = self._make_channel(f"{stage.name}.in", kind)
-            self.out_channels[stage] = self._make_channel(f"{stage.name}.out", kind)
-
-    def _make_channel(self, name: str, kind: ChannelKind) -> ChannelBase:
-        if kind is ChannelKind.SIGNAL:
-            return SignalChannel(name, self.engine)
-        return BlockingChannel(name, self.engine)
+            signal = checked.config_of(stage).channels is ChannelKind.SIGNAL
+            make = SignalChannel if signal else BlockingChannel
+            self.in_channels[stage] = make(f"{stage.name}.in", engine)
+            self.out_channels[stage] = make(f"{stage.name}.out", engine)
 
     def channels(self) -> list[ChannelBase]:
         """The stage channels, inputs then outputs, in stage order."""
@@ -291,11 +288,6 @@ class _Runtime:
             raise JoinError(
                 f"join for transaction {txn.id} at step {completed_step} received "
                 f"two copies from the same branch"
-            )
-        if any(t.orig != copies[0].orig for t in copies):
-            raise JoinError(
-                f"join for transaction {txn.id} at step {completed_step} received "
-                f"copies with mismatched orig fields"
             )
         merge = self._merge
         if merge is None:
@@ -554,11 +546,14 @@ def run(
     Raises :class:`DeadlockError` when no process can run while transactions
     are still in flight; a reached horizon is not an error and is flagged in
     the returned stats instead.  A negative horizon raises
-    :class:`PipelineError`.
+    :class:`PipelineError`, and a ``join`` beside a :class:`CheckedConfig`
+    raises :class:`ConfigError`: the checked config carries its join.
     """
     if horizon_ns is not None and horizon_ns < 0:
         raise PipelineError(f"horizon must be a non-negative number of ns, got {horizon_ns}")
     if isinstance(stage_configs, CheckedConfig):
+        if join is not None:
+            raise ConfigError("pass the join to validate_config, not to run with a CheckedConfig")
         checked = stage_configs
     else:
         checked = validate_config(netlist.route, stage_configs, join=join)

@@ -1,12 +1,15 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import pipesim as ps
 from pipesim import cli
+from pipesim.policy import ISSUE_KINDS, JOIN_KINDS
 
 QUAD = """\
 stage S1 { fn = "data + 2*sqr(orig)"; delay = 1; }
@@ -507,6 +510,37 @@ def test_malformed_file_diagnostics(write_file, capsys, text, message):
     path = write_file("bad.pipe", text)
     code, out, err = invoke(capsys, "analyze", path)
     assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("settings, message", [
+    ("delay = untimed; exec = reactive;", "reactive execution requires signal channels"),
+    ("delay = 1; channel = signal; exec = reactive;",
+     "reactive execution cannot delay (got timed(1))"),
+])
+def test_conflicting_stage_settings_fail_at_the_stage_in_every_command(
+    write_file, capsys, settings, message
+):
+    # analyze used to accept the stage that run and elaborate rejected.
+    path = write_file("bad.pipe", f'stage A {{ fn = "data"; {settings} }}\npipeline = A;\n')
+    expected = (1, "", f"error: line 1, col 7: stage 'A': {message}\n")
+    assert invoke(capsys, "analyze", path) == expected
+    assert invoke(capsys, "run", path, "--inputs", "1") == expected
+    assert invoke(capsys, "elaborate", path) == expected
+
+
+def test_readme_lists_the_policy_words():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+
+    def words(before, after):
+        # The one place the README lists a setting's words as a|b|...
+        (found,) = re.findall(before + r"(\w+(?:\|\w+)+)" + after, readme)
+        return tuple(found.split("|"))
+
+    assert words("`channel = ", ";`") == tuple(kind.value for kind in ps.ChannelKind)
+    assert words("`exec = ", ";`") == tuple(kind.value for kind in ps.ExecKind)
+    assert words("`join = ", r'\|"<expr>";`') == JOIN_KINDS[:-1]
+    assert words("`issue = ", ":<k>;`") == ISSUE_KINDS
+    assert words("--issue ", r":k\]") == ISSUE_KINDS
 
 
 def _one_stage(fn):

@@ -190,6 +190,46 @@ def test_join_merger_is_one_call_on_a_tuple():
     assert custom.merger() is custom.expr.evaluator()
 
 
+def test_run_refuses_a_join_beside_a_checked_config():
+    # The checked join used to win silently: data 2.0 where the sum join gives 3.0.
+    fork = ps.declare_stages(["S1", "S2", "S3"])
+    route = ps.flatten(ps.parse("S1 + S2 >> S3", fork))
+    configs = [ps.StageConfig(s, ps.parse_function("data + orig")) for s in route.stages]
+    netlist = ps.elaborate(route, fork)
+    checked = ps.validate_config(route, configs, join=ps.JoinSpec.left())
+    with pytest.raises(ps.ConfigError) as exc:
+        ps.run(netlist, checked, [1.0], join=ps.JoinSpec.sum())
+    assert str(exc.value) == "pass the join to validate_config, not to run with a CheckedConfig"
+    summed = ps.run(netlist, configs, [1.0], join=ps.JoinSpec.sum())
+    assert summed.trace.records[0].data == 3.0
+    assert ps.run(netlist, checked, [1.0]).trace.records[0].data == 2.0
+
+
+# -- stage configs ------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        # A str channel kind used to run a blocking latch: 3 stalls, no drop.
+        ({"channels": "signal"}, "stage 'S1': channels 'signal' is not of type ChannelKind"),
+        ({"exec": "reactive"}, "stage 'S1': exec 'reactive' is not of type ExecKind"),
+        ({"timing": 2}, "stage 'S1': timing 2 is not of type TimingSpec"),
+        ({"timing": None}, "stage 'S1': timing None is not of type TimingSpec"),
+        ({"function": "data + 1"},
+         "stage 'S1': function must take (orig, data), got 'data + 1'"),
+        ({"function": ps.parse_function("dataL", ("orig", "dataL", "dataR"))},
+         "stage 'S1': function must take (orig, data), got "
+         "FunctionSpec(source='dataL', variables=('orig', 'dataL', 'dataR'))"),
+        ({"stage": "S1"}, "a stage configuration needs a StageId, got 'S1'"),
+    ],
+)
+def test_stage_config_rejects_wrongly_typed_fields(decls, changes, message):
+    with pytest.raises(ps.ConfigError) as exc:
+        ps.StageConfig(**{"stage": decls["S1"], "function": ps.parse_function("data"), **changes})
+    assert str(exc.value) == message
+
+
 # -- timing / issue validation -------------------------------------------------
 
 
@@ -229,6 +269,8 @@ def test_issue_fixed_requires_positive_interval():
         ({"kind": "gready"}, "unknown issue policy 'gready'; use greedy, eager or fixed:<k>"),
         ({"kind": "fixed"}, "fixed issue interval must be >= 1, got None"),
         ({"kind": "fixed", "interval": 0}, "fixed issue interval must be >= 1, got 0"),
+        ({"kind": "greedy", "interval": 5}, "the greedy issue policy takes no interval, got 5"),
+        ({"kind": "eager", "interval": 0}, "the eager issue policy takes no interval, got 0"),
     ],
 )
 def test_issue_spec_rejects_unknown_kinds_and_bad_intervals(kwargs, message):
@@ -260,6 +302,15 @@ def test_issue_spec_constructors_share_the_interval_check():
     [
         ({"kind": "bogus"}, "unknown join 'bogus'; use left, right, sum or custom"),
         ({"kind": "custom"}, "a custom join needs an expression"),
+        ({"kind": "left", "expr": ps.parse_function("dataL", ("orig", "dataL", "dataR"))},
+         "a left join takes no expression, got "
+         "FunctionSpec(source='dataL', variables=('orig', 'dataL', 'dataR'))"),
+        # Over a stage's variables, data would read dataL: 1 + 10 * 1 gave 11.0.
+        ({"kind": "custom", "expr": ps.parse_function("orig + data * 10")},
+         "a custom join needs a function of orig, dataL, dataR, got "
+         "FunctionSpec(source='orig + data * 10', variables=('orig', 'data'))"),
+        ({"kind": "custom", "expr": "dataL"},
+         "a custom join needs a function of orig, dataL, dataR, got 'dataL'"),
     ],
 )
 def test_join_spec_rejects_unknown_kinds(kwargs, message):
@@ -307,30 +358,31 @@ def test_terminal_fork_merges_at_exit_with_warning(decls):
     assert any("exit" in w for w in checked.warnings)
 
 
+# The reactive rules belong to one stage, so the config checks them when built.
+
+
 def test_reactive_with_positive_delay_rejected(decls):
-    route = ps.flatten(ps.parse("S1", decls))
-    config = ps.StageConfig(
-        decls["S1"],
-        ps.parse_function("data"),
-        timing=ps.TimingSpec.timed(1),
-        channels=ps.ChannelKind.SIGNAL,
-        exec=ps.ExecKind.REACTIVE,
-    )
-    with pytest.raises(ps.ConfigError, match="reactive"):
-        ps.validate_config(route, [config])
+    with pytest.raises(ps.ConfigError) as exc:
+        ps.StageConfig(
+            decls["S1"],
+            ps.parse_function("data"),
+            timing=ps.TimingSpec.timed(1),
+            channels=ps.ChannelKind.SIGNAL,
+            exec=ps.ExecKind.REACTIVE,
+        )
+    assert str(exc.value) == "stage 'S1': reactive execution cannot delay (got timed(1))"
 
 
 def test_reactive_requires_signal_channels(decls):
-    route = ps.flatten(ps.parse("S1", decls))
-    config = ps.StageConfig(
-        decls["S1"],
-        ps.parse_function("data"),
-        timing=ps.UNTIMED,
-        channels=ps.ChannelKind.BLOCKING,
-        exec=ps.ExecKind.REACTIVE,
-    )
-    with pytest.raises(ps.ConfigError, match="signal"):
-        ps.validate_config(route, [config])
+    with pytest.raises(ps.ConfigError) as exc:
+        ps.StageConfig(
+            decls["S1"],
+            ps.parse_function("data"),
+            timing=ps.UNTIMED,
+            channels=ps.ChannelKind.BLOCKING,
+            exec=ps.ExecKind.REACTIVE,
+        )
+    assert str(exc.value) == "stage 'S1': reactive execution requires signal channels"
 
 
 # -- orthogonality of the configuration dimensions -----------------------------
