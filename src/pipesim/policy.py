@@ -313,7 +313,8 @@ class ExecKind(enum.Enum):
 # Join
 
 
-# As with ISSUE_KINDS, only the last kind takes an argument: an expression.
+# As with ISSUE_KINDS, only the last kind takes an argument, an expression;
+# JOIN_KINDS_TEXT lists the others for diagnostics.
 JOIN_KINDS = ("left", "right", "sum", "custom")
 JOIN_KINDS_TEXT = ", ".join(JOIN_KINDS[:-1])
 
@@ -338,9 +339,7 @@ class JoinSpec(Value):
         elif expr is None:
             raise ConfigError("a custom join needs an expression")
         elif not isinstance(expr, FunctionSpec) or expr.variables != _JOIN_VARIABLES:
-            raise ConfigError(
-                f"a custom join needs a function of {', '.join(_JOIN_VARIABLES)}, got {expr!r}"
-            )
+            raise ConfigError(f"a custom join must take (orig, dataL, dataR), got {expr!r}")
         super().__init__(kind, expr)
 
     @staticmethod

@@ -211,7 +211,7 @@ def test_run_refuses_a_join_beside_a_checked_config():
 @pytest.mark.parametrize(
     "changes, message",
     [
-        # A str channel kind used to run a blocking latch: 3 stalls, no drop.
+        # A str channel kind used to run silently as a blocking latch.
         ({"channels": "signal"}, "stage 'S1': channels 'signal' is not of type ChannelKind"),
         ({"exec": "reactive"}, "stage 'S1': exec 'reactive' is not of type ExecKind"),
         ({"timing": 2}, "stage 'S1': timing 2 is not of type TimingSpec"),
@@ -305,12 +305,12 @@ def test_issue_spec_constructors_share_the_interval_check():
         ({"kind": "left", "expr": ps.parse_function("dataL", ("orig", "dataL", "dataR"))},
          "a left join takes no expression, got "
          "FunctionSpec(source='dataL', variables=('orig', 'dataL', 'dataR'))"),
-        # Over a stage's variables, data would read dataL: 1 + 10 * 1 gave 11.0.
-        ({"kind": "custom", "expr": ps.parse_function("orig + data * 10")},
-         "a custom join needs a function of orig, dataL, dataR, got "
-         "FunctionSpec(source='orig + data * 10', variables=('orig', 'data'))"),
+        # Over a stage's variables, data read dataL: merge(1.0, 1.1, 2.0) gave 11.0.
+        ({"kind": "custom", "expr": ps.parse_function("data * 10")},
+         "a custom join must take (orig, dataL, dataR), got "
+         "FunctionSpec(source='data * 10', variables=('orig', 'data'))"),
         ({"kind": "custom", "expr": "dataL"},
-         "a custom join needs a function of orig, dataL, dataR, got 'dataL'"),
+         "a custom join must take (orig, dataL, dataR), got 'dataL'"),
     ],
 )
 def test_join_spec_rejects_unknown_kinds(kwargs, message):
