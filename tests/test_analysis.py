@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 from itertools import combinations, islice
@@ -245,6 +246,32 @@ def test_mal_of_sparse_route_above_row_bound():
     assert report.mal_cycle.latencies == (5, 4, 5, 4, 1, 4, 4, 1, 4)
     assert ps.minimal_average_latency(report.vector) == report.mal_cycle
     assert cycle_is_permissible(route, report.mal_cycle.latencies)
+
+
+# SHA-256 over (length, sorted forbidden set, greedy latencies, MAL latencies)
+# of every sparse route below and of 1,500 seeded random collision vectors.
+ANALYSIS_RESULTS_SHA256 = "d6a4dcf1119b9662f9a76ea015f7d32f92f41e04fd1a1d1c8edf07d31fbd6ffe"
+
+
+def test_analysis_results_pinned():
+    lines = []
+    for length in range(4, 27):
+        for changes in range(5):
+            report = ps.analyze(sparse_route(length, changes))
+            lines.append(repr((
+                report.table.length, report.forbidden,
+                report.greedy.latencies, report.mal_cycle.latencies,
+            )))
+    rng = random.Random(15)
+    for _ in range(1500):
+        length = rng.randint(1, 13)
+        vector = ps.CollisionVector(length, tuple(rng.random() < 0.5 for _ in range(length - 1)))
+        lines.append(repr((
+            length, tuple(sorted(vector.forbidden)),
+            ps.greedy_cycle(vector).latencies, ps.minimal_average_latency(vector).latencies,
+        )))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == ANALYSIS_RESULTS_SHA256
 
 
 def test_mal_never_below_row_bound():
