@@ -12,7 +12,9 @@ when S is a member of step i.  From the table this module derives
 MAL is computed exactly, as the minimum mean cycle of the collision-state
 graph.  States are collision vectors reachable from the initial vector under
 the shifted-OR transition; any latency of at least L returns to the initial
-state, so latencies beyond L never need explicit states.
+state, so latencies beyond L never need explicit states.  The graph keeps
+one edge per state and successor, the cheapest, in an int-to-int dict: a
+dearer edge to the same state is on no minimum mean cycle and never tight.
 
 The MAL is found in two steps, in integer arithmetic.  First the lower bound
 (the most marks in one reservation-table row, after Shar and Kogge) is
@@ -21,7 +23,10 @@ potentials for weights (latency - bound), the bound is the MAL.  Otherwise
 Howard policy iteration, which Dasdan and Gupta (IEEE TCAD 1998) found the
 fastest minimum-mean-cycle method in practice, finds the MAL p/q, and the
 cycle is read off the tight subgraph for weights (latency*q - p).  Either way
-the cycle is the first one a depth-first search meets in that subgraph.
+the cycle is the first one a depth-first search meets in that subgraph.  A
+FIFO queue relaxes only the states whose potential dropped; the potentials
+are the unique shortest distances whatever the order, so the tight subgraph,
+and with it the cycle, depends only on the graph.
 
 Means are int pairs (p, q).  Only the public ``average`` and ``mal`` build a
 ``Fraction`` and import ``fractions``, which costs milliseconds of start-up;
@@ -204,36 +209,38 @@ def _initial_state(vector: CollisionVector) -> int:
     return sum(1 << d for d, forbidden in enumerate(vector.bits, 1) if forbidden)
 
 
-def _state_graph(vector: CollisionVector):
-    """Collision states reachable from the initial vector.
+def _state_graph(vector: CollisionVector) -> list[dict[int, int]]:
+    """The collision-state graph from the initial vector, cheapest edges only.
 
-    Returns (states, edges) where states[0] is the initial state and
-    edges[i] lists (destination index, latency) pairs in ascending latency
-    order.  Latency L is modeled explicitly as the restart edge; larger
-    latencies are never cheaper.
+    ``graph[i]`` maps each successor index of state i to the smallest
+    latency that reaches it, in ascending latency; state 0 is the initial
+    vector and indices follow breadth-first order.  Latency d is permitted
+    when bit d of the state is clear.  From the first d with ``state >> d``
+    zero, every latency leads back to the initial state, so d is the
+    cheapest of them; when no d below L does, the restart latency L is.
+    Int-to-int dicts are not tracked by the garbage collector.
     """
-    length = vector.length
     initial = _initial_state(vector)
     index = {initial: 0}
     states = [initial]
-    edges: list[list[tuple[int, int]]] = []
-    frontier = [initial]
-    while frontier:
-        next_frontier = []
-        for state in frontier:
-            out = []
-            for d in range(1, length + 1):
-                if d < length and state & (1 << d):
-                    continue
-                dest = ((state >> d) | initial) if d < length else initial
-                if dest not in index:
-                    index[dest] = len(states)
+    graph: list[dict[int, int]] = []
+    for state in states:
+        out: dict[int, int] = {}
+        rest = state
+        for d in range(1, state.bit_length()):
+            rest >>= 1
+            if not rest & 1:
+                dest = rest | initial
+                v = index.get(dest)
+                if v is None:
+                    v = index[dest] = len(states)
                     states.append(dest)
-                    next_frontier.append(dest)
-                out.append((index[dest], d))
-            edges.append(out)
-        frontier = next_frontier
-    return states, edges
+                if v not in out:
+                    out[v] = d
+        if 0 not in out:
+            out[0] = state.bit_length() or 1
+        graph.append(out)
+    return graph
 
 
 def _greedy_walk(vector: CollisionVector):
@@ -286,74 +293,58 @@ def minimal_average_latency(vector: CollisionVector) -> IssueCycle:
 def _minimal_cycle(vector: CollisionVector, lower_bound: int) -> IssueCycle:
     """MAL cycle; ``lower_bound`` must not exceed any cycle mean.  Howard
     runs only when no cycle attains the bound."""
-    _, edges = _state_graph(vector)
-    cheapest = _cheapest_edges(edges)
+    graph = _state_graph(vector)
     p, q = lower_bound, 1
-    cycle = _tight_cycle(edges, cheapest, p, q)
+    cycle = _tight_cycle(graph, p, q)
     if cycle is None:
-        p, q = _howard_mal(cheapest)
-        cycle = _tight_cycle(edges, cheapest, p, q)
+        p, q = _howard_mal(graph)
+        cycle = _tight_cycle(graph, p, q)
     assert cycle is not None, "tight subgraph always contains a cycle"
-    result = IssueCycle(tuple(w for _, w in cycle))
+    result = IssueCycle(tuple(cycle))
     assert sum(result.latencies) * q == p * len(result.latencies)
     return result
 
 
-def _cheapest_edges(edges: list[list[tuple[int, int]]]) -> list[list[tuple[int, int]]]:
-    """Per state, the cheapest edge to each destination, in first-seen order.
-
-    Edge lists are in ascending latency, so the first edge to a destination
-    is its cheapest; many large latencies all lead back to the initial state.
-    """
-    cheapest = []
-    for out in edges:
-        first: dict[int, int] = {}
-        for v, w in out:
-            first.setdefault(v, w)
-        cheapest.append(list(first.items()))
-    return cheapest
-
-
-def _tight_cycle(edges, cheapest, p: int, q: int):
+def _tight_cycle(graph: list[dict[int, int]], p: int, q: int):
     """A cycle of average p/q from the tight subgraph, or None.
 
     p/q must not exceed the MAL.  Shortest-path potentials from state 0
-    under the integer weights (w*q - p) then exist, and an edge is tight
-    when it attains its head's potential.  Any cycle of tight edges
+    under the integer weights (w*q - p) then exist; a FIFO queue relaxes
+    the out-edges of a state only after its potential drops.  An edge is
+    tight when it attains its head's potential.  Any cycle of tight edges
     telescopes to total zero, i.e. averages exactly p/q; one exists exactly
-    when p/q is the MAL.
+    when p/q is the MAL.  Potentials are unique, and with q >= 1 a dearer
+    edge to the same state is never tight, so the graph of cheapest edges
+    has the same tight subgraph, in the same order, as the full graph.
     """
-    n = len(edges)
-    weighted = [[(v, w * q - p) for v, w in out] for out in cheapest]
+    n = len(graph)
     pot: list[int | None] = [None] * n
     pot[0] = 0
-    for _ in range(n - 1):
-        changed = False
-        for u in range(n):
-            base = pot[u]
-            if base is None:
-                continue
-            for v, w in weighted[u]:
-                cand = base + w
-                if pot[v] is None or cand < pot[v]:
-                    pot[v] = cand
-                    changed = True
-        if not changed:
-            break
-
-    tight: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for u in range(n):
-        for v, w in edges[u]:
-            if pot[u] + w * q - p == pot[v]:
-                tight[u].append((v, w))
-    return _find_cycle(tight, n)
+    queued = [False] * n
+    queued[0] = True
+    queue = [0]
+    for u in queue:
+        queued[u] = False
+        base = pot[u] - p
+        for v, w in graph[u].items():
+            cand = base + w * q
+            if pot[v] is None or cand < pot[v]:
+                pot[v] = cand
+                if not queued[v]:
+                    queued[v] = True
+                    queue.append(v)
+    return _find_cycle(n, lambda u: [
+        (v, w) for v, w in graph[u].items() if pot[u] + w * q - p == pot[v]
+    ])
 
 
-def _howard_mal(cheapest: list[list[tuple[int, int]]]) -> tuple[int, int]:
+def _howard_mal(graph: list[dict[int, int]]) -> tuple[int, int]:
     """Minimum cycle mean p/q, as (p, q), by Howard policy iteration
     (Cochet-Terrasson et al.).
 
-    A policy picks one out-edge per state.  Each state's value is the mean
+    A policy picks one out-edge per state of the cheapest-edge ``graph``, as
+    a (successor index, latency) pair; it starts from each state's first,
+    smallest-latency edge.  Each state's value is the mean
     ``p/q`` (in lowest terms) of the policy cycle it runs into, and its
     potential, scaled by ``q`` to stay integral, is its distance to that
     cycle's smallest state under weights (w*q - p).  The policy then moves a
@@ -362,8 +353,8 @@ def _howard_mal(cheapest: list[list[tuple[int, int]]]) -> tuple[int, int]:
     policy, so the loop ends; at the end every state's mean is the MAL, as
     every state reaches every other.
     """
-    n = len(cheapest)
-    policy = [out[0] for out in cheapest]
+    n = len(graph)
+    policy = [next(iter(out.items())) for out in graph]
     while True:
         num = [0] * n
         den = [0] * n
@@ -399,7 +390,7 @@ def _howard_mal(cheapest: list[list[tuple[int, int]]]) -> tuple[int, int]:
         improved = False
         for u in range(n):
             best_p, best_q = num[u], den[u]
-            for edge in cheapest[u]:
+            for edge in graph[u].items():
                 v = edge[0]
                 if num[v] * best_q < best_p * den[v]:
                     best_p, best_q = num[v], den[v]
@@ -410,7 +401,7 @@ def _howard_mal(cheapest: list[list[tuple[int, int]]]) -> tuple[int, int]:
         for u in range(n):
             p, q = num[u], den[u]
             best = pot[u]
-            for edge in cheapest[u]:
+            for edge in graph[u].items():
                 v, w = edge
                 if num[v] == p and den[v] == q and pot[v] + w * q - p < best:
                     best = pot[v] + w * q - p
@@ -420,35 +411,35 @@ def _howard_mal(cheapest: list[list[tuple[int, int]]]) -> tuple[int, int]:
             return num[0], den[0]
 
 
-def _find_cycle(adj: list[list[tuple[int, int]]], n: int):
-    """First cycle found by DFS; returns the cycle as [(dest node, latency), ...]."""
-    color = [0] * n  # 0 unvisited, 1 on stack, 2 done
+def _find_cycle(n: int, edges_of) -> list[int] | None:
+    """Latencies of the first cycle a depth-first search meets, or None.
+
+    ``edges_of(u)`` lists the (successor, latency) edges of state u in search
+    order; it is called once per state the search enters, starting from
+    each unvisited state in index order.  The first edge back into the
+    current path closes the cycle.
+    """
+    done = [False] * n
     for start in range(n):
-        if color[start] != 0:
+        if done[start]:
             continue
-        # Stack frames carry the edge taken into the node so the cycle's
-        # latencies can be read straight off the path suffix.
-        stack: list[tuple[int, int, int]] = [(start, 0, 0)]  # (node, next edge, latency in)
-        color[start] = 1
-        on_path = {start: 0}
+        # Frames carry the latency into their state, so the cycle's
+        # latencies are read straight off the path suffix.
+        stack = [(start, 0, iter(edges_of(start)))]
+        depth = {start: 0}  # states on the current path
         while stack:
-            node, edge_idx, latency_in = stack[-1]
-            if edge_idx < len(adj[node]):
-                stack[-1] = (node, edge_idx + 1, latency_in)
-                dest, weight = adj[node][edge_idx]
-                if dest in on_path:
-                    suffix = stack[on_path[dest] + 1 :]
-                    cycle = [(frame[0], frame[2]) for frame in suffix]
-                    cycle.append((dest, weight))
-                    return cycle
-                if color[dest] == 0:
-                    color[dest] = 1
-                    on_path[dest] = len(stack)
-                    stack.append((dest, 0, weight))
+            for v, w in stack[-1][2]:
+                if v in depth:
+                    return [frame[1] for frame in stack[depth[v] + 1 :]] + [w]
+                if not done[v]:
+                    break
             else:
-                color[node] = 2
-                stack.pop()
-                on_path.pop(node, None)
+                u = stack.pop()[0]
+                done[u] = True
+                del depth[u]
+                continue
+            depth[v] = len(stack)
+            stack.append((v, w, iter(edges_of(v))))
     return None
 
 

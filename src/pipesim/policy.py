@@ -484,19 +484,25 @@ def validate_config(
 ) -> CheckedConfig:
     """Check a set of stage configs against a route.
 
-    Raises :class:`ConfigError` for a missing or duplicate stage config, or a
-    fork without a join spec; each :class:`StageConfig` checked itself when
-    it was built.  Returns the checked configuration together with non-fatal
+    Raises :class:`ConfigError` for an entry that is not a
+    :class:`StageConfig`, a missing or duplicate stage config, or a fork
+    without a join spec; each :class:`StageConfig` checked itself when it was
+    built.  Returns the checked configuration together with non-fatal
     warnings.
     """
-    if not isinstance(configs, Mapping):
-        table: dict[StageId, StageConfig] = {}
-        for cfg in configs:
+    mapped = isinstance(configs, Mapping)
+    entries = list(configs.values() if mapped else configs)
+    for cfg in entries:
+        if not isinstance(cfg, StageConfig):
+            raise ConfigError(f"stage configuration is a {type(cfg).__name__}, not a StageConfig")
+    if mapped:
+        table = dict(configs)
+    else:
+        table = {}
+        for cfg in entries:
             if cfg.stage in table:
                 raise ConfigError(f"duplicate configuration for stage {cfg.stage.name!r}")
             table[cfg.stage] = cfg
-    else:
-        table = dict(configs)
 
     missing = [s.name for s in route.stages if s not in table]
     if missing:

@@ -547,16 +547,17 @@ def run(
     are still in flight; a reached horizon is not an error and is flagged in
     the returned stats instead.  A negative horizon raises
     :class:`PipelineError`, and a ``join`` beside a :class:`CheckedConfig`
-    raises :class:`ConfigError`: the checked config carries its join.
+    raises :class:`ConfigError`: the checked config carries its join.  A
+    :class:`CheckedConfig` is a public record, so its configs and join are
+    checked against the netlist's route like any others.
     """
     if horizon_ns is not None and horizon_ns < 0:
         raise PipelineError(f"horizon must be a non-negative number of ns, got {horizon_ns}")
     if isinstance(stage_configs, CheckedConfig):
         if join is not None:
             raise ConfigError("pass the join to validate_config, not to run with a CheckedConfig")
-        checked = stage_configs
-    else:
-        checked = validate_config(netlist.route, stage_configs, join=join)
+        stage_configs, join = stage_configs.configs, stage_configs.join
+    checked = validate_config(netlist.route, stage_configs, join=join)
     if issue is None:
         issue = IssueSpec.greedy()
     table = analysis.reservation_table(netlist.route)

@@ -2,9 +2,11 @@
 
 Everything here works from first principles on routes and issue schedules:
 occupancy grids, direct difference checks, exhaustive cycle enumeration.
-None of it goes through the collision-vector machinery it is used to check,
-except ``karp_mal_cycle``: the minimum-mean-cycle method pipesim used before,
-kept as the reference for the exact MAL cycle the analysis must return.
+None of it goes through the collision-vector machinery it is used to check.
+``karp_mal_cycle``, the minimum-mean-cycle method pipesim used before, is
+kept as the reference for the exact MAL cycle the analysis must return.  It
+builds its own state graph with every edge, and borrows only the depth-first
+search ``_find_cycle`` that fixes which of several MAL cycles is returned.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import re
 from fractions import Fraction
 
 import pipesim as ps
-from pipesim.analysis import _find_cycle, _state_graph
+from pipesim.analysis import _find_cycle
 
 
 def marks_by_scan(route: ps.Route) -> dict[str, list[int]]:
@@ -82,6 +84,34 @@ def brute_force_mal(route: ps.Route) -> float:
     return best
 
 
+def full_state_graph(vector: ps.CollisionVector) -> list[list[tuple[int, int]]]:
+    """Every edge of the collision-state graph, from the forbidden set.
+
+    A state is the set of latencies forbidden after the issues so far;
+    state 0 is the forbidden set and states are numbered in breadth-first
+    order.  ``edges[i]`` lists (destination index, latency) for every
+    permitted latency 1..L-1 of state i and the restart latency L, in
+    ascending latency.
+    """
+    length = vector.length
+    forbidden = vector.forbidden
+    index = {forbidden: 0}
+    queue = [forbidden]
+    edges = []
+    for state in queue:
+        out = []
+        for d in range(1, length + 1):
+            if d in state:
+                continue
+            dest = frozenset(f - d for f in state if f > d) | forbidden
+            if dest not in index:
+                index[dest] = len(queue)
+                queue.append(dest)
+            out.append((index[dest], d))
+        edges.append(out)
+    return edges
+
+
 def karp_mal_cycle(vector: ps.CollisionVector) -> ps.IssueCycle:
     """MAL cycle by Karp's minimum mean cycle over the collision-state graph.
 
@@ -89,8 +119,8 @@ def karp_mal_cycle(vector: ps.CollisionVector) -> ps.IssueCycle:
     then takes Bellman-Ford potentials for weights (w - MAL) in Fractions and
     returns the first cycle a DFS meets in the tight subgraph.
     """
-    states, edges = _state_graph(vector)
-    n = len(states)
+    edges = full_state_graph(vector)
+    n = len(edges)
 
     d_table = [[None] * n for _ in range(n + 1)]
     d_table[0][0] = 0
@@ -143,7 +173,7 @@ def karp_mal_cycle(vector: ps.CollisionVector) -> ps.IssueCycle:
         for v, w in edges[u]:
             if pot[v] is not None and pot[u] + w - mal == pot[v]:
                 tight[u].append((v, w))
-    cycle = ps.IssueCycle(tuple(w for _, w in _find_cycle(tight, n)))
+    cycle = ps.IssueCycle(tuple(_find_cycle(n, tight.__getitem__)))
     assert cycle.average == mal
     return cycle
 

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations, islice
 
@@ -272,6 +273,23 @@ def test_analysis_results_pinned():
         )))
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == ANALYSIS_RESULTS_SHA256
+
+
+# tracemalloc peak of one analyze(sparse_route(22, 3)) on CPython 3.11: 365 KiB
+# with one dict of cheapest edges per state; 1,472 KiB when the state graph
+# held every edge as a tuple and the MAL search built two more copies of it.
+ANALYZE_PEAK_CEILING_KIB = 600
+
+
+def test_analysis_peak_memory_of_a_sparse_route():
+    route = sparse_route(22, 3)
+    tracemalloc.start()
+    try:
+        ps.analyze(route)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / 1024 <= ANALYZE_PEAK_CEILING_KIB, peak / 1024
 
 
 def test_mal_never_below_row_bound():

@@ -342,6 +342,30 @@ def test_duplicate_stage_config_rejected(decls):
         ps.validate_config(route, configs)
 
 
+def test_entry_that_is_not_a_stage_config_rejected():
+    # Both used to end in AttributeError.
+    decls = ps.declare_stages(["A"])
+    route = ps.flatten(ps.parse("A", decls))
+    for configs, kind in (([("A", "data")], "tuple"), ({decls["A"]: "x"}, "str")):
+        with pytest.raises(ps.ConfigError) as exc:
+            ps.validate_config(route, configs)
+        assert str(exc.value) == f"stage configuration is a {kind}, not a StageConfig"
+
+
+def test_run_checks_a_checked_config_against_the_route(decls):
+    # A hand-built CheckedConfig used to end in KeyError without configs, and
+    # in JoinError at the first merge without a join.
+    route = ps.flatten(ps.parse("S1 + S2 >> S3", decls))
+    netlist = ps.elaborate(route, decls)
+    configs = {s: ps.StageConfig(s, ps.parse_function("data")) for s in route.stages}
+    for bare in ({}, configs):
+        with pytest.raises(ps.ConfigError) as expected:
+            ps.validate_config(route, bare)
+        with pytest.raises(ps.ConfigError) as exc:
+            ps.run(netlist, ps.CheckedConfig(route, bare, None, ()), [1.0])
+        assert str(exc.value) == str(expected.value)
+
+
 def test_fork_without_join_names_merge_router(decls):
     route = ps.flatten(ps.parse("S1 >> S2 + S3 >> S4", decls))
     configs = [ps.StageConfig(s, ps.parse_function("data")) for s in route.stages]
