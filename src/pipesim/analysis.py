@@ -23,10 +23,7 @@ potentials for weights (latency - bound), the bound is the MAL.  Otherwise
 Howard policy iteration, which Dasdan and Gupta (IEEE TCAD 1998) found the
 fastest minimum-mean-cycle method in practice, finds the MAL p/q, and the
 cycle is read off the tight subgraph for weights (latency*q - p).  Either way
-the cycle is the first one a depth-first search meets in that subgraph.  A
-FIFO queue relaxes only the states whose potential dropped; the potentials
-are the unique shortest distances whatever the order, so the tight subgraph,
-and with it the cycle, depends only on the graph.
+the cycle is the first one a depth-first search meets in that subgraph.
 
 Means are int pairs (p, q).  Only the public ``average`` and ``mal`` build a
 ``Fraction`` and import ``fractions``, which costs milliseconds of start-up;
@@ -148,8 +145,8 @@ class CollisionVector(Value):
     bits: tuple[bool, ...]
 
     def __init__(self, length: int, bits: tuple[bool, ...]):
-        if len(bits) != max(length - 1, 0):
-            raise AnalysisError("collision vector must have one bit per latency 1..L-1")
+        if length < 1 or len(bits) != length - 1:
+            raise AnalysisError("collision vector needs L >= 1 and one bit per latency 1..L-1")
         super().__init__(length, bits)
 
     def is_forbidden(self, latency: int) -> bool:
