@@ -428,6 +428,52 @@ def test_run_results_pinned():
     assert str(exc.value) == SEVERED_MESSAGE
 
 
+def ns_only(result):
+    """A run's results as plain data with every delta left out: what a
+    change that renumbers delta phases, and nothing else, keeps.  The
+    occupancies are sorted, since delta phases order those of one ns."""
+    trace, stats = result.trace, result.stats
+
+    def ns(time):
+        return None if time is None else time.ns
+
+    return (
+        [(r.txn_id, r.orig, r.data, ns(r.injected_at), ns(r.exited_at), r.dropped)
+         for r in trace.records],
+        sorted((o.start.ns, o.end.ns, o.stage, o.txn_id) for o in trace.occupancy),
+        (stats.injected, stats.exited, stats.dropped, stats.in_flight, stats.final_time.ns,
+         stats.timed_waits, stats.total_stalls, dict(stats.stage),
+         dict(stats.stalls_by_channel), dict(stats.drops_by_channel), stats.truncated),
+        result.warnings,
+    )
+
+
+# The pinned corpus with every delta left out (see ns_only).
+PINNED_NS_DIGESTS = {
+    "quad-greedy": "2288ac004379d5bd7f570b71774e892ae54a5ef18f9211c3238255109710bdb6",
+    "quad-eager": "dca20546b37f8aacf1fa3d338b6360ee4cf5f79a606388914d8e5c0585ee87ae",
+    "quad-fixed:1": "2288ac004379d5bd7f570b71774e892ae54a5ef18f9211c3238255109710bdb6",
+    "quad-fixed:3": "b9a5e632b0d63484bd2fbea9dcf641d6579ccd165d2da54989dd7f9f4c0fe90a",
+    "feedback-greedy": "fecde6ac0b40d859768fdfdabeadaeab613c9f7c4c30981ad3c9acbb42430962",
+    "feedback-eager": "5569e449d069350e0fffaa651eb461320296ffc13c67739c37a75e2f8b7f3da2",
+    "feedback-fixed:1": "e0293b96200021bdb80864dd39f48a0f13ba8b3aa5175fcc5d94604b556728df",
+    "feedback-fixed:3": "b8f09a717800bae26a3d804d142060681c1a9233d76f518ae4d5b9dbf5f374ca",
+    "feedback-untimed-eager": "a14521ead6fc2efb3ec7c004dc4ea5723af997dcd42b0573d32e31c438bb8678",
+    "feedback-horizon": "69bee75894d120a42459aaa390ad7e37c998fafe78ec8a8206855596fa1d05ec",
+    "forkjoin-sum": "2697c2ab2ca5e08346c93a45172ce6c9843865bd6e81bb03b4eac4edb59e188d",
+    "forkjoin-custom": "a55980f7f304576e061fdecc125b968d4690b08132eea42d53554c31dfe1e8ed",
+    "signal-drops": "66f6de69b9b68c2d90d10e599e0d0373a6d4b8a4d750edc6e8fa033810cdd6f5",
+}
+
+
+def test_run_results_pinned_in_ns():
+    digests = {
+        name: hashlib.sha256(repr(ns_only(make())).encode()).hexdigest()
+        for name, make in pinned_corpus().items()
+    }
+    assert digests == PINNED_NS_DIGESTS
+
+
 # (Engine.resumes, Engine.timed) of each pinned run: an unchanged schedule
 # resumes the same processes and pushes the same timed events in every mode.
 PINNED_DISPATCH = {
