@@ -2,6 +2,8 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pipesim as ps
 from oracles import random_expr, unit_configs
@@ -776,3 +778,61 @@ def test_identical_runs_give_equal_traces():
     assert one == two and hash(one) == hash(two)
     eager = run_route(decls, FEEDBACK, configs, PIN_INPUTS, issue=ps.IssueSpec.eager()).trace
     assert one != eager
+
+
+# -- liveness ----------------------------------------------------------------------------
+
+DELAYS = st.one_of(st.integers(0, 3).map(ps.TimingSpec.timed), st.just(ps.UNTIMED))
+
+
+@st.composite
+def stage_configs(draw, stage):
+    """Any config validation accepts: a reactive stage has signal channels
+    and no delay."""
+    function = ps.parse_function(draw(st.sampled_from(["data + orig", "data * 0.5 - 1"])))
+    if draw(st.booleans()):
+        timing = draw(st.sampled_from([ps.TimingSpec.timed(0), ps.UNTIMED]))
+        return ps.StageConfig(stage, function, timing, ps.ChannelKind.SIGNAL, ps.ExecKind.REACTIVE)
+    channels = draw(st.sampled_from([ps.ChannelKind.BLOCKING, ps.ChannelKind.SIGNAL]))
+    return ps.StageConfig(stage, function, draw(DELAYS), channels)
+
+
+@st.composite
+def valid_pipelines(draw):
+    """(netlist, checked config, inputs, issue) of a random valid pipeline:
+    a route of stage references, repeats and forks over up to five stages,
+    each stage with a config of its own, a join when the route forks, any
+    issue kind and 1-30 inputs."""
+    decls = ps.declare_stages([f"S{i}" for i in range(draw(st.integers(1, 5)))])
+    stages = list(decls)
+    terms = [st.sampled_from(stages).map(ps.StageRef),
+             st.builds(ps.repeat, st.sampled_from(stages), st.integers(1, 3))]
+    if len(stages) > 1:
+        terms.append(st.lists(st.sampled_from(stages), min_size=2, max_size=3, unique=True)
+                     .map(ps.fork))
+    expr = None
+    for term in draw(st.lists(st.one_of(terms), min_size=1, max_size=6)):
+        expr = term if expr is None else ps.seq(expr, term)
+    route = ps.flatten(expr)
+    join = None
+    if route.fork_steps():
+        join = draw(st.sampled_from([ps.JoinSpec.sum(), ps.JoinSpec.left(), ps.JoinSpec.right(),
+                                     ps.JoinSpec.custom("dataL - dataR / 2")]))
+    checked = ps.validate_config(route, [draw(stage_configs(s)) for s in route.stages], join=join)
+    issue = draw(st.one_of(st.sampled_from([ps.IssueSpec.greedy(), ps.IssueSpec.eager()]),
+                           st.integers(1, 4).map(ps.IssueSpec.fixed)))
+    inputs = draw(st.lists(st.integers(-9, 9).map(float), min_size=1, max_size=30))
+    return ps.elaborate(route, decls), checked, inputs, issue
+
+
+@settings(max_examples=150, deadline=None)
+@given(valid_pipelines())
+def test_valid_pipelines_never_deadlock(pipeline):
+    # A stage's output write never blocks, a router's queue is unbounded and
+    # a latch empties after its stage's delay, so every run ends, and every
+    # transaction exits or is dropped (a dropped fork copy drops its id).
+    netlist, checked, inputs, issue = pipeline
+    stats = ps.run(netlist, checked, inputs, issue=issue).stats
+    assert stats.injected == len(inputs)
+    assert stats.injected == stats.exited + stats.dropped + stats.in_flight
+    assert stats.in_flight == 0 and not stats.truncated
