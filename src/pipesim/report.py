@@ -115,13 +115,10 @@ _CSV_HEADER = "id,inject_ns,exit_ns,orig,data"
 def trace_to_csv(trace: Trace) -> str:
     """One row per transaction; columns exactly id,inject_ns,exit_ns,orig,data."""
     lines = [_CSV_HEADER]
-    for rec in trace.records:
-        inject = "" if rec.injected_at is None else str(rec.injected_at.ns)
-        exit_ns = "" if rec.exited_at is None else str(rec.exited_at.ns)
-        lines.append(
-            f"{rec.txn_id},{inject},{exit_ns},"
-            f"{format_real(rec.orig)},{format_real(rec.data)}"
-        )
+    for txn_id, orig, data, inject, exit_ns, _ in trace.rows():
+        inject = "" if inject is None else str(inject)
+        exit_ns = "" if exit_ns is None else str(exit_ns)
+        lines.append(f"{txn_id},{inject},{exit_ns},{format_real(orig)},{format_real(data)}")
     return "\n".join(lines) + "\n"
 
 
@@ -162,19 +159,12 @@ def run_report_mapping(
     report: AnalysisReport,
     issue: IssueSpec,
 ) -> dict:
-    results = [_result_mapping(rec) for rec in result.trace.records]
+    results = [dict(zip(_RESULT_KEYS, row)) for row in result.trace.rows()]
     return _report_mapping(name, result, report, issue, results)
 
 
-def _result_mapping(rec) -> dict:
-    return {
-        "id": rec.txn_id,
-        "orig": rec.orig,
-        "data": rec.data,
-        "inject_ns": None if rec.injected_at is None else rec.injected_at.ns,
-        "exit_ns": None if rec.exited_at is None else rec.exited_at.ns,
-        "dropped": rec.dropped,
-    }
+# The keys of a ``results`` row, in the order of ``Trace.rows``.
+_RESULT_KEYS = ("id", "orig", "data", "inject_ns", "exit_ns", "dropped")
 
 
 def _report_mapping(name: str, result: RunResult, report: AnalysisReport, issue: IssueSpec,
@@ -223,30 +213,31 @@ def run_report_json_and_csv(
 
     The bytes are those of ``canonical(run_report_mapping(...)) + "\n"`` and
     ``trace_to_csv(result.trace)``, which specify them.  The pass formats
-    each record's ``orig`` and ``data`` once for both rows, and renders the
-    ``results`` row from one template with the keys in sorted order.  A
-    record whose ``orig`` or ``data`` is not exactly a float renders its
+    each transaction's ``orig`` and ``data`` once for both rows, and renders
+    the ``results`` row from one template with the keys in sorted order.  It
+    reads the trace's columns (``Trace.rows``) and builds no record.  A
+    transaction whose ``orig`` or ``data`` is not exactly a float renders its
     ``results`` row through ``canonical``.  With ``csv`` false no CSV row is
     built and the trace is None.
     """
     csv_rows = [_CSV_HEADER] if csv else None
     rows = []
-    for rec in result.trace.records:
-        orig, data = rec.orig, rec.data
-        inject = "" if rec.injected_at is None else str(rec.injected_at.ns)
-        exit_ns = "" if rec.exited_at is None else str(rec.exited_at.ns)
+    for row in result.trace.rows():
+        txn_id, orig, data, inject_ns, exit_ns, dropped = row
+        inject_text = "" if inject_ns is None else str(inject_ns)
+        exit_text = "" if exit_ns is None else str(exit_ns)
         orig_text, data_text = format_real(orig), format_real(data)
         if csv:
-            csv_rows.append(f"{rec.txn_id},{inject},{exit_ns},{orig_text},{data_text}")
+            csv_rows.append(f"{txn_id},{inject_text},{exit_text},{orig_text},{data_text}")
         if type(orig) is float and type(data) is float:
             rows.append(
                 f'    {{\n      "data": {data_text},\n'
-                f'      "dropped": {"true" if rec.dropped else "false"},\n'
-                f'      "exit_ns": {exit_ns or "null"},\n      "id": {rec.txn_id},\n'
-                f'      "inject_ns": {inject or "null"},\n      "orig": {orig_text}\n    }}'
+                f'      "dropped": {"true" if dropped else "false"},\n'
+                f'      "exit_ns": {exit_text or "null"},\n      "id": {txn_id},\n'
+                f'      "inject_ns": {inject_text or "null"},\n      "orig": {orig_text}\n    }}'
             )
         else:
-            rows.append("    " + canonical(_result_mapping(rec), 2))
+            rows.append("    " + canonical(dict(zip(_RESULT_KEYS, row)), 2))
     results = _Verbatim("[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]")
     mapping = _report_mapping(name, result, report, issue, results)
     return canonical(mapping) + "\n", "\n".join(csv_rows) + "\n" if csv else None
@@ -263,13 +254,13 @@ def run_report_text(
     lines.append(f"issue policy: {issue}")
     lines.append("transactions:")
     lines.append("  id  inject_ns  exit_ns  orig  data")
-    for rec in result.trace.records:
-        inject = "-" if rec.injected_at is None else str(rec.injected_at.ns)
-        exit_ns = "-" if rec.exited_at is None else str(rec.exited_at.ns)
-        flag = " (dropped)" if rec.dropped else ""
+    for txn_id, orig, data, inject, exit_ns, dropped in result.trace.rows():
+        inject = "-" if inject is None else str(inject)
+        exit_ns = "-" if exit_ns is None else str(exit_ns)
+        flag = " (dropped)" if dropped else ""
         lines.append(
-            f"  {rec.txn_id:>2}  {inject:>9}  {exit_ns:>7}  "
-            f"{format_real(rec.orig)}  {format_real(rec.data)}{flag}"
+            f"  {txn_id:>2}  {inject:>9}  {exit_ns:>7}  "
+            f"{format_real(orig)}  {format_real(data)}{flag}"
         )
     lines.append("stats:")
     lines.append(

@@ -20,11 +20,11 @@ Payloads are dynamically typed: ``orig`` and ``data`` are reals when driven
 from the CLI, but library users may put any value in ``data`` as long as the
 configured stage functions accept it.
 
-Stage occupancy is logged as one tuple of plain ints per hop, (stage name,
-transaction id, start ns, start delta, end ns, end delta), and the
-:class:`Occupancy` objects with their :class:`SimTime` bounds are built only
-when ``Trace.occupancy`` is first read.  A caller that never reads it pays
-for the tuples alone.
+A run keeps its results as columns of plain values, with no object per hop
+or per transaction for the garbage collector to track: per-id lists of each
+transaction's orig, data, and inject and exit ns and delta, and one flat
+occupancy log of six entries per hop.  :class:`Trace` holds the columns;
+its record and occupancy objects are views built on first read.
 
 All of a run's mutable state sits on one ``_Runtime`` that every process
 holds.  Stalls and drops are the exception: the stage channels count them
@@ -37,7 +37,6 @@ from __future__ import annotations
 from collections import Counter
 from functools import cached_property
 from math import isfinite
-from operator import itemgetter
 from typing import Iterator, Mapping, Sequence, Union
 
 from . import analysis
@@ -132,16 +131,6 @@ class TraceRecord(Value):
     exited_at: SimTime | None
     dropped: bool
 
-    def __init__(self, txn_id: int, orig: float, data: float,
-                 injected_at: SimTime | None, exited_at: SimTime | None, dropped: bool):
-        setattr = object.__setattr__
-        setattr(self, "txn_id", txn_id)
-        setattr(self, "orig", orig)
-        setattr(self, "data", data)
-        setattr(self, "injected_at", injected_at)
-        setattr(self, "exited_at", exited_at)
-        setattr(self, "dropped", dropped)
-
 
 class Occupancy(Value):
     stage: str
@@ -153,15 +142,53 @@ class Occupancy(Value):
 # (stage, txn_id, start_ns, start_delta, end_ns, end_delta)
 OccupancyEntry = tuple[str, int, int, int, int, int]
 
-class Trace(Value):
-    """Per-transaction records plus the stage occupancy log.
 
-    Two traces are equal when their records and logs are; ``occupancy``
-    presents the log as :class:`Occupancy` objects, built on first read.
+class Trace(Value):
+    """Per-transaction records plus the stage occupancy log, kept as columns.
+
+    Per transaction the columns hold id, orig, data, inject and exit ns and
+    delta (None until reached) and whether it dropped; the log holds six
+    entries per hop.  ``records``, ``occupancy_log`` and ``occupancy`` are
+    views built on first read, and equality compares them.
     """
 
     records: tuple[TraceRecord, ...]
     occupancy_log: tuple[OccupancyEntry, ...]
+
+    def __init__(self, records: Sequence[TraceRecord], occupancy_log: Sequence[OccupancyEntry]):
+        def ns_delta(time):
+            return (None, None) if time is None else (time.ns, time.delta)
+
+        rows = [(r.txn_id, r.orig, r.data, *ns_delta(r.injected_at), *ns_delta(r.exited_at),
+                 r.dropped) for r in records]
+        vars(self).update(_columns=tuple(zip(*rows)) or ((),) * 8,
+                          _log=[value for entry in occupancy_log for value in entry],
+                          records=records, occupancy_log=occupancy_log)
+
+    @classmethod
+    def _of_columns(cls, columns: tuple[Sequence, ...], log: list) -> "Trace":
+        trace = cls.__new__(cls)
+        vars(trace).update(_columns=columns, _log=log)
+        return trace
+
+    def rows(self) -> Iterator[tuple]:
+        """(txn_id, orig, data, inject_ns, exit_ns, dropped) per transaction."""
+        ids, orig, data, inject_ns, _, exit_ns, _, dropped = self._columns
+        return zip(ids, orig, data, inject_ns, exit_ns, dropped)
+
+    @cached_property
+    def records(self) -> tuple[TraceRecord, ...]:
+        return tuple(
+            TraceRecord(txn_id, orig, data,
+                        None if inject_ns is None else SimTime(inject_ns, inject_delta),
+                        None if exit_ns is None else SimTime(exit_ns, exit_delta), dropped)
+            for txn_id, orig, data, inject_ns, inject_delta, exit_ns, exit_delta, dropped
+            in zip(*self._columns)
+        )
+
+    @cached_property
+    def occupancy_log(self) -> tuple[OccupancyEntry, ...]:
+        return tuple(zip(*[iter(self._log)] * 6))
 
     @cached_property
     def occupancy(self) -> tuple[Occupancy, ...]:
@@ -211,15 +238,9 @@ class RunResult(Value):
 
 
 class _Runtime:
-    """The state of one run, shared by all its processes.
+    """The state of one run, shared by all its processes: wiring, columns and counts."""
 
-    Besides the wiring it holds what the run records, frozen into
-    :class:`Trace` and :class:`Stats` when the run ends: each transaction's
-    orig, data and inject and exit times, the occupancy log and the count of
-    timed waits.
-    """
-
-    def __init__(self, engine: Engine, netlist: Netlist, checked: CheckedConfig):
+    def __init__(self, engine: Engine, netlist: Netlist, checked: CheckedConfig, inputs: int):
         self.engine = engine
         self.netlist = netlist
         self.route = netlist.route
@@ -229,11 +250,14 @@ class _Runtime:
         # Resolved now, so that a custom join compiles when the run builds.
         self._merge = checked.join.merger() if checked.join is not None else None
 
-        self.orig: dict[int, float] = {}
-        self.data: dict[int, float] = {}
-        self.injected_at: dict[int, SimTime | None] = {}
-        self.exited_at: dict[int, SimTime] = {}
-        self.occupancy_log: list[OccupancyEntry] = []
+        # One slot per input; ``orig`` grows as the transactions are created.
+        self.orig: list[float] = []
+        self.data: list[float] = [0.0] * inputs
+        self.inject_ns: list[int | None] = [None] * inputs
+        self.inject_delta: list[int | None] = [None] * inputs
+        self.exit_ns: list[int | None] = [None] * inputs
+        self.exit_delta: list[int | None] = [None] * inputs
+        self.occupancy_log: list = []
         self.timed_waits = 0
         self.issue_active = True
 
@@ -249,19 +273,12 @@ class _Runtime:
         """The stage channels, inputs then outputs, in stage order."""
         return [*self.in_channels.values(), *self.out_channels.values()]
 
-    def new_transaction(self, value: float) -> Transaction:
-        txn = Transaction(len(self.orig), float(value), 0.0)
-        self.orig[txn.id] = txn.orig
-        self.data[txn.id] = txn.data
-        self.injected_at[txn.id] = None
-        return txn
-
     def dropped_ids(self) -> set[int]:
         return {txn.id for channel in self.channels() for txn in channel.dropped}
 
     def in_flight_ids(self) -> list[int]:
         gone = self.dropped_ids()
-        return [i for i in self.orig if i not in self.exited_at and i not in gone]
+        return [i for i in range(len(self.orig)) if self.exit_ns[i] is None and i not in gone]
 
     def channel_into(self, src_node: str, dest: StageId) -> ChannelBase:
         if (src_node, dest.name) in self._edges:
@@ -289,12 +306,7 @@ class _Runtime:
                 f"join for transaction {txn.id} at step {completed_step} received "
                 f"two copies from the same branch"
             )
-        merge = self._merge
-        if merge is None:
-            raise JoinError(
-                f"transaction {txn.id} forked at step {completed_step} but no join "
-                f"specification was configured"
-            )
+        merge = self._merge  # validation gave every forking route a join
         merged = copies[0]
         try:
             for other in copies[1:]:
@@ -327,8 +339,9 @@ class _Runtime:
         transaction retires and there is nothing to deliver.
         """
         if targets is EXIT:
-            self.exited_at[txn.id] = self.engine.now
-            self.data[txn.id] = txn.data
+            engine, i = self.engine, txn.id
+            self.exit_ns[i], self.exit_delta[i] = engine.ns, engine.delta
+            self.data[i] = txn.data
             return ()
         if len(targets) == 1:
             ((stage, write),) = targets
@@ -381,7 +394,7 @@ def _stage_method(rt: _Runtime, cfg: StageConfig):
     stage = cfg.stage
     name = stage.name
     engine = rt.engine
-    log = rt.occupancy_log.append
+    log = rt.occupancy_log.extend
     in_ch = rt.in_channels[stage]
     out_ch = rt.out_channels[stage]
     read = Read(in_ch)
@@ -515,14 +528,15 @@ def _issue_method(rt: _Runtime, values: Sequence[float], times: Iterator[int]):
                     target = None
                     sleep(proc, 0)
                     return
-                txn = rt.new_transaction(values[index])
+                txn = Transaction(index, float(values[index]), 0.0)
+                rt.orig.append(txn.orig)
                 index += 1
                 copies = iter(rt.forward(txn, entry))
             for write, held in copies:
                 if not write.channel.try_write(proc, held):
                     proc.pending = write
                     return
-            rt.injected_at[txn.id] = engine.now
+            rt.inject_ns[txn.id], rt.inject_delta[txn.id] = engine.ns, engine.delta
             txn = None
             target = next(times, None)
 
@@ -564,7 +578,7 @@ def run(
     vector = analysis.collision_vector(analysis.forbidden_latencies(table), table.length)
 
     engine = Engine()
-    rt = _Runtime(engine, netlist, checked)
+    rt = _Runtime(engine, netlist, checked, len(inputs))
 
     engine.spawn("issue", _issue_method(rt, inputs, analysis.issue_times(issue, vector)))
     for stage in netlist.stages:
@@ -577,27 +591,21 @@ def run(
     truncated = engine.run(horizon_ns=horizon_ns, quiesced=rt.quiesced_message)
 
     dropped_ids = rt.dropped_ids()
-    # Positional arguments: keywords cost about twice as much per record.
-    records = tuple(
-        TraceRecord(i, rt.orig[i], rt.data[i], rt.injected_at[i], rt.exited_at.get(i),
-                    i in dropped_ids)
-        for i in sorted(rt.orig)
-    )
-    trace = Trace(records=records, occupancy_log=tuple(rt.occupancy_log))
+    ids = range(len(rt.orig))
+    slots = (rt.data, rt.inject_ns, rt.inject_delta, rt.exit_ns, rt.exit_delta)
+    columns = (ids, rt.orig, *(c[:len(ids)] for c in slots), [i in dropped_ids for i in ids])
+    trace = Trace._of_columns(columns, rt.occupancy_log)
 
-    items = Counter(map(itemgetter(0), rt.occupancy_log))
+    items = Counter(rt.occupancy_log[0::6])
     stage_stats = {
-        s.name: StageStats(
-            items=items[s.name],
-            busy_ns=items[s.name] * _busy_ns(checked.config_of(s)),
-            stalls=rt.in_channels[s].stalls,
-        )
+        s.name: StageStats(items[s.name], items[s.name] * _busy_ns(checked.config_of(s)),
+                           rt.in_channels[s].stalls)
         for s in netlist.stages
     }
     channels = sorted(rt.channels(), key=lambda c: c.name)
     stats = Stats(
         injected=len(rt.orig),
-        exited=len(rt.exited_at),
+        exited=len(rt.exit_ns) - rt.exit_ns.count(None),
         dropped=len(dropped_ids),
         in_flight=len(rt.in_flight_ids()),
         final_time=engine.now,

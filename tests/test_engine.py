@@ -1,5 +1,6 @@
 """Unit tests of the event engine and channel primitives."""
 
+import gc
 import sys
 from dataclasses import dataclass
 
@@ -437,6 +438,37 @@ def test_calls_per_hop_of_the_feedback_route():
     hops = len(result.trace.occupancy_log)
     assert hops == 3200
     assert calls / hops <= CALLS_PER_HOP_CEILING, calls / hops
+
+
+# Gen-0 collections of the run below, after a full collection: a count that
+# is deterministic for one CPython build.  A run that kept one tuple per hop
+# and a SimTime pair and a TraceRecord per transaction triggered 6 (CPython
+# 3.11); results kept as columns of plain values trigger none.
+GEN0_COLLECTIONS_CEILING = 1
+
+
+def test_gen0_collections_of_the_feedback_route():
+    decls = ps.declare_stages(["S1", "S2", "S3"])
+    configs = [
+        ps.StageConfig(decls["S1"], ps.parse_function("data + 2*sqr(orig)")),
+        ps.StageConfig(decls["S2"], ps.parse_function("data + 4*orig")),
+        ps.StageConfig(decls["S3"], ps.parse_function("data - 7")),
+    ]
+    route = ps.flatten(ps.parse("S1 >> S2 >> S3 >> S1 >> S3*2 >> S1 >> S2", decls))
+    netlist = ps.elaborate(route, decls)
+    checked = ps.validate_config(route, configs)
+    inputs = [float(i) for i in range(400)]
+    enabled, threshold = gc.isenabled(), gc.get_threshold()
+    assert enabled, "the count needs the collector on"
+    gc.collect()
+    before = gc.get_stats()[0]["collections"]
+    result = ps.run(netlist, checked, inputs)
+    collections = gc.get_stats()[0]["collections"] - before
+    # The run leaves the collector as it found it: no gc.disable or gc.freeze.
+    assert (gc.isenabled(), gc.get_threshold()) == (enabled, threshold)
+    assert gc.get_freeze_count() == 0
+    assert result.stats.exited == 400
+    assert collections <= GEN0_COLLECTIONS_CEILING, collections
 
 
 # -- method processes --------------------------------------------------------------
