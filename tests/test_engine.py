@@ -458,15 +458,14 @@ def test_gen0_collections_of_the_feedback_route():
     netlist = ps.elaborate(route, decls)
     checked = ps.validate_config(route, configs)
     inputs = [float(i) for i in range(400)]
-    enabled, threshold = gc.isenabled(), gc.get_threshold()
-    assert enabled, "the count needs the collector on"
+    settings = (gc.isenabled(), gc.get_threshold(), gc.get_freeze_count())
+    assert settings[0], "the count needs the collector on"
     gc.collect()
     before = gc.get_stats()[0]["collections"]
     result = ps.run(netlist, checked, inputs)
     collections = gc.get_stats()[0]["collections"] - before
     # The run leaves the collector as it found it: no gc.disable or gc.freeze.
-    assert (gc.isenabled(), gc.get_threshold()) == (enabled, threshold)
-    assert gc.get_freeze_count() == 0
+    assert (gc.isenabled(), gc.get_threshold(), gc.get_freeze_count()) == settings
     assert result.stats.exited == 400
     assert collections <= GEN0_COLLECTIONS_CEILING, collections
 

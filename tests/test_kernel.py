@@ -821,7 +821,8 @@ def valid_pipelines(draw):
     checked = ps.validate_config(route, [draw(stage_configs(s)) for s in route.stages], join=join)
     issue = draw(st.one_of(st.sampled_from([ps.IssueSpec.greedy(), ps.IssueSpec.eager()]),
                            st.integers(1, 4).map(ps.IssueSpec.fixed)))
-    inputs = draw(st.lists(st.integers(-9, 9).map(float), min_size=1, max_size=30))
+    count = draw(st.integers(1, 30))  # drawn apart, so long input lists are as likely as short
+    inputs = draw(st.lists(st.integers(-9, 9).map(float), min_size=count, max_size=count))
     return ps.elaborate(route, decls), checked, inputs, issue
 
 
