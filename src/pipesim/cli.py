@@ -138,21 +138,20 @@ def run_and_report(
     except DeadlockError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_DEADLOCK
-    if fmt == "json-like":
-        text, csv = report.run_report_json_and_csv(
-            name, result, analysis_report, issue, csv=trace_path is not None
-        )
-    else:
-        text = report.run_report_text(name, result, analysis_report, issue)
-        csv = None if trace_path is None else report.trace_to_csv(result.trace)
-    # Write the trace before any report output, so an unwritable path fails
-    # with nothing on stdout.
+    json_like = fmt == "json-like"
+    # The trace is complete before any report output, so an unwritable path
+    # fails with nothing on stdout.
     if trace_path is not None:
         with open(trace_path, "w", encoding="utf-8") as handle:
-            handle.write(csv)
+            reals = report.format_reals(result.trace, handle)
+    elif json_like:
+        reals = report.format_reals(result.trace)
     for warning in result.warnings:
         print(f"warning: {warning}", file=sys.stderr)
-    sys.stdout.write(text)
+    if json_like:
+        report.write_run_report(name, result, analysis_report, issue, reals, sys.stdout)
+    else:
+        sys.stdout.write(report.run_report_text(name, result, analysis_report, issue))
     return EXIT_HORIZON if result.stats.truncated else EXIT_OK
 
 

@@ -7,8 +7,10 @@ inputs therefore always serialize to identical bytes.
 
 from __future__ import annotations
 
+import io
 import json
 from functools import lru_cache
+from itertools import islice
 from typing import Mapping
 
 from .analysis import AnalysisReport
@@ -22,6 +24,8 @@ __all__ = [
     "analysis_text",
     "run_report_text",
     "run_report_mapping",
+    "format_reals",
+    "write_run_report",
     "run_report_json_and_csv",
 ]
 
@@ -202,6 +206,73 @@ def _report_mapping(name: str, result: RunResult, report: AnalysisReport, issue:
     }
 
 
+# Rows per write of the streamed report and CSV trace.
+_CHUNK_ROWS = 1000
+# Stands for the results rows in the canonical text; a string value never
+# prints a raw NUL, since json.dumps escapes it.
+_RESULTS_MARK = _Verbatim("\0")
+
+
+def format_reals(trace: Trace, csv_out=None) -> list[tuple[str, str]]:
+    """Each transaction's ``orig`` and ``data`` as text, formatted once.
+
+    Per chunk of ``_CHUNK_ROWS`` transactions it keeps the orig texts and the
+    data texts as two newline-joined strings, a fraction of the memory of
+    that many short strings.  Given ``csv_out``, it writes
+    ``trace_to_csv(trace)`` there, a chunk per write.
+    """
+    if csv_out is not None:
+        csv_out.write(_CSV_HEADER + "\n")
+    chunks = []
+    rows = trace.rows()
+    while chunk := list(islice(rows, _CHUNK_ROWS)):
+        origs = [format_real(row[1]) for row in chunk]
+        datas = [format_real(row[2]) for row in chunk]
+        if csv_out is not None:
+            csv_out.write("".join([
+                f"{txn_id},{'' if inject_ns is None else inject_ns},"
+                f"{'' if exit_ns is None else exit_ns},{orig_text},{data_text}\n"
+                for (txn_id, _, _, inject_ns, exit_ns, _), orig_text, data_text
+                in zip(chunk, origs, datas)
+            ]))
+        chunks.append(("\n".join(origs), "\n".join(datas)))
+    return chunks
+
+
+def write_run_report(
+    name: str,
+    result: RunResult,
+    report: AnalysisReport,
+    issue: IssueSpec,
+    reals: list[tuple[str, str]],
+    out,
+) -> None:
+    """Write ``canonical(run_report_mapping(...)) + "\n"`` to ``out``.
+
+    ``reals`` is :func:`format_reals` of the run's trace.  The ``results``
+    rows go out a chunk per write, each from one template with the keys in
+    sorted order; a transaction whose ``orig`` or ``data`` is not exactly a
+    float renders its row through ``canonical``.
+    """
+    mapping = _report_mapping(name, result, report, issue, _RESULTS_MARK)
+    head, tail = canonical(mapping).split(_RESULTS_MARK)
+    out.write(head)
+    rows = result.trace.rows()
+    for number, (origs, datas) in enumerate(reals):
+        out.write(("[\n" if number == 0 else ",\n") + ",\n".join([
+            f'    {{\n      "data": {data_text},\n'
+            f'      "dropped": {"true" if dropped else "false"},\n'
+            f'      "exit_ns": {"null" if exit_ns is None else exit_ns},\n      "id": {txn_id},\n'
+            f'      "inject_ns": {"null" if inject_ns is None else inject_ns},\n'
+            f'      "orig": {orig_text}\n    }}'
+            if type(orig) is float and type(data) is float else "    " + canonical(
+                dict(zip(_RESULT_KEYS, (txn_id, orig, data, inject_ns, exit_ns, dropped))), 2)
+            for (txn_id, orig, data, inject_ns, exit_ns, dropped), orig_text, data_text
+            in zip(islice(rows, _CHUNK_ROWS), origs.split("\n"), datas.split("\n"))
+        ]))
+    out.write(("\n  ]" if reals else "[]") + tail + "\n")
+
+
 def run_report_json_and_csv(
     name: str,
     result: RunResult,
@@ -209,38 +280,18 @@ def run_report_json_and_csv(
     issue: IssueSpec,
     csv: bool = True,
 ) -> tuple[str, str | None]:
-    """The json-like run report and the CSV trace of a run, from one pass.
+    """The json-like run report and the CSV trace of a run, as text.
 
-    The bytes are those of ``canonical(run_report_mapping(...)) + "\n"`` and
-    ``trace_to_csv(result.trace)``, which specify them.  The pass formats
-    each transaction's ``orig`` and ``data`` once for both rows, and renders
-    the ``results`` row from one template with the keys in sorted order.  It
-    reads the trace's columns (``Trace.rows``) and builds no record.  A
-    transaction whose ``orig`` or ``data`` is not exactly a float renders its
-    ``results`` row through ``canonical``.  With ``csv`` false no CSV row is
-    built and the trace is None.
+    The CLI's writers, :func:`format_reals` and :func:`write_run_report`, run
+    into two buffers.  The bytes are those of
+    ``canonical(run_report_mapping(...)) + "\n"`` and
+    ``trace_to_csv(result.trace)``, which specify them.  With ``csv`` false
+    no CSV row is built and the trace is None.
     """
-    csv_rows = [_CSV_HEADER] if csv else None
-    rows = []
-    for row in result.trace.rows():
-        txn_id, orig, data, inject_ns, exit_ns, dropped = row
-        inject_text = "" if inject_ns is None else str(inject_ns)
-        exit_text = "" if exit_ns is None else str(exit_ns)
-        orig_text, data_text = format_real(orig), format_real(data)
-        if csv:
-            csv_rows.append(f"{txn_id},{inject_text},{exit_text},{orig_text},{data_text}")
-        if type(orig) is float and type(data) is float:
-            rows.append(
-                f'    {{\n      "data": {data_text},\n'
-                f'      "dropped": {"true" if dropped else "false"},\n'
-                f'      "exit_ns": {exit_text or "null"},\n      "id": {txn_id},\n'
-                f'      "inject_ns": {inject_text or "null"},\n      "orig": {orig_text}\n    }}'
-            )
-        else:
-            rows.append("    " + canonical(dict(zip(_RESULT_KEYS, row)), 2))
-    results = _Verbatim("[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]")
-    mapping = _report_mapping(name, result, report, issue, results)
-    return canonical(mapping) + "\n", "\n".join(csv_rows) + "\n" if csv else None
+    report_out, csv_out = io.StringIO(), io.StringIO() if csv else None
+    reals = format_reals(result.trace, csv_out)
+    write_run_report(name, result, report, issue, reals, report_out)
+    return report_out.getvalue(), csv_out.getvalue() if csv else None
 
 
 def run_report_text(

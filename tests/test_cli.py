@@ -1,8 +1,11 @@
+import hashlib
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -10,6 +13,7 @@ import pytest
 import pipesim as ps
 from pipesim import cli
 from pipesim.policy import ISSUE_KINDS, JOIN_KINDS
+from pipesim.report import canonical, run_report_mapping, trace_to_csv
 
 QUAD = """\
 stage S1 { fn = "data + 2*sqr(orig)"; delay = 1; }
@@ -308,14 +312,19 @@ def test_json_report_without_trace_builds_no_csv(write_file, capsys, tmp_path, m
     path = write_file("looped.pipe", LOOPED)
     inputs = ",".join(str(i) for i in range(12))
     traces = []
-    build = cli.report.run_report_json_and_csv
+    build = cli.report.format_reals
 
-    def recorded(*args, **kwargs):
-        text, csv = build(*args, **kwargs)
-        traces.append(csv)
-        return text, csv
+    def recorded(trace, csv_out=None):
+        if csv_out is None:
+            traces.append(None)
+            return build(trace)
+        buffer = io.StringIO()
+        reals = build(trace, buffer)
+        traces.append(buffer.getvalue())
+        csv_out.write(traces[-1])
+        return reals
 
-    monkeypatch.setattr(cli.report, "run_report_json_and_csv", recorded)
+    monkeypatch.setattr(cli.report, "format_reals", recorded)
     trace = tmp_path / "trace.csv"
     with_trace = invoke(capsys, "run", path, "--inputs", inputs, "--format", "json-like",
                         "--trace", str(trace))
@@ -323,6 +332,59 @@ def test_json_report_without_trace_builds_no_csv(write_file, capsys, tmp_path, m
     assert without == with_trace
     assert with_trace[0] == 0
     assert traces == [trace.read_text(encoding="utf-8"), None]
+
+
+# The README's 8-step feedback route with the quad functions, as the
+# feedback-greedy benchmark runs it.
+FEEDBACK_ROUTE = QUAD.replace("S1 >> S2 >> S3;", "S1 >> S2 >> S3 >> S1 >> S3*2 >> S1 >> S2;")
+
+
+class _HashingSink:
+    """A stdout that hashes each write and keeps none of it."""
+
+    def __init__(self):
+        self.digest = hashlib.sha256()
+
+    def write(self, text):
+        self.digest.update(text.encode("utf-8"))
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+# tracemalloc peak of the run below on CPython 3.11: 6.1 MiB when the report
+# and the CSV were each rendered whole, 3.1 MiB streamed, which is the peak of
+# the simulation itself.
+RUN_PEAK_CEILING = 4.5 * 2**20
+
+
+def test_streamed_run_report_memory(write_file, tmp_path, monkeypatch):
+    path = write_file("feedback.pipe", FEEDBACK_ROUTE)
+    values = [(i * 389) % 1999 - 999 for i in range(4000)]
+    inputs = tmp_path / "inputs.txt"
+    inputs.write_text("\n".join(map(str, values)) + "\n", encoding="utf-8")
+    trace = tmp_path / "trace.csv"
+    sink = _HashingSink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    tracemalloc.start()
+    try:
+        code = cli.main(["run", path, "--inputs", str(inputs), "--format", "json-like",
+                         "--trace", str(trace)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+
+    setup = ps.load_pipeline_file(path)
+    route = setup.routes["main"]
+    checked = ps.validate_config(route, setup.configs)
+    result = ps.run(ps.elaborate(route, setup.decls, checked), checked, [float(v) for v in values])
+    issue = ps.IssueSpec.greedy()
+    expected = canonical(run_report_mapping("main", result, ps.analyze(route), issue)) + "\n"
+    assert sink.digest.hexdigest() == hashlib.sha256(expected.encode("utf-8")).hexdigest()
+    assert trace.read_text(encoding="utf-8") == trace_to_csv(result.trace)
+    assert peak <= RUN_PEAK_CEILING, peak
 
 
 @pytest.mark.parametrize("spec, message", [
