@@ -138,17 +138,16 @@ def run_and_report(
     except DeadlockError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_DEADLOCK
-    json_like = fmt == "json-like"
     # The trace is complete before any report output, so an unwritable path
     # fails with nothing on stdout.
     if trace_path is not None:
         with open(trace_path, "w", encoding="utf-8") as handle:
             reals = report.format_reals(result.trace, handle)
-    elif json_like:
+    elif fmt == "json-like":
         reals = report.format_reals(result.trace)
     for warning in result.warnings:
         print(f"warning: {warning}", file=sys.stderr)
-    if json_like:
+    if fmt == "json-like":
         report.write_run_report(name, result, analysis_report, issue, reals, sys.stdout)
     else:
         sys.stdout.write(report.run_report_text(name, result, analysis_report, issue))

@@ -2,7 +2,9 @@
 
 The structured-text format is a canonical JSON subset: object keys sorted,
 reals printed with up to six significant digits, integers bare.  Identical
-inputs therefore always serialize to identical bytes.
+inputs therefore always serialize to identical bytes.  The CLI streams the
+json-like run report and the CSV trace in chunks of rows, and
+``canonical(run_report_mapping(...))`` and :func:`trace_to_csv` specify them.
 """
 
 from __future__ import annotations
@@ -206,53 +208,32 @@ def _report_mapping(name: str, result: RunResult, report: AnalysisReport, issue:
     }
 
 
-# Rows per write of the streamed report and CSV trace.
 _CHUNK_ROWS = 1000
-# Stands for the results rows in the canonical text; a string value never
-# prints a raw NUL, since json.dumps escapes it.
-_RESULTS_MARK = _Verbatim("\0")
+_RESULTS_MARK = _Verbatim("\0")  # no string prints a raw NUL: json.dumps escapes it
 
 
 def format_reals(trace: Trace, csv_out=None) -> list[tuple[str, str]]:
-    """Each transaction's ``orig`` and ``data`` as text, formatted once.
-
-    Per chunk of ``_CHUNK_ROWS`` transactions it keeps the orig texts and the
-    data texts as two newline-joined strings, a fraction of the memory of
-    that many short strings.  Given ``csv_out``, it writes
-    ``trace_to_csv(trace)`` there, a chunk per write.
-    """
+    """Each ``orig`` and ``data`` as text, formatted once; the CSV trace to ``csv_out``."""
     if csv_out is not None:
         csv_out.write(_CSV_HEADER + "\n")
-    chunks = []
-    rows = trace.rows()
+    chunks, rows = [], trace.rows()
     while chunk := list(islice(rows, _CHUNK_ROWS)):
         origs = [format_real(row[1]) for row in chunk]
         datas = [format_real(row[2]) for row in chunk]
         if csv_out is not None:
             csv_out.write("".join([
-                f"{txn_id},{'' if inject_ns is None else inject_ns},"
-                f"{'' if exit_ns is None else exit_ns},{orig_text},{data_text}\n"
-                for (txn_id, _, _, inject_ns, exit_ns, _), orig_text, data_text
-                in zip(chunk, origs, datas)
-            ]))
-        chunks.append(("\n".join(origs), "\n".join(datas)))
+                f"{txn_id},{'' if inject is None else inject},{'' if exit_ns is None else exit_ns},"
+                f"{orig_text},{data_text}\n" for (txn_id, _, _, inject, exit_ns, _), orig_text,
+                data_text in zip(chunk, origs, datas)]))
+        chunks.append(("\n".join(origs), "\n".join(datas)))  # one string each: less memory
     return chunks
 
 
-def write_run_report(
-    name: str,
-    result: RunResult,
-    report: AnalysisReport,
-    issue: IssueSpec,
-    reals: list[tuple[str, str]],
-    out,
-) -> None:
+def write_run_report(name: str, result: RunResult, report: AnalysisReport, issue: IssueSpec,
+                     reals: list[tuple[str, str]], out) -> None:
     """Write ``canonical(run_report_mapping(...)) + "\n"`` to ``out``.
 
-    ``reals`` is :func:`format_reals` of the run's trace.  The ``results``
-    rows go out a chunk per write, each from one template with the keys in
-    sorted order; a transaction whose ``orig`` or ``data`` is not exactly a
-    float renders its row through ``canonical``.
+    ``reals`` is the trace's :func:`format_reals`.
     """
     mapping = _report_mapping(name, result, report, issue, _RESULTS_MARK)
     head, tail = canonical(mapping).split(_RESULTS_MARK)
@@ -273,20 +254,11 @@ def write_run_report(
     out.write(("\n  ]" if reals else "[]") + tail + "\n")
 
 
-def run_report_json_and_csv(
-    name: str,
-    result: RunResult,
-    report: AnalysisReport,
-    issue: IssueSpec,
-    csv: bool = True,
-) -> tuple[str, str | None]:
-    """The json-like run report and the CSV trace of a run, as text.
+def run_report_json_and_csv(name: str, result: RunResult, report: AnalysisReport,
+                            issue: IssueSpec, csv: bool = True) -> tuple[str, str | None]:
+    """The CLI's writers run into two buffers; with ``csv`` false the trace is None.
 
-    The CLI's writers, :func:`format_reals` and :func:`write_run_report`, run
-    into two buffers.  The bytes are those of
-    ``canonical(run_report_mapping(...)) + "\n"`` and
-    ``trace_to_csv(result.trace)``, which specify them.  With ``csv`` false
-    no CSV row is built and the trace is None.
+    ``canonical(run_report_mapping(...)) + "\n"`` and ``trace_to_csv`` specify the bytes.
     """
     report_out, csv_out = io.StringIO(), io.StringIO() if csv else None
     reals = format_reals(result.trace, csv_out)
