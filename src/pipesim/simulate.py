@@ -149,7 +149,7 @@ class Trace(Value):
     Per transaction the columns hold id, orig, data, inject and exit ns and
     delta (None until reached) and whether it dropped; the log holds six
     entries per hop.  ``records``, ``occupancy_log`` and ``occupancy`` are
-    views built on first read, and equality compares them.
+    views built on first read; equality compares the columns, hash the views.
     """
 
     records: tuple[TraceRecord, ...]
@@ -196,6 +196,15 @@ class Trace(Value):
             Occupancy(stage, txn_id, SimTime(start_ns, start_delta), SimTime(end_ns, end_delta))
             for stage, txn_id, start_ns, start_delta, end_ns, end_delta in self.occupancy_log
         )
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            # A run's ids are a range and its columns lists; a rebuilt trace's are tuples.
+            return (tuple(map(tuple, self._columns)) == tuple(map(tuple, other._columns))
+                    and self._log == other._log)
+        return NotImplemented
+
+    __hash__ = Value.__hash__  # of the views: defining __eq__ drops the inherited hash
 
     def __repr__(self) -> str:
         return f"Trace(records={self.records!r}, occupancy={self.occupancy!r})"

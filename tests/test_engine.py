@@ -120,6 +120,19 @@ def test_blocking_channel_rendezvous():
     assert all(t.ns == 0 for _, t in seen)  # zero-time handshakes, delta ordered
 
 
+def test_blocking_channel_describe():
+    engine = Engine()
+    proc = engine.spawn("w", lambda proc: None)
+    latch = BlockingChannel("latch", engine)
+    assert latch.try_write(proc, simulate.Transaction(4, 1.0, 0.0))
+    assert latch.describe() == "latch: full (txn 4)"
+    assert not latch.try_write(proc, simulate.Transaction(5, 1.0, 0.0))
+    assert latch.describe() == "latch: full (txn 4), 1 writer(s) blocked"
+    value = BlockingChannel("value", engine)
+    assert value.try_write(proc, 2.5)
+    assert value.describe() == "value: full"
+
+
 def test_blocked_writers_same_ns_granted_by_transaction_id():
     engine = Engine()
     channel = BlockingChannel("c", engine)

@@ -307,6 +307,21 @@ def test_missing_routing_entry_is_fatal():
         ps.run(broken, configs, [1.0])
 
 
+def test_join_of_two_copies_from_one_branch_is_fatal():
+    decls = ps.declare_stages(["S1", "S2", "S3", "S4"])
+    route = ps.flatten(ps.parse("S1 >> S2 + S3 >> S4", decls))
+    netlist = ps.elaborate(route, decls)
+    routers = list(netlist.routers)
+    s2 = decls["S2"]
+    routers[1] = RouterNode("r_S1", decls["S1"], ps.RoutingTable(entries={0: [s2, s2]}))
+    broken = ps.Netlist(netlist.route, netlist.stages, tuple(routers), netlist.edges)
+    with pytest.raises(ps.JoinError) as exc:
+        ps.run(broken, fork_configs(decls), [1.0], join=ps.JoinSpec.sum())
+    assert str(exc.value) == (
+        "join for transaction 0 at step 1 received two copies from the same branch"
+    )
+
+
 def test_severed_channel_deadlocks_with_diagnostic():
     decls, configs = declare_quad()
     route = ps.flatten(ps.parse("S1 >> S2 >> S3", decls))
@@ -778,6 +793,48 @@ def test_identical_runs_give_equal_traces():
     assert one == two and hash(one) == hash(two)
     eager = run_route(decls, FEEDBACK, configs, PIN_INPUTS, issue=ps.IssueSpec.eager()).trace
     assert one != eager
+
+
+def test_trace_equality_builds_no_view():
+    decls, configs = declare_quad()
+    one = run_route(decls, FEEDBACK, configs, PIN_INPUTS).trace
+    two = run_route(decls, FEEDBACK, configs, PIN_INPUTS).trace
+    assert one == two
+    for trace in (one, two):
+        assert "records" not in vars(trace) and "occupancy_log" not in vars(trace)
+
+
+def test_trace_equality_of_columns_agrees_with_the_views():
+    def changed(trace, record=None, entry=None):
+        records, log = list(trace.records), list(trace.occupancy_log)
+        if record is not None:
+            records[0] = ps.TraceRecord(*record(records[0]))
+        if entry is not None:
+            log[0] = entry(log[0])
+        return ps.Trace(records=tuple(records), occupancy_log=tuple(log))
+
+    traces, runs = [], []
+    for make in pinned_corpus().values():
+        trace = make().trace
+        first = trace.records[0]
+        runs.append(len(traces))
+        traces += [
+            trace,
+            ps.Trace(records=trace.records, occupancy_log=trace.occupancy_log),
+            changed(trace, record=lambda r: (r.txn_id, r.orig, r.data + 1.0, r.injected_at,
+                                             r.exited_at, r.dropped)),
+            changed(trace, entry=lambda e: (*e[:3], e[3] + 1, *e[4:])),
+        ]
+        if first.injected_at is not None:
+            delta = ps.SimTime(first.injected_at.ns, first.injected_at.delta + 1)
+            traces.append(changed(trace, record=lambda r: (r.txn_id, r.orig, r.data, delta,
+                                                           r.exited_at, r.dropped)))
+    by_columns = [[a == b for b in traces] for a in traces]
+    by_views = [[(a.records, a.occupancy_log) == (b.records, b.occupancy_log) for b in traces]
+                for a in traces]
+    assert by_columns == by_views
+    # Each run equals its rebuild and differs from its changed copies.
+    assert all(by_columns[i][i + 1] and not any(by_columns[i][i + 2:i + 4]) for i in runs)
 
 
 # -- liveness ----------------------------------------------------------------------------
