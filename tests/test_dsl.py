@@ -223,3 +223,107 @@ def test_pretty_parse_round_trip():
     for _ in range(50):
         decls, expr = random_expr(rng)
         assert ps.parse(ps.pretty(expr), decls) == expr
+
+
+# -- diagnostics pin ----------------------------------------------------------
+#
+# The exact type and text of the error each faulty input raises, through the
+# operators, the builder functions, the AST constructors and the parser.
+
+_D = ps.declare_stages(["S1", "S2", "S3", "S4"])
+_S1, _S2, _S3, _S4 = _D
+_REPEAT_TEXT = "repetition with * applies to a single stage name, not to a composite expression"
+_FORK_TEXT = "fork with + combines stage names only, not composite expressions"
+_SEQ_TEXT = "expected a stage or pipeline expression, got int"
+
+
+class _ForeignExpr(ps.PipeExpr):
+    def __repr__(self):
+        return "_ForeignExpr()"
+
+
+DIAGNOSTICS = {
+    "declare nothing": (lambda: ps.declare_stages([]),
+                        ps.DeclarationError, "at least one stage must be declared"),
+    "declare bad name": (lambda: ps.declare_stages(["ok", "not ok"]),
+                         ps.DeclarationError, "invalid stage name 'not ok'"),
+    "declare non-string": (lambda: ps.declare_stages([5]),
+                           ps.DeclarationError, "invalid stage name 5"),
+    "declare twice": (lambda: ps.declare_stages(["S1", "S1"]),
+                      ps.DeclarationError, "duplicate stage name 'S1'"),
+    "lookup unknown name": (lambda: _D["nope"], KeyError, "\"unknown stage 'nope'\""),
+    "lookup bad position": (lambda: _D[9], IndexError, "tuple index out of range"),
+    "seq with int": (lambda: _S1 >> 5, ps.ExpressionError, _SEQ_TEXT),
+    "int with seq": (lambda: 5 >> _S1, TypeError,
+                     "unsupported operand type(s) for >>: 'int' and 'StageId'"),
+    "repeat by real": (lambda: _S1 * 2.5, ps.ExpressionError, "repeat count must be an integer"),
+    "repeat by bool": (lambda: _S1 * True, ps.ExpressionError, "repeat count must be an integer"),
+    "repeat zero times": (lambda: _S1 * 0, ps.ExpressionError, "repeat count must be >= 1, got 0"),
+    "repeat a sequence": (lambda: (_S1 >> _S2) * 2, ps.ExpressionError, _REPEAT_TEXT),
+    "repeat a reference": (lambda: ps.StageRef(_S1) * 2, ps.ExpressionError, _REPEAT_TEXT),
+    "repeat a fork": (lambda: (_S1 + _S2) * 2, ps.ExpressionError, _REPEAT_TEXT),
+    "fork a sequence": (lambda: _S1 + (_S2 >> _S3), ps.ExpressionError, _FORK_TEXT),
+    "fork an int": (lambda: _S1 + 5, ps.ExpressionError, _FORK_TEXT),
+    "fork a stage twice": (lambda: _S1 + _S1, ps.ExpressionError, "duplicate stage 'S1' in fork"),
+    "fork from a sequence": (lambda: (_S1 >> _S2) + _S3, ps.ExpressionError, _FORK_TEXT),
+    "fork from a reference": (lambda: ps.StageRef(_S1) + _S2, ps.ExpressionError, _FORK_TEXT),
+    "fork a fork and a sequence": (lambda: (_S1 + _S2) + (_S3 >> _S4),
+                                   ps.ExpressionError, _FORK_TEXT),
+    "fork a fork and a member": (lambda: (_S1 + _S2) + _S1,
+                                 ps.ExpressionError, "duplicate stage 'S1' in fork"),
+    "seq() with int": (lambda: ps.seq(_S1, 5), ps.ExpressionError, _SEQ_TEXT),
+    "seq() of int": (lambda: ps.seq(5, _S1), ps.ExpressionError, _SEQ_TEXT),
+    "repeat() a sequence": (lambda: ps.repeat(_S1 >> _S2, 2), ps.ExpressionError, _REPEAT_TEXT),
+    "repeat() an int": (lambda: ps.repeat(5, 2), ps.ExpressionError, _REPEAT_TEXT),
+    "repeat() zero times": (lambda: ps.repeat(_S1, 0),
+                            ps.ExpressionError, "repeat count must be >= 1, got 0"),
+    "repeat() by real": (lambda: ps.repeat(_S1, 2.0),
+                         ps.ExpressionError, "repeat count must be an integer"),
+    "fork() of one": (lambda: ps.fork([_S1]), ps.ExpressionError, "a fork needs at least two stages"),
+    "fork() of none": (lambda: ps.fork([]), ps.ExpressionError, "a fork needs at least two stages"),
+    "fork() twice": (lambda: ps.fork([_S1, _S1]),
+                     ps.ExpressionError, "duplicate stage 'S1' in fork"),
+    "fork() a sequence": (lambda: ps.fork([_S1, _S1 >> _S2]), ps.ExpressionError, _FORK_TEXT),
+    "fork() a lone sequence": (lambda: ps.fork([_S1 >> _S2]), ps.ExpressionError, _FORK_TEXT),
+    "fork() of an int": (lambda: ps.fork(5), TypeError, "'int' object is not iterable"),
+    "Seq of one": (lambda: ps.Seq((ps.StageRef(_S1),)),
+                   ps.ExpressionError, "a sequence needs at least two items"),
+    "Seq of none": (lambda: ps.Seq(()), ps.ExpressionError, "a sequence needs at least two items"),
+    "Seq nested": (lambda: ps.Seq((ps.StageRef(_S1), ps.Seq((ps.StageRef(_S2), ps.StageRef(_S3))))),
+                   ps.ExpressionError, "sequences must be flattened at construction"),
+    "Repeat by real": (lambda: ps.Repeat(_S1, 2.5),
+                       ps.ExpressionError, "repeat count must be an integer"),
+    "Repeat zero times": (lambda: ps.Repeat(_S1, 0),
+                          ps.ExpressionError, "repeat count must be >= 1, got 0"),
+    "Fork of one": (lambda: ps.Fork((_S1,)), ps.ExpressionError, "a fork needs at least two stages"),
+    "Fork twice": (lambda: ps.Fork((_S1, _S1)), ps.ExpressionError, "duplicate stage 'S1' in fork"),
+    "Route of nothing": (lambda: ps.Route(()),
+                         ps.ExpressionError, "a route must have at least one step"),
+    "Route with an empty step": (lambda: ps.Route((frozenset(),)),
+                                 ps.ExpressionError, "route steps must be non-empty"),
+    "Route ending empty": (lambda: ps.Route((frozenset((_S1,)), frozenset())),
+                           ps.ExpressionError, "route steps must be non-empty"),
+    "flatten an int": (lambda: ps.flatten(5), ps.ExpressionError, _SEQ_TEXT),
+    "flatten a foreign node": (lambda: ps.flatten(_ForeignExpr()),
+                               ps.ExpressionError, "unknown expression node _ForeignExpr()"),
+    "pretty an int": (lambda: ps.pretty(5), ps.ExpressionError, _SEQ_TEXT),
+    "parse zero repeat": (lambda: ps.parse("S1 >> S2*0", _D),
+                          ps.ParseError, "col 10: repeat count must be >= 1, got 0"),
+    "parse fork twice": (lambda: ps.parse("S1 + S2 + S1", _D),
+                         ps.ParseError, "col 4: duplicate stage 'S1' in fork"),
+}
+
+
+@pytest.mark.parametrize("build, error, text", DIAGNOSTICS.values(), ids=list(DIAGNOSTICS))
+def test_dsl_diagnostics_pinned(build, error, text):
+    with pytest.raises(Exception) as caught:
+        build()
+    assert type(caught.value) is error
+    assert str(caught.value) == text
+
+
+def test_stage_set_lookups_and_fork_operands():
+    assert "S1" in _D and "nope" not in _D and _S1 in _D
+    assert _D[0] is _S1 and _D[-1] is _S4
+    assert _S1 + (_S2 + _S3) == ps.Fork((_S1, _S2, _S3))
+    assert _S1 + ps.StageRef(_S2) == ps.Fork((_S1, _S2))
