@@ -228,9 +228,6 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except DeadlockError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_DEADLOCK
     except PipelineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -162,15 +162,11 @@ class PipeExpr:
     def __rshift__(self, other: ExprLike) -> "PipeExpr":
         return seq(self, other)
 
-    def __mul__(self, count):
-        raise ExpressionError(
-            "repetition with * applies to a single stage name, not to a composite expression"
-        )
+    def __mul__(self, count) -> "PipeExpr":
+        return repeat(self, count)
 
-    def __add__(self, other):
-        raise ExpressionError(
-            "fork with + combines stage names only, not composite expressions"
-        )
+    def __add__(self, other) -> "PipeExpr":
+        return fork([self, other])
 
 
 class StageRef(PipeExpr, Value):
@@ -193,6 +189,10 @@ class Repeat(PipeExpr, Value):
     count: int
 
     def __init__(self, stage: StageId, count: int):
+        if not isinstance(stage, StageId):
+            raise ExpressionError(
+                "repetition with * applies to a single stage name, not to a composite expression"
+            )
         if not isinstance(count, int) or isinstance(count, bool):
             raise ExpressionError("repeat count must be an integer")
         if count < 1:
@@ -204,6 +204,10 @@ class Fork(PipeExpr, Value):
     stages: tuple[StageId, ...]
 
     def __init__(self, stages: tuple[StageId, ...]):
+        if not all(isinstance(stage, StageId) for stage in stages):
+            raise ExpressionError(
+                "fork with + combines stage names only, not composite expressions"
+            )
         if len(stages) < 2:
             raise ExpressionError("a fork needs at least two stages")
         seen: set[StageId] = set()
@@ -235,16 +239,13 @@ def _seq_items(value: ExprLike) -> tuple[PipeExpr, ...]:
     return node.items if isinstance(node, Seq) else (node,)
 
 
-def _fork_members(value) -> tuple[StageId, ...]:
-    if isinstance(value, StageId):
-        return (value,)
+def _fork_members(value) -> tuple:
+    """The stages ``value`` adds to a fork; anything else, for :class:`Fork` to reject."""
     if isinstance(value, Fork):
         return value.stages
     if isinstance(value, StageRef):
         return (value.stage,)
-    raise ExpressionError(
-        "fork with + combines stage names only, not composite expressions"
-    )
+    return (value,)
 
 
 # ---------------------------------------------------------------------------
@@ -258,24 +259,13 @@ def seq(a: ExprLike, b: ExprLike) -> PipeExpr:
 
 def repeat(stage: StageId, count: int) -> PipeExpr:
     """Reuse ``stage`` for ``count`` consecutive steps (feedback)."""
-    if not isinstance(stage, StageId):
-        raise ExpressionError(
-            "repetition with * applies to a single stage name, not to a composite expression"
-        )
     node = Repeat(stage, count)
     return StageRef(stage) if count == 1 else node
 
 
 def fork(stages: Iterable[StageId]) -> PipeExpr:
     """Use two or more distinct stages in the same cycle."""
-    members = []
-    for stage in stages:
-        if not isinstance(stage, StageId):
-            raise ExpressionError(
-                "fork with + combines stage names only, not composite expressions"
-            )
-        members.append(stage)
-    return Fork(tuple(members))
+    return Fork(tuple(stages))
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +323,7 @@ def _emit_steps(node: PipeExpr, steps: list[frozenset[StageId]]) -> None:
     elif isinstance(node, Seq):
         for item in node.items:
             _emit_steps(item, steps)
-    else:  # pragma: no cover - guarded by _coerce
+    else:  # a PipeExpr subclass from outside this module
         raise ExpressionError(f"unknown expression node {node!r}")
 
 
@@ -352,7 +342,7 @@ def _pretty_term(node: PipeExpr) -> str:
         return f"{node.stage.name}*{node.count}"
     if isinstance(node, Fork):
         return " + ".join(s.name for s in node.stages)
-    raise ExpressionError("sequences cannot nest inside a term")
+    raise ExpressionError(f"unknown expression node {node!r}")
 
 
 # ---------------------------------------------------------------------------

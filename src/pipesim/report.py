@@ -2,16 +2,16 @@
 
 The structured-text format is a canonical JSON subset: object keys sorted,
 reals printed with up to six significant digits, integers bare.  Identical
-inputs therefore always serialize to identical bytes.  The CLI streams the
-json-like run report and the CSV trace in chunks of rows, and
+inputs therefore always serialize to identical bytes.  :func:`canonical`
+renders small mappings: the analysis report and the run report around its
+``results``.  The CLI streams the run report's rows and the CSV trace in
+chunks (:func:`format_reals`, :func:`write_run_report`), and
 ``canonical(run_report_mapping(...))`` and :func:`trace_to_csv` specify them.
 """
 
 from __future__ import annotations
 
-import io
 import json
-from functools import lru_cache
 from itertools import islice
 from typing import Mapping
 
@@ -28,7 +28,6 @@ __all__ = [
     "run_report_mapping",
     "format_reals",
     "write_run_report",
-    "run_report_json_and_csv",
 ]
 
 FORMAT_VERSION = 1
@@ -39,33 +38,15 @@ def format_real(value: float) -> str:
     return "%.6g" % value
 
 
-@lru_cache(maxsize=256)
-def _encode_key(key: str) -> str:
-    # A report repeats a handful of keys thousands of times; the bound keeps
-    # arbitrary library keys from growing the cache.
-    return json.dumps(key)
-
-
 def canonical(obj, indent: int = 0) -> str:
     """Serialize plain data to the canonical structured-text form."""
-    # A report is mostly exact floats, ints, dicts and lists: test for those
-    # first, and leave the rest to the isinstance chain.
-    kind = type(obj)
-    if kind is float:
-        return format_real(obj)
-    if kind is int:
-        return str(obj)
-    if kind is dict:
-        return _canonical_mapping(obj, indent)
-    if kind is list:
-        return _canonical_sequence(obj, indent)
     if obj is None:
         return "null"
     if obj is True:
         return "true"
     if obj is False:
         return "false"
-    if kind is _Verbatim:
+    if type(obj) is _Verbatim:
         return obj
     if isinstance(obj, str):
         return json.dumps(obj)
@@ -97,7 +78,7 @@ def _canonical_mapping(obj: Mapping, indent: int) -> str:
         raise TypeError("cannot serialize a mapping with two keys of the same string form")
     inner = "  " * (indent + 1)
     parts = [
-        f"{inner}{_encode_key(key)}: {canonical(values[key], indent + 1)}"
+        f"{inner}{json.dumps(key)}: {canonical(values[key], indent + 1)}"
         for key in sorted(values)
     ]
     return "{\n" + ",\n".join(parts) + "\n" + "  " * indent + "}"
@@ -252,18 +233,6 @@ def write_run_report(name: str, result: RunResult, report: AnalysisReport, issue
             in zip(islice(rows, _CHUNK_ROWS), origs.split("\n"), datas.split("\n"))
         ]))
     out.write(("\n  ]" if reals else "[]") + tail + "\n")
-
-
-def run_report_json_and_csv(name: str, result: RunResult, report: AnalysisReport,
-                            issue: IssueSpec, csv: bool = True) -> tuple[str, str | None]:
-    """The CLI's writers run into two buffers; with ``csv`` false the trace is None.
-
-    ``canonical(run_report_mapping(...)) + "\n"`` and ``trace_to_csv`` specify the bytes.
-    """
-    report_out, csv_out = io.StringIO(), io.StringIO() if csv else None
-    reals = format_reals(result.trace, csv_out)
-    write_run_report(name, result, report, issue, reals, report_out)
-    return report_out.getvalue(), csv_out.getvalue() if csv else None
 
 
 def run_report_text(

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pipesim as ps
-from pipesim.analysis import issue_times, issue_warnings
+from pipesim.analysis import AnalysisError, IssueCycle, issue_times, issue_warnings
 from oracles import (
     brute_force_mal,
     cycle_is_permissible,
@@ -412,3 +412,8 @@ def test_analyze_each_route_independently():
     # shared stages do not leak between per-route analyses
     assert reports["a"].forbidden == ()
     assert reports["b"].forbidden == (2,)
+
+
+def test_empty_issue_cycle_rejected():
+    with pytest.raises(AnalysisError, match="^an issue cycle must contain at least one latency$"):
+        IssueCycle(())

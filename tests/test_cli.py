@@ -239,6 +239,12 @@ def test_multi_function_pipelines_need_type(write_file, capsys):
     assert "pipeline double" in out and "pipeline single" in out
 
 
+def test_run_unknown_type_exits_1(write_file, capsys):
+    path = write_file("feedback.pipe", FEEDBACK)
+    code, out, err = invoke(capsys, "run", path, "--inputs", "1", "--type", "nope")
+    assert (code, out, err) == (1, "", "error: unknown pipeline type 'nope'; available: main\n")
+
+
 def test_run_stage_overflow_exits_1(write_file, capsys):
     path = write_file("quad.pipe", QUAD)
     code, out, err = invoke(capsys, "run", path, "--inputs", "1e200,1", "--format", "json-like")

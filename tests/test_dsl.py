@@ -327,3 +327,23 @@ def test_stage_set_lookups_and_fork_operands():
     assert _D[0] is _S1 and _D[-1] is _S4
     assert _S1 + (_S2 + _S3) == ps.Fork((_S1, _S2, _S3))
     assert _S1 + ps.StageRef(_S2) == ps.Fork((_S1, _S2))
+
+
+def test_parse_error_without_position_prints_the_message():
+    assert str(ps.ParseError("x")) == "x"
+
+
+def test_constructors_reject_composite_members():
+    with pytest.raises(ps.ExpressionError) as caught:
+        ps.Repeat(_S1 >> _S2, 2)
+    assert str(caught.value) == _REPEAT_TEXT
+    with pytest.raises(ps.ExpressionError) as caught:
+        ps.Fork((_S1, ps.StageRef(_S2)))
+    assert str(caught.value) == _FORK_TEXT
+
+
+def test_pretty_of_a_foreign_node_names_it():
+    for render in (ps.flatten, ps.pretty):
+        with pytest.raises(ps.ExpressionError) as caught:
+            render(_ForeignExpr())
+        assert str(caught.value) == "unknown expression node _ForeignExpr()"

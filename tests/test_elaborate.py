@@ -153,3 +153,13 @@ def test_dot_is_deterministic(looped):
     decls, route = looped
     netlist = ps.elaborate(route, decls)
     assert ps.to_dot(netlist) == ps.to_dot(netlist)
+
+
+def test_unrouted_and_undeclared_stages_are_rejected():
+    decls = ps.declare_stages(["S1", "S2", "S3"])
+    route = ps.flatten(ps.parse("S1 >> S2", decls))
+    with pytest.raises(ps.ElaborationError, match="^no router for stage 'S3'$"):
+        ps.elaborate(route, decls).router_of(decls["S3"])
+    with pytest.raises(ps.ElaborationError,
+                       match="^stage 'S2' is not in the declaration set$"):
+        ps.elaborate(route, ps.declare_stages(["S1"]))

@@ -570,3 +570,16 @@ def test_method_process_schedules_like_a_thread(delay):
     dispatches, lines, resumes, timed = worker_run(method_worker, delay)
     assert list(zip(dispatches, lines)) == WORKER_LOGS[delay]
     assert (resumes, timed) == (14, 4 if delay else 1)
+
+
+def test_take_grants_a_blocked_writer():
+    engine = Engine()
+    reader = engine.spawn("r", lambda proc: None)
+    writer = engine.spawn("w", lambda proc: None)
+    writer.scheduled = False  # parked on the latch, as after a refused write
+    latch = BlockingChannel("latch", engine)
+    assert latch.try_write(writer, Token(4))
+    assert not latch.try_write(writer, Token(5))
+    assert latch.take(reader) == Token(4)
+    assert writer.scheduled
+    assert latch.describe() == "latch: empty"

@@ -894,3 +894,6 @@ def test_valid_pipelines_never_deadlock(pipeline):
     assert stats.injected == len(inputs)
     assert stats.injected == stats.exited + stats.dropped + stats.in_flight
     assert stats.in_flight == 0 and not stats.truncated
+    # Nor does it overwrite an unread value.
+    outputs = [c for c in (*stats.stalls_by_channel, *stats.drops_by_channel) if c.endswith(".out")]
+    assert outputs == []

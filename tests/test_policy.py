@@ -482,3 +482,11 @@ def test_untimed_and_zero_delay_order_identically(decls):
     # the distinction is representational: only the timed path counts waits
     assert untimed.stats.timed_waits == 0
     assert zero.stats.timed_waits == 6
+
+
+def test_config_keyed_by_another_stage_rejected():
+    decls = ps.declare_stages(["S1", "S2"])
+    route = ps.flatten(ps.parse("S1", decls))
+    config = ps.StageConfig(decls["S2"], ps.parse_function("data"))
+    with pytest.raises(ps.ConfigError, match="^configuration keyed by 'S1' describes 'S2'$"):
+        ps.validate_config(route, {decls["S1"]: config})

@@ -247,3 +247,10 @@ def test_transactions_compare_by_identity():
     assert len({one, two}) == 2
     copy = one.copy_for(A)
     assert copy != one and copy.branch is A and one.branch is None
+
+
+def test_missing_field_and_foreign_comparison():
+    with pytest.raises(TypeError, match="^StageId\\(\\) missing argument 'ordinal'$"):
+        ps.StageId("A")
+    trace = ps.Trace(records=(), occupancy_log=())
+    assert trace.__eq__(5) is NotImplemented and trace != 5
