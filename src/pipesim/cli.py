@@ -16,6 +16,7 @@ import argparse
 import math
 import os
 import sys
+from contextlib import nullcontext
 
 from . import analysis, report, simulate
 from .elaborate import Netlist, elaborate, to_dot
@@ -138,19 +139,18 @@ def run_and_report(
     except DeadlockError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_DEADLOCK
-    # The trace is complete before any report output, so an unwritable path
+    # The trace file opens before any report output, so an unwritable path
     # fails with nothing on stdout.
-    if trace_path is not None:
-        with open(trace_path, "w", encoding="utf-8") as handle:
-            reals = report.format_reals(result.trace, handle)
-    elif fmt == "json-like":
-        reals = report.format_reals(result.trace)
-    for warning in result.warnings:
-        print(f"warning: {warning}", file=sys.stderr)
-    if fmt == "json-like":
-        report.write_run_report(name, result, analysis_report, issue, reals, sys.stdout)
-    else:
-        sys.stdout.write(report.run_report_text(name, result, analysis_report, issue))
+    trace_file = nullcontext() if trace_path is None else open(trace_path, "w", encoding="utf-8")
+    with trace_file as csv_out:
+        for warning in result.warnings:
+            print(f"warning: {warning}", file=sys.stderr)
+        if fmt == "json-like":
+            report.write_run_report(name, result, analysis_report, issue, sys.stdout, csv_out)
+        else:
+            if csv_out is not None:
+                csv_out.write(report.trace_to_csv(result.trace))
+            sys.stdout.write(report.run_report_text(name, result, analysis_report, issue))
     return EXIT_HORIZON if result.stats.truncated else EXIT_OK
 
 
@@ -225,10 +225,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except PipelineError as exc:
+    except (OSError, PipelineError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -65,7 +65,24 @@ class ParseError(PositionedError):
 # Stage declarations
 
 
-class StageId(Value):
+class _Operand:
+    """The builder operators, of stages and expressions alike.
+
+    Precedence follows the host language, which matches the grammar: * and +
+    bind tighter than >>.
+    """
+
+    def __rshift__(self, other: ExprLike) -> "PipeExpr":
+        return seq(self, other)
+
+    def __mul__(self, count) -> "PipeExpr":
+        return repeat(self, count)
+
+    def __add__(self, other) -> "PipeExpr":
+        return fork([*_fork_members(self), *_fork_members(other)])
+
+
+class StageId(_Operand, Value):
     """Identity of a declared pipeline stage.
 
     ``ordinal`` is the zero-based declaration index; declaration order is the
@@ -77,18 +94,6 @@ class StageId(Value):
 
     def __repr__(self) -> str:
         return f"StageId({self.name!r}, {self.ordinal})"
-
-    # Builder operators.  Precedence follows the host language, which matches
-    # the grammar: * and + bind tighter than >>.
-
-    def __rshift__(self, other: ExprLike) -> "PipeExpr":
-        return seq(self, other)
-
-    def __mul__(self, count) -> "PipeExpr":
-        return repeat(self, count)
-
-    def __add__(self, other) -> "PipeExpr":
-        return fork([self, *_fork_members(other)])
 
 
 class StageSet:
@@ -110,12 +115,12 @@ class StageSet:
         return stage in self._by_name
 
     def __getitem__(self, key: Union[str, int]) -> StageId:
-        if isinstance(key, str):
-            try:
-                return self._by_name[key]
-            except KeyError:
-                raise KeyError(f"unknown stage {key!r}") from None
-        return self._stages[key]
+        try:
+            return self._by_name[key] if isinstance(key, str) else self._stages[key]
+        except KeyError:
+            raise KeyError(f"unknown stage {key!r}") from None
+        except IndexError:
+            raise IndexError(f"no stage at position {key}: {len(self)} declared") from None
 
     def get(self, name: str) -> StageId | None:
         return self._by_name.get(name)
@@ -156,17 +161,8 @@ def declare_stages(names: Iterable[str]) -> StageSet:
 # normalizing at construction makes both front ends produce the same AST.
 
 
-class PipeExpr:
+class PipeExpr(_Operand):
     """Base class of pipeline expression nodes."""
-
-    def __rshift__(self, other: ExprLike) -> "PipeExpr":
-        return seq(self, other)
-
-    def __mul__(self, count) -> "PipeExpr":
-        return repeat(self, count)
-
-    def __add__(self, other) -> "PipeExpr":
-        return fork([self, other])
 
 
 class StageRef(PipeExpr, Value):
@@ -217,9 +213,6 @@ class Fork(PipeExpr, Value):
             seen.add(stage)
         super().__init__(stages)
 
-    def __add__(self, other) -> "PipeExpr":
-        return fork([*self.stages, *_fork_members(other)])
-
 
 ExprLike = Union[StageId, PipeExpr]
 
@@ -257,14 +250,16 @@ def seq(a: ExprLike, b: ExprLike) -> PipeExpr:
     return Seq(_seq_items(a) + _seq_items(b))
 
 
-def repeat(stage: StageId, count: int) -> PipeExpr:
+def repeat(stage: StageId | StageRef, count: int) -> PipeExpr:
     """Reuse ``stage`` for ``count`` consecutive steps (feedback)."""
-    node = Repeat(stage, count)
-    return StageRef(stage) if count == 1 else node
+    node = Repeat(stage.stage if isinstance(stage, StageRef) else stage, count)
+    return StageRef(node.stage) if count == 1 else node
 
 
 def fork(stages: Iterable[StageId]) -> PipeExpr:
     """Use two or more distinct stages in the same cycle."""
+    if not isinstance(stages, Iterable):
+        raise ExpressionError(f"fork() takes an iterable of stages, got {type(stages).__name__}")
     return Fork(tuple(stages))
 
 
@@ -328,7 +323,11 @@ def _emit_steps(node: PipeExpr, steps: list[frozenset[StageId]]) -> None:
 
 
 def pretty(expr: ExprLike) -> str:
-    """Render an expression in the textual grammar; parses back to the same AST."""
+    """Render an expression in the textual grammar.
+
+    :func:`parse` of the text returns the same AST for every expression that the builders
+    or :func:`parse` return, and an equal route for a hand-built ``Repeat(s, 1)``.
+    """
     node = _coerce(expr)
     if isinstance(node, Seq):
         return " >> ".join(_pretty_term(item) for item in node.items)
@@ -388,12 +387,7 @@ class _Parser(Cursor):
         while self.peek().kind == "shift":
             self.advance()
             terms.append(self.parse_term())
-        if len(terms) == 1:
-            return terms[0]
-        expr = terms[0]
-        for term in terms[1:]:
-            expr = seq(expr, term)
-        return expr
+        return terms[0] if len(terms) == 1 else Seq(tuple(terms))
 
     def parse_term(self) -> PipeExpr:
         stage = self.parse_stage()
@@ -401,12 +395,10 @@ class _Parser(Cursor):
         if token.kind == "star":
             self.advance()
             count_token = self.expect("int", what="a repeat count")
-            count = int(count_token.text)
-            if count < 1:
-                raise ParseError(
-                    f"repeat count must be >= 1, got {count}", count_token.position
-                )
-            return repeat(stage, count)
+            try:
+                return repeat(stage, int(count_token.text))
+            except ExpressionError as exc:
+                raise ParseError(str(exc), count_token.position) from None
         if token.kind == "plus":
             members = [stage]
             while self.peek().kind == "plus":

@@ -4,8 +4,8 @@ The structured-text format is a canonical JSON subset: object keys sorted,
 reals printed with up to six significant digits, integers bare.  Identical
 inputs therefore always serialize to identical bytes.  :func:`canonical`
 renders small mappings: the analysis report and the run report around its
-``results``.  The CLI streams the run report's rows and the CSV trace in
-chunks (:func:`format_reals`, :func:`write_run_report`), and
+``results``.  :func:`write_run_report` streams the run report's rows and the
+CSV trace together, a chunk of rows at a time, and
 ``canonical(run_report_mapping(...))`` and :func:`trace_to_csv` specify them.
 """
 
@@ -26,7 +26,6 @@ __all__ = [
     "analysis_text",
     "run_report_text",
     "run_report_mapping",
-    "format_reals",
     "write_run_report",
 ]
 
@@ -193,11 +192,19 @@ _CHUNK_ROWS = 1000
 _RESULTS_MARK = _Verbatim("\0")  # no string prints a raw NUL: json.dumps escapes it
 
 
-def format_reals(trace: Trace, csv_out=None) -> list[tuple[str, str]]:
-    """Each ``orig`` and ``data`` as text, formatted once; the CSV trace to ``csv_out``."""
+def write_run_report(name: str, result: RunResult, report: AnalysisReport, issue: IssueSpec,
+                     out, csv_out=None) -> None:
+    """Write ``canonical(run_report_mapping(...)) + "\n"`` to ``out``, a chunk of rows at a time.
+
+    Given ``csv_out``, write :func:`trace_to_csv` of the trace there too, each
+    chunk's CSV lines before its rows; each ``orig`` and ``data`` is formatted once.
+    """
+    mapping = _report_mapping(name, result, report, issue, _RESULTS_MARK)
+    head, tail = canonical(mapping).split(_RESULTS_MARK)
     if csv_out is not None:
         csv_out.write(_CSV_HEADER + "\n")
-    chunks, rows = [], trace.rows()
+    out.write(head)
+    rows, opening = result.trace.rows(), "[\n"
     while chunk := list(islice(rows, _CHUNK_ROWS)):
         origs = [format_real(row[1]) for row in chunk]
         datas = [format_real(row[2]) for row in chunk]
@@ -206,22 +213,7 @@ def format_reals(trace: Trace, csv_out=None) -> list[tuple[str, str]]:
                 f"{txn_id},{'' if inject is None else inject},{'' if exit_ns is None else exit_ns},"
                 f"{orig_text},{data_text}\n" for (txn_id, _, _, inject, exit_ns, _), orig_text,
                 data_text in zip(chunk, origs, datas)]))
-        chunks.append(("\n".join(origs), "\n".join(datas)))  # one string each: less memory
-    return chunks
-
-
-def write_run_report(name: str, result: RunResult, report: AnalysisReport, issue: IssueSpec,
-                     reals: list[tuple[str, str]], out) -> None:
-    """Write ``canonical(run_report_mapping(...)) + "\n"`` to ``out``.
-
-    ``reals`` is the trace's :func:`format_reals`.
-    """
-    mapping = _report_mapping(name, result, report, issue, _RESULTS_MARK)
-    head, tail = canonical(mapping).split(_RESULTS_MARK)
-    out.write(head)
-    rows = result.trace.rows()
-    for number, (origs, datas) in enumerate(reals):
-        out.write(("[\n" if number == 0 else ",\n") + ",\n".join([
+        out.write(opening + ",\n".join([
             f'    {{\n      "data": {data_text},\n'
             f'      "dropped": {"true" if dropped else "false"},\n'
             f'      "exit_ns": {"null" if exit_ns is None else exit_ns},\n      "id": {txn_id},\n'
@@ -230,9 +222,10 @@ def write_run_report(name: str, result: RunResult, report: AnalysisReport, issue
             if type(orig) is float and type(data) is float else "    " + canonical(
                 dict(zip(_RESULT_KEYS, (txn_id, orig, data, inject_ns, exit_ns, dropped))), 2)
             for (txn_id, orig, data, inject_ns, exit_ns, dropped), orig_text, data_text
-            in zip(islice(rows, _CHUNK_ROWS), origs.split("\n"), datas.split("\n"))
+            in zip(chunk, origs, datas)
         ]))
-    out.write(("\n  ]" if reals else "[]") + tail + "\n")
+        opening = ",\n"
+    out.write(("[]" if opening == "[\n" else "\n  ]") + tail + "\n")
 
 
 def run_report_text(

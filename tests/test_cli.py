@@ -318,19 +318,18 @@ def test_json_report_without_trace_builds_no_csv(write_file, capsys, tmp_path, m
     path = write_file("looped.pipe", LOOPED)
     inputs = ",".join(str(i) for i in range(12))
     traces = []
-    build = cli.report.format_reals
+    build = cli.report.write_run_report
 
-    def recorded(trace, csv_out=None):
+    def recorded(name, result, report, issue, out, csv_out=None):
         if csv_out is None:
             traces.append(None)
-            return build(trace)
+            return build(name, result, report, issue, out)
         buffer = io.StringIO()
-        reals = build(trace, buffer)
+        build(name, result, report, issue, out, buffer)
         traces.append(buffer.getvalue())
         csv_out.write(traces[-1])
-        return reals
 
-    monkeypatch.setattr(cli.report, "format_reals", recorded)
+    monkeypatch.setattr(cli.report, "write_run_report", recorded)
     trace = tmp_path / "trace.csv"
     with_trace = invoke(capsys, "run", path, "--inputs", inputs, "--format", "json-like",
                         "--trace", str(trace))
@@ -338,6 +337,24 @@ def test_json_report_without_trace_builds_no_csv(write_file, capsys, tmp_path, m
     assert without == with_trace
     assert with_trace[0] == 0
     assert traces == [trace.read_text(encoding="utf-8"), None]
+
+
+def test_text_and_json_reports_write_the_same_trace(write_file, capsys, tmp_path):
+    path = write_file("quad.pipe", QUAD)
+    traces = {}
+    for fmt in ("text", "json-like"):
+        trace = tmp_path / f"{fmt}.csv"
+        code, out, err = invoke(capsys, "run", path, "--inputs", "0,1.5,-2,3e7",
+                                "--issue", "fixed:2", "--format", fmt, "--trace", str(trace))
+        assert (code, err) == (0, "")
+        traces[fmt] = trace.read_text(encoding="utf-8")
+
+    setup = ps.load_pipeline_file(path)
+    route = setup.routes["main"]
+    checked = ps.validate_config(route, setup.configs)
+    result = ps.run(ps.elaborate(route, setup.decls, checked), checked, [0, 1.5, -2, 3e7],
+                    issue=ps.IssueSpec.fixed(2))
+    assert traces == {"text": trace_to_csv(result.trace), "json-like": trace_to_csv(result.trace)}
 
 
 # The README's 8-step feedback route with the quad functions, as the

@@ -225,6 +225,14 @@ def test_pretty_parse_round_trip():
         assert ps.parse(ps.pretty(expr), decls) == expr
 
 
+def test_pretty_of_a_hand_built_single_repeat_parses_to_an_equal_route(decls):
+    once = ps.Repeat(decls["S1"], 1)
+    assert ps.pretty(once) == "S1*1"
+    parsed = ps.parse(ps.pretty(once), decls)
+    assert parsed == ps.StageRef(decls["S1"]) != once
+    assert ps.flatten(parsed) == ps.flatten(once)
+
+
 # -- diagnostics pin ----------------------------------------------------------
 #
 # The exact type and text of the error each faulty input raises, through the
@@ -252,7 +260,7 @@ DIAGNOSTICS = {
     "declare twice": (lambda: ps.declare_stages(["S1", "S1"]),
                       ps.DeclarationError, "duplicate stage name 'S1'"),
     "lookup unknown name": (lambda: _D["nope"], KeyError, "\"unknown stage 'nope'\""),
-    "lookup bad position": (lambda: _D[9], IndexError, "tuple index out of range"),
+    "lookup bad position": (lambda: _D[9], IndexError, "no stage at position 9: 4 declared"),
     "seq with int": (lambda: _S1 >> 5, ps.ExpressionError, _SEQ_TEXT),
     "int with seq": (lambda: 5 >> _S1, TypeError,
                      "unsupported operand type(s) for >>: 'int' and 'StageId'"),
@@ -260,13 +268,11 @@ DIAGNOSTICS = {
     "repeat by bool": (lambda: _S1 * True, ps.ExpressionError, "repeat count must be an integer"),
     "repeat zero times": (lambda: _S1 * 0, ps.ExpressionError, "repeat count must be >= 1, got 0"),
     "repeat a sequence": (lambda: (_S1 >> _S2) * 2, ps.ExpressionError, _REPEAT_TEXT),
-    "repeat a reference": (lambda: ps.StageRef(_S1) * 2, ps.ExpressionError, _REPEAT_TEXT),
     "repeat a fork": (lambda: (_S1 + _S2) * 2, ps.ExpressionError, _REPEAT_TEXT),
     "fork a sequence": (lambda: _S1 + (_S2 >> _S3), ps.ExpressionError, _FORK_TEXT),
     "fork an int": (lambda: _S1 + 5, ps.ExpressionError, _FORK_TEXT),
     "fork a stage twice": (lambda: _S1 + _S1, ps.ExpressionError, "duplicate stage 'S1' in fork"),
     "fork from a sequence": (lambda: (_S1 >> _S2) + _S3, ps.ExpressionError, _FORK_TEXT),
-    "fork from a reference": (lambda: ps.StageRef(_S1) + _S2, ps.ExpressionError, _FORK_TEXT),
     "fork a fork and a sequence": (lambda: (_S1 + _S2) + (_S3 >> _S4),
                                    ps.ExpressionError, _FORK_TEXT),
     "fork a fork and a member": (lambda: (_S1 + _S2) + _S1,
@@ -285,7 +291,8 @@ DIAGNOSTICS = {
                      ps.ExpressionError, "duplicate stage 'S1' in fork"),
     "fork() a sequence": (lambda: ps.fork([_S1, _S1 >> _S2]), ps.ExpressionError, _FORK_TEXT),
     "fork() a lone sequence": (lambda: ps.fork([_S1 >> _S2]), ps.ExpressionError, _FORK_TEXT),
-    "fork() of an int": (lambda: ps.fork(5), TypeError, "'int' object is not iterable"),
+    "fork() of an int": (lambda: ps.fork(5), ps.ExpressionError,
+                         "fork() takes an iterable of stages, got int"),
     "Seq of one": (lambda: ps.Seq((ps.StageRef(_S1),)),
                    ps.ExpressionError, "a sequence needs at least two items"),
     "Seq of none": (lambda: ps.Seq(()), ps.ExpressionError, "a sequence needs at least two items"),
@@ -327,6 +334,16 @@ def test_stage_set_lookups_and_fork_operands():
     assert _D[0] is _S1 and _D[-1] is _S4
     assert _S1 + (_S2 + _S3) == ps.Fork((_S1, _S2, _S3))
     assert _S1 + ps.StageRef(_S2) == ps.Fork((_S1, _S2))
+    assert ps.StageRef(_S1) + _S2 == ps.Fork((_S1, _S2))
+    assert ps.StageRef(_S1) * 2 == ps.Repeat(_S1, 2)
+    assert ps.repeat(ps.StageRef(_S1), 1) == ps.StageRef(_S1)
+
+
+def test_builder_operators_have_one_definition():
+    for operator in ("__rshift__", "__mul__", "__add__"):
+        methods = {getattr(cls, operator)
+                   for cls in (ps.StageId, ps.StageRef, ps.Seq, ps.Repeat, ps.Fork)}
+        assert len(methods) == 1, operator
 
 
 def test_parse_error_without_position_prints_the_message():

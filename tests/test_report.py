@@ -10,8 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pipesim as ps
-from pipesim.report import (canonical, format_reals, run_report_mapping, trace_to_csv,
-                            write_run_report)
+from pipesim.report import canonical, run_report_mapping, trace_to_csv, write_run_report
 from pipesim.simulate import StageStats, Stats, TraceRecord
 from test_kernel import pinned_corpus
 
@@ -91,8 +90,7 @@ RUN_STATS = Stats(3, 1, 1, 1, ps.SimTime(9, 2), 4, 2, {"S1": StageStats(2, 4, 1)
 
 def assert_one_pass_matches_the_specification(result, issue):
     report_out, csv_out = io.StringIO(), io.StringIO()
-    reals = format_reals(result.trace, csv_out)
-    write_run_report("main", result, RUN_ANALYSIS, issue, reals, report_out)
+    write_run_report("main", result, RUN_ANALYSIS, issue, report_out, csv_out)
     json_like, csv = report_out.getvalue(), csv_out.getvalue()
     assert json_like == canonical(run_report_mapping("main", result, RUN_ANALYSIS, issue)) + "\n"
     assert csv == trace_to_csv(result.trace)
