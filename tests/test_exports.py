@@ -89,3 +89,56 @@ def test_cli_import_loads_no_fractions_or_pathlib():
         [sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, check=True
     )
     assert out.stdout == "[]\n"
+
+
+# Every public name that ``pipesim/__init__.py`` bound when it imported each
+# module eagerly, in its import order.
+PUBLIC_NAMES = [
+    # analysis
+    "AnalysisError", "AnalysisReport", "CollisionVector", "IssueCycle", "ReservationTable",
+    "analyze", "collision_vector", "forbidden_latencies", "greedy_cycle",
+    "minimal_average_latency", "reservation_table",
+    # dsl
+    "DeclarationError", "ExpressionError", "Fork", "ParseError", "PipeExpr", "Repeat", "Route",
+    "Seq", "StageId", "StageRef", "StageSet", "declare_stages", "flatten", "fork", "parse",
+    "pretty", "repeat", "seq",
+    # elaborate
+    "EXIT", "ChannelEdge", "ElaborationError", "Netlist", "RouterNode", "RoutingTable",
+    "elaborate", "routing_table", "to_dot",
+    # engine
+    "DeadlockError", "Engine", "JoinError", "RoutingFault", "SimTime",
+    # errors
+    "PipelineError",
+    # fileformat
+    "PipelineFileError", "PipelineSetup", "load_pipeline_file", "parse_pipeline_text",
+    # policy
+    "UNTIMED", "ChannelKind", "CheckedConfig", "ConfigError", "ExecKind", "FunctionEvalError",
+    "FunctionParseError", "FunctionSpec", "IssueSpec", "JoinSpec", "StageConfig", "TimingSpec",
+    "parse_function", "validate_config",
+    # simulate
+    "Occupancy", "RunResult", "StageStats", "Stats", "Trace", "TraceRecord", "Transaction",
+    "run",
+]
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from pipesim import *", namespace)
+    assert [n for n in PUBLIC_NAMES if n not in namespace] == []
+    assert namespace["run"] is importlib.import_module("pipesim.simulate").run
+
+
+def test_dir_lists_every_public_name():
+    assert [n for n in PUBLIC_NAMES if n not in dir(pipesim)] == []
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="'pipesim' has no attribute 'nope'"):
+        pipesim.nope
+
+
+def test_elaborate_stays_the_function_after_every_submodule_loads():
+    for name in MODULES:
+        importlib.import_module(name)
+    assert callable(pipesim.elaborate)
+    assert pipesim.elaborate is importlib.import_module("pipesim.elaborate").elaborate
