@@ -18,9 +18,8 @@ import os
 import sys
 from contextlib import nullcontext
 
-from . import analysis, report, simulate
+from . import analysis, report
 from .elaborate import Netlist, elaborate, to_dot
-from .engine import DeadlockError
 from .errors import PipelineError
 from .fileformat import PipelineSetup, load_pipeline_file, read_text
 from .policy import ISSUE_KINDS, ISSUE_KINDS_TEXT, CheckedConfig, IssueSpec, validate_config
@@ -131,6 +130,9 @@ def run_and_report(
     trace_path: str | None = None,
 ) -> int:
     """Execute one run and emit its report; returns the process exit code."""
+    from . import simulate  # here, so that analyze and elaborate never load the engine
+    from .engine import DeadlockError
+
     analysis_report = analysis.analyze(netlist.route)
     try:
         result = simulate.run(

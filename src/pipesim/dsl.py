@@ -43,9 +43,6 @@ __all__ = [
     "pretty",
 ]
 
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
-
-
 class DeclarationError(PipelineError):
     """A stage declaration is invalid (empty set, duplicate name, bad identifier)."""
 
@@ -144,7 +141,7 @@ def declare_stages(names: Iterable[str]) -> StageSet:
     seen: set[str] = set()
     stages = []
     for ordinal, name in enumerate(names):
-        if not isinstance(name, str) or not _IDENT_RE.match(name):
+        if not isinstance(name, str) or not (name.isascii() and name.isidentifier()):
             raise DeclarationError(f"invalid stage name {name!r}")
         if name in seen:
             raise DeclarationError(f"duplicate stage name {name!r}")

@@ -11,13 +11,14 @@ CSV trace together, a chunk of rows at a time, and
 
 from __future__ import annotations
 
-import json
 from itertools import islice
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 from .analysis import AnalysisReport
 from .policy import IssueSpec
-from .simulate import RunResult, Trace
+
+if TYPE_CHECKING:
+    from .simulate import RunResult, Trace
 
 __all__ = [
     "format_real",
@@ -48,7 +49,7 @@ def canonical(obj, indent: int = 0) -> str:
     if type(obj) is _Verbatim:
         return obj
     if isinstance(obj, str):
-        return json.dumps(obj)
+        return _quote(obj)
     if isinstance(obj, int):
         return str(obj)
     if isinstance(obj, float):
@@ -68,6 +69,32 @@ class _Verbatim(str):
     """Text already in canonical form, which :func:`canonical` emits as is."""
 
 
+# The characters that ``json.dumps`` escapes with a backslash and a letter.
+_SHORT_ESCAPES = {
+    '"': '\\"', "\\": "\\\\", "\b": "\\b", "\f": "\\f", "\n": "\\n", "\r": "\\r", "\t": "\\t",
+}
+
+
+def _quote(text: str) -> str:
+    """``json.dumps(text)``: a double-quoted literal of printable ASCII."""
+    if text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
+        return f'"{text}"'
+    return '"' + "".join(map(_escape, text)) + '"'
+
+
+def _escape(char: str) -> str:
+    short = _SHORT_ESCAPES.get(char)
+    if short is not None:
+        return short
+    if " " <= char <= "~":
+        return char
+    code = ord(char)
+    if code > 0xFFFF:  # written as its UTF-16 surrogate pair
+        code -= 0x10000
+        return "\\u%04x\\u%04x" % (0xD800 | code >> 10, 0xDC00 | code & 0x3FF)
+    return "\\u%04x" % code
+
+
 def _canonical_mapping(obj: Mapping, indent: int) -> str:
     if not obj:
         return "{}"
@@ -77,7 +104,7 @@ def _canonical_mapping(obj: Mapping, indent: int) -> str:
         raise TypeError("cannot serialize a mapping with two keys of the same string form")
     inner = "  " * (indent + 1)
     parts = [
-        f"{inner}{json.dumps(key)}: {canonical(values[key], indent + 1)}"
+        f"{inner}{_quote(key)}: {canonical(values[key], indent + 1)}"
         for key in sorted(values)
     ]
     return "{\n" + ",\n".join(parts) + "\n" + "  " * indent + "}"
@@ -189,7 +216,7 @@ def _report_mapping(name: str, result: RunResult, report: AnalysisReport, issue:
 
 
 _CHUNK_ROWS = 1000
-_RESULTS_MARK = _Verbatim("\0")  # no string prints a raw NUL: json.dumps escapes it
+_RESULTS_MARK = _Verbatim("\0")  # no quoted string prints a raw NUL: _quote escapes it
 
 
 def write_run_report(name: str, result: RunResult, report: AnalysisReport, issue: IssueSpec,

@@ -1,6 +1,9 @@
 import random
+import re
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import pipesim as ps
 from oracles import random_expr
@@ -364,3 +367,25 @@ def test_pretty_of_a_foreign_node_names_it():
         with pytest.raises(ps.ExpressionError) as caught:
             render(_ForeignExpr())
         assert str(caught.value) == "unknown expression node _ForeignExpr()"
+
+
+# The pattern ``declare_stages`` checked names with before it used
+# ``str.isidentifier``, kept as the oracle of the names it accepts.
+_OLD_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text() | st.text(alphabet="aZ_09\u00e9\u212c\n "))
+@example("")
+@example("S1\n")
+@example("1S")
+@example("\u212c")
+@example("if")
+def test_stage_names_are_exactly_those_the_old_pattern_matched(name):
+    try:
+        ps.declare_stages([name])
+    except ps.DeclarationError:
+        accepted = False
+    else:
+        accepted = True
+    assert accepted == bool(_OLD_IDENT_RE.match(name))

@@ -60,35 +60,81 @@ def test_no_module_uses_another_modules_private_names():
     assert found == {}
 
 
-def test_cli_import_loads_no_dataclasses():
-    """``dataclasses`` pulls in ``inspect`` and ``ast``: milliseconds on every
-    command.  Without ``site`` the result does not depend on what the
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def modules_loaded(code: str, modules: tuple[str, ...]) -> list[str]:
+    """Which of ``modules`` a fresh interpreter has loaded after running
+    ``code``; what ``code`` prints comes before.  Without ``site`` the result does not depend on what the
     environment installs."""
-    src = Path(__file__).resolve().parent.parent / "src"
     code = (
-        f"import sys; sys.path.insert(0, {str(src)!r}); import pipesim.cli; "
-        "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))"
+        f"import sys; sys.path.insert(0, {str(SRC)!r})\n{code}\n"
+        f"print(sorted(m for m in {modules!r} if m in sys.modules))"
     )
     out = subprocess.run(
         [sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, check=True
     )
-    assert out.stdout == "[]\n"
+    return ast.literal_eval(out.stdout.splitlines()[-1])
+
+
+def test_cli_import_loads_no_dataclasses():
+    """``dataclasses`` pulls in ``inspect`` and ``ast``: milliseconds on every
+    command."""
+    assert modules_loaded("import pipesim.cli", ("dataclasses", "inspect")) == []
 
 
 def test_cli_import_loads_no_fractions_or_pathlib():
     """``fractions`` (with ``decimal``) and ``pathlib`` (with ``urllib.parse``
     and ``ipaddress``) cost milliseconds on every command; only a caller that
     asks for an exact ``average`` or ``mal`` loads ``fractions``."""
-    src = Path(__file__).resolve().parent.parent / "src"
     modules = ("fractions", "decimal", "pathlib")
+    assert modules_loaded("import pipesim.cli", modules) == []
+
+
+FEEDBACK = """\
+stage S1 { fn = "data + 1"; delay = 1; }
+stage S2 { fn = "data * 2"; delay = 1; }
+stage S3 { fn = "data - 3"; delay = 1; }
+pipeline = S1 >> S2 >> S3 >> S1 >> S3*2 >> S1 >> S2;
+"""
+
+
+def test_setup_loads_no_analysis_simulator_report_or_json(tmp_path):
+    """Set-up, as perfbench times it, runs neither the analysis nor the
+    simulator, so ``import pipesim`` leaves them for first use."""
+    pipe = tmp_path / "feedback.pipe"
+    pipe.write_text(FEEDBACK, encoding="utf-8")
     code = (
-        f"import sys; sys.path.insert(0, {str(src)!r}); import pipesim.cli; "
-        f"print(sorted(m for m in {modules!r} if m in sys.modules))"
+        "import pipesim\n"
+        f"setup = pipesim.load_pipeline_file({str(pipe)!r})\n"
+        "for route in setup.routes.values():\n"
+        "    pipesim.validate_config(route, setup.configs, join=setup.join)\n"
+        "    pipesim.elaborate(route, setup.decls)"
     )
-    out = subprocess.run(
-        [sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, check=True
-    )
-    assert out.stdout == "[]\n"
+    modules = ("pipesim.analysis", "pipesim.engine", "pipesim.simulate", "pipesim.report",
+               "heapq", "json")
+    assert modules_loaded(code, modules) == []
+
+
+def cli_code(*argv: str) -> str:
+    return f"import pipesim.cli\nassert pipesim.cli.main({list(argv)!r}) == 0"
+
+
+def test_analyze_loads_no_engine_simulator_or_json(tmp_path):
+    pipe = tmp_path / "feedback.pipe"
+    pipe.write_text(FEEDBACK, encoding="utf-8")
+    modules = ("pipesim.engine", "pipesim.simulate", "heapq", "json")
+    for fmt in ("text", "json-like"):
+        code = cli_code("analyze", str(pipe), "--format", fmt)
+        assert modules_loaded(code, modules) == [], fmt
+
+
+def test_run_loads_no_json(tmp_path):
+    pipe = tmp_path / "feedback.pipe"
+    pipe.write_text(FEEDBACK, encoding="utf-8")
+    code = cli_code("run", str(pipe), "--inputs", "1,2,3", "--format", "json-like",
+                    "--trace", str(tmp_path / "trace.csv"))
+    assert modules_loaded(code, ("pipesim.simulate", "json")) == ["pipesim.simulate"]
 
 
 # Every public name that ``pipesim/__init__.py`` bound when it imported each
@@ -119,6 +165,10 @@ PUBLIC_NAMES = [
     "Occupancy", "RunResult", "StageStats", "Stats", "Trace", "TraceRecord", "Transaction",
     "run",
 ]
+
+
+def test_all_lists_every_public_name():
+    assert pipesim.__all__ == PUBLIC_NAMES
 
 
 def test_star_import_binds_every_public_name():

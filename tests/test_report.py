@@ -2,6 +2,7 @@
 report's one-pass rendering, checked against the serialiser."""
 
 import io
+import json
 from fractions import Fraction
 from types import MappingProxyType
 
@@ -10,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pipesim as ps
-from pipesim.report import canonical, run_report_mapping, trace_to_csv, write_run_report
+from pipesim.report import _quote, canonical, run_report_mapping, trace_to_csv, write_run_report
 from pipesim.simulate import StageStats, Stats, TraceRecord
 from test_kernel import pinned_corpus
 
@@ -136,3 +137,17 @@ def test_one_pass_report_of_any_record_values(records):
     )
     result = ps.RunResult(trace, RUN_STATS, ("a warning",))
     assert_one_pass_matches_the_specification(result, ps.IssueSpec.greedy())
+
+
+# Every code point: controls, DEL, non-BMP characters and lone surrogates too.
+ANY_CHAR = st.characters(exclude_categories=()) | st.characters(categories=["Cs"])
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(ANY_CHAR) | st.text(st.characters(max_codepoint=0x7F)))
+@example("")
+@example('"\\\b\f\n\r\t\x00\x1f\x7f')
+@example("\ud800 \udfff")
+@example("\U0001f600 \U0010ffff \uffff")
+def test_quote_equals_json_dumps(text):
+    assert _quote(text) == json.dumps(text)
