@@ -1,5 +1,5 @@
-"""Every name a pipesim module exports exists, and no module uses another's
-private names."""
+"""Every name a pipesim module exports exists, no module uses another's
+private names, and each command loads only the modules it runs."""
 
 import ast
 import importlib
@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import pipesim
+from test_cli import LOOPED
 
 MODULES = ["pipesim"] + [
     f"pipesim.{info.name}" for info in pkgutil.iter_modules(pipesim.__path__)
@@ -65,8 +66,8 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 def modules_loaded(code: str, modules: tuple[str, ...]) -> list[str]:
     """Which of ``modules`` a fresh interpreter has loaded after running
-    ``code``; what ``code`` prints comes before.  Without ``site`` the result does not depend on what the
-    environment installs."""
+    ``code``; what ``code`` prints comes before.  Without ``site`` the
+    result does not depend on what the environment installs."""
     code = (
         f"import sys; sys.path.insert(0, {str(SRC)!r})\n{code}\n"
         f"print(sorted(m for m in {modules!r} if m in sys.modules))"
@@ -91,22 +92,19 @@ def test_cli_import_loads_no_fractions_or_pathlib():
     assert modules_loaded("import pipesim.cli", modules) == []
 
 
-FEEDBACK = """\
-stage S1 { fn = "data + 1"; delay = 1; }
-stage S2 { fn = "data * 2"; delay = 1; }
-stage S3 { fn = "data - 3"; delay = 1; }
-pipeline = S1 >> S2 >> S3 >> S1 >> S3*2 >> S1 >> S2;
-"""
+@pytest.fixture
+def looped_pipe(tmp_path) -> str:
+    path = tmp_path / "looped.pipe"
+    path.write_text(LOOPED, encoding="utf-8")
+    return str(path)
 
 
-def test_setup_loads_no_analysis_simulator_report_or_json(tmp_path):
+def test_setup_loads_no_analysis_simulator_report_or_json(looped_pipe):
     """Set-up, as perfbench times it, runs neither the analysis nor the
     simulator, so ``import pipesim`` leaves them for first use."""
-    pipe = tmp_path / "feedback.pipe"
-    pipe.write_text(FEEDBACK, encoding="utf-8")
     code = (
         "import pipesim\n"
-        f"setup = pipesim.load_pipeline_file({str(pipe)!r})\n"
+        f"setup = pipesim.load_pipeline_file({looped_pipe!r})\n"
         "for route in setup.routes.values():\n"
         "    pipesim.validate_config(route, setup.configs, join=setup.join)\n"
         "    pipesim.elaborate(route, setup.decls)"
@@ -120,19 +118,15 @@ def cli_code(*argv: str) -> str:
     return f"import pipesim.cli\nassert pipesim.cli.main({list(argv)!r}) == 0"
 
 
-def test_analyze_loads_no_engine_simulator_or_json(tmp_path):
-    pipe = tmp_path / "feedback.pipe"
-    pipe.write_text(FEEDBACK, encoding="utf-8")
+def test_analyze_loads_no_engine_simulator_or_json(looped_pipe):
     modules = ("pipesim.engine", "pipesim.simulate", "heapq", "json")
     for fmt in ("text", "json-like"):
-        code = cli_code("analyze", str(pipe), "--format", fmt)
+        code = cli_code("analyze", looped_pipe, "--format", fmt)
         assert modules_loaded(code, modules) == [], fmt
 
 
-def test_run_loads_no_json(tmp_path):
-    pipe = tmp_path / "feedback.pipe"
-    pipe.write_text(FEEDBACK, encoding="utf-8")
-    code = cli_code("run", str(pipe), "--inputs", "1,2,3", "--format", "json-like",
+def test_run_loads_no_json(looped_pipe, tmp_path):
+    code = cli_code("run", looped_pipe, "--inputs", "1,2,3", "--format", "json-like",
                     "--trace", str(tmp_path / "trace.csv"))
     assert modules_loaded(code, ("pipesim.simulate", "json")) == ["pipesim.simulate"]
 
