@@ -18,7 +18,6 @@ import os
 import sys
 from contextlib import nullcontext
 
-from . import analysis, report
 from .elaborate import Netlist, elaborate, to_dot
 from .errors import PipelineError
 from .fileformat import PipelineSetup, load_pipeline_file, read_text
@@ -130,7 +129,7 @@ def run_and_report(
     trace_path: str | None = None,
 ) -> int:
     """Execute one run and emit its report; returns the process exit code."""
-    from . import simulate  # here, so that analyze and elaborate never load the engine
+    from . import analysis, report, simulate  # here, so each command loads only what it runs
     from .engine import DeadlockError
 
     analysis_report = analysis.analyze(netlist.route)
@@ -157,6 +156,8 @@ def run_and_report(
 
 
 def _cmd_analyze(args) -> int:
+    from . import analysis, report
+
     setup = load_pipeline_file(args.file)
     if args.fmt == "json-like":
         mapping = {

@@ -14,10 +14,9 @@ from __future__ import annotations
 from itertools import islice
 from typing import TYPE_CHECKING, Mapping
 
-from .analysis import AnalysisReport
-from .policy import IssueSpec
-
 if TYPE_CHECKING:
+    from .analysis import AnalysisReport
+    from .policy import IssueSpec
     from .simulate import RunResult, Trace
 
 __all__ = [

@@ -20,11 +20,15 @@ Payloads are dynamically typed: ``orig`` and ``data`` are reals when driven
 from the CLI, but library users may put any value in ``data`` as long as the
 configured stage functions accept it.
 
+Every time in a run's results is an int of ns.  Delta phases only order the
+engine's events within one ns and count processes, not anything the hardware
+does; only ``Stats.final_time`` keeps its delta, as a :class:`.SimTime`.
+
 A run keeps its results as columns of plain values, with no object per hop
 or per transaction for the garbage collector to track: per-id lists of each
-transaction's orig, data, and inject and exit ns and delta, and one flat
-occupancy log of six entries per hop.  :class:`Trace` holds the columns;
-its record and occupancy objects are views built on first read.
+transaction's orig, data, and inject and exit ns, and one flat occupancy log
+of four entries per hop.  :class:`Trace` holds the columns; its record and
+occupancy objects are views built on first read.
 
 All of a run's mutable state sits on one ``_Runtime`` that every process
 holds.  Stalls and drops are the exception: the stage channels count them
@@ -127,41 +131,38 @@ class TraceRecord(Value):
     txn_id: int
     orig: float
     data: float
-    injected_at: SimTime | None
-    exited_at: SimTime | None
+    injected_at: int | None
+    exited_at: int | None
     dropped: bool
 
 
 class Occupancy(Value):
     stage: str
     txn_id: int
-    start: SimTime
-    end: SimTime
+    start: int
+    end: int
 
 
-# (stage, txn_id, start_ns, start_delta, end_ns, end_delta)
-OccupancyEntry = tuple[str, int, int, int, int, int]
+# (stage, txn_id, start_ns, end_ns)
+OccupancyEntry = tuple[str, int, int, int]
 
 
 class Trace(Value):
     """Per-transaction records plus the stage occupancy log, kept as columns.
 
-    Per transaction the columns hold id, orig, data, inject and exit ns and
-    delta (None until reached) and whether it dropped; the log holds six
-    entries per hop.  ``records``, ``occupancy_log`` and ``occupancy`` are
-    views built on first read; equality compares the columns, hash the views.
+    Per transaction the columns hold id, orig, data, inject and exit ns
+    (None until reached) and whether it dropped; the log holds four entries
+    per hop.  ``records``, ``occupancy_log`` and ``occupancy`` are views
+    built on first read; equality compares the columns, hash the views.
     """
 
     records: tuple[TraceRecord, ...]
     occupancy_log: tuple[OccupancyEntry, ...]
 
     def __init__(self, records: Sequence[TraceRecord], occupancy_log: Sequence[OccupancyEntry]):
-        def ns_delta(time):
-            return (None, None) if time is None else (time.ns, time.delta)
-
-        rows = [(r.txn_id, r.orig, r.data, *ns_delta(r.injected_at), *ns_delta(r.exited_at),
-                 r.dropped) for r in records]
-        vars(self).update(_columns=tuple(zip(*rows)) or ((),) * 8,
+        rows = [(r.txn_id, r.orig, r.data, r.injected_at, r.exited_at, r.dropped)
+                for r in records]
+        vars(self).update(_columns=tuple(zip(*rows)) or ((),) * 6,
                           _log=[value for entry in occupancy_log for value in entry],
                           records=records, occupancy_log=occupancy_log)
 
@@ -173,29 +174,19 @@ class Trace(Value):
 
     def rows(self) -> Iterator[tuple]:
         """(txn_id, orig, data, inject_ns, exit_ns, dropped) per transaction."""
-        ids, orig, data, inject_ns, _, exit_ns, _, dropped = self._columns
-        return zip(ids, orig, data, inject_ns, exit_ns, dropped)
+        return zip(*self._columns)
 
     @cached_property
     def records(self) -> tuple[TraceRecord, ...]:
-        return tuple(
-            TraceRecord(txn_id, orig, data,
-                        None if inject_ns is None else SimTime(inject_ns, inject_delta),
-                        None if exit_ns is None else SimTime(exit_ns, exit_delta), dropped)
-            for txn_id, orig, data, inject_ns, inject_delta, exit_ns, exit_delta, dropped
-            in zip(*self._columns)
-        )
+        return tuple(TraceRecord(*row) for row in self.rows())
 
     @cached_property
     def occupancy_log(self) -> tuple[OccupancyEntry, ...]:
-        return tuple(zip(*[iter(self._log)] * 6))
+        return tuple(zip(*[iter(self._log)] * 4))
 
     @cached_property
     def occupancy(self) -> tuple[Occupancy, ...]:
-        return tuple(
-            Occupancy(stage, txn_id, SimTime(start_ns, start_delta), SimTime(end_ns, end_delta))
-            for stage, txn_id, start_ns, start_delta, end_ns, end_delta in self.occupancy_log
-        )
+        return tuple(Occupancy(*entry) for entry in self.occupancy_log)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -263,9 +254,7 @@ class _Runtime:
         self.orig: list[float] = []
         self.data: list[float] = [0.0] * inputs
         self.inject_ns: list[int | None] = [None] * inputs
-        self.inject_delta: list[int | None] = [None] * inputs
         self.exit_ns: list[int | None] = [None] * inputs
-        self.exit_delta: list[int | None] = [None] * inputs
         self.occupancy_log: list = []
         self.timed_waits = 0
         self.issue_active = True
@@ -348,9 +337,8 @@ class _Runtime:
         transaction retires and there is nothing to deliver.
         """
         if targets is EXIT:
-            engine, i = self.engine, txn.id
-            self.exit_ns[i], self.exit_delta[i] = engine.ns, engine.delta
-            self.data[i] = txn.data
+            self.exit_ns[txn.id] = self.engine.ns
+            self.data[txn.id] = txn.data
             return ()
         if len(targets) == 1:
             ((stage, write),) = targets
@@ -416,10 +404,10 @@ def _stage_method(rt: _Runtime, cfg: StageConfig):
     delay = None if cfg.exec is ExecKind.REACTIVE else _busy_ns(cfg)
     sleep = engine.sleep
     txn = None  # held from its peek until its output write
-    start_ns = start_delta = 0
+    start_ns = 0
 
     def resume(proc):
-        nonlocal txn, start_ns, start_delta
+        nonlocal txn, start_ns
         while True:
             if txn is None:
                 # Peek now, consume when done: the input slot stays full for
@@ -429,7 +417,7 @@ def _stage_method(rt: _Runtime, cfg: StageConfig):
                     proc.pending, txn = read, None
                     return
                 proc.pending = None
-                start_ns, start_delta = engine.ns, engine.delta
+                start_ns = engine.ns
                 try:
                     txn.data = data = evaluate((txn.orig, txn.data))
                     # Payloads may be any type; only a float can overflow.
@@ -447,7 +435,7 @@ def _stage_method(rt: _Runtime, cfg: StageConfig):
             # Holding a transaction and not blocked: the busy window is over.
             in_ch.consume()
             txn.step += 1
-            log((name, txn.id, start_ns, start_delta, engine.ns, engine.delta))
+            log((name, txn.id, start_ns, engine.ns))
             out_ch.try_write(proc, txn)
             txn = None
 
@@ -545,7 +533,7 @@ def _issue_method(rt: _Runtime, values: Sequence[float], times: Iterator[int]):
                 if not write.channel.try_write(proc, held):
                     proc.pending = write
                     return
-            rt.inject_ns[txn.id], rt.inject_delta[txn.id] = engine.ns, engine.delta
+            rt.inject_ns[txn.id] = engine.ns
             txn = None
             target = next(times, None)
 
@@ -601,11 +589,11 @@ def run(
 
     dropped_ids = rt.dropped_ids()
     ids = range(len(rt.orig))
-    slots = (rt.data, rt.inject_ns, rt.inject_delta, rt.exit_ns, rt.exit_delta)
+    slots = (rt.data, rt.inject_ns, rt.exit_ns)
     columns = (ids, rt.orig, *(c[:len(ids)] for c in slots), [i in dropped_ids for i in ids])
     trace = Trace._of_columns(columns, rt.occupancy_log)
 
-    items = Counter(rt.occupancy_log[0::6])
+    items = Counter(rt.occupancy_log[0::4])
     stage_stats = {
         s.name: StageStats(items[s.name], items[s.name] * _busy_ns(checked.config_of(s)),
                            rt.in_channels[s].stalls)

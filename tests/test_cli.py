@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import pipesim as ps
-from pipesim import cli
+from pipesim import cli, report
 from pipesim.policy import ISSUE_KINDS, JOIN_KINDS
 from pipesim.report import canonical, run_report_mapping, trace_to_csv
 
@@ -318,18 +318,18 @@ def test_json_report_without_trace_builds_no_csv(write_file, capsys, tmp_path, m
     path = write_file("looped.pipe", LOOPED)
     inputs = ",".join(str(i) for i in range(12))
     traces = []
-    build = cli.report.write_run_report
+    build = report.write_run_report
 
-    def recorded(name, result, report, issue, out, csv_out=None):
+    def recorded(name, result, analysed, issue, out, csv_out=None):
         if csv_out is None:
             traces.append(None)
-            return build(name, result, report, issue, out)
+            return build(name, result, analysed, issue, out)
         buffer = io.StringIO()
-        build(name, result, report, issue, out, buffer)
+        build(name, result, analysed, issue, out, buffer)
         traces.append(buffer.getvalue())
         csv_out.write(traces[-1])
 
-    monkeypatch.setattr(cli.report, "write_run_report", recorded)
+    monkeypatch.setattr(report, "write_run_report", recorded)
     trace = tmp_path / "trace.csv"
     with_trace = invoke(capsys, "run", path, "--inputs", inputs, "--format", "json-like",
                         "--trace", str(trace))

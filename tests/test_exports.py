@@ -125,6 +125,12 @@ def test_analyze_loads_no_engine_simulator_or_json(looped_pipe):
         assert modules_loaded(code, modules) == [], fmt
 
 
+def test_elaborate_loads_no_analysis_report_or_simulator(looped_pipe):
+    modules = ("pipesim.analysis", "pipesim.report", "pipesim.engine", "pipesim.simulate",
+               "heapq", "json")
+    assert modules_loaded(cli_code("elaborate", looped_pipe), modules) == []
+
+
 def test_run_loads_no_json(looped_pipe, tmp_path):
     code = cli_code("run", looped_pipe, "--inputs", "1,2,3", "--format", "json-like",
                     "--trace", str(tmp_path / "trace.csv"))

@@ -64,7 +64,7 @@ def test_complex_route_single_transaction_latency():
         decls, "S1 >> S2 >> S3 >> S1 >> S3*2 >> S1 >> S2", configs, [5.0]
     )
     rec = result.trace.records[0]
-    assert rec.exited_at.ns - rec.injected_at.ns == 8
+    assert rec.exited_at - rec.injected_at == 8
 
 
 def test_stage_delay_defers_output_write():
@@ -75,8 +75,8 @@ def test_stage_delay_defers_output_write():
     ]
     result = run_route(decls, "D", configs, [1.0])
     occ = result.trace.occupancy[0]
-    assert occ.start.ns == 0 and occ.end.ns == 5
-    assert result.trace.records[0].exited_at.ns == 5
+    assert occ.start == 0 and occ.end == 5
+    assert result.trace.records[0].exited_at == 5
 
 
 def test_untimed_run_ends_at_zero_ns():
@@ -106,7 +106,7 @@ def test_lone_transaction_latency_is_sum_of_step_maxima():
         result = ps.run(ps.elaborate(route, decls), configs, [1.0], join=join)
         rec = result.trace.records[0]
         expected = sum(max(delays[s] for s in step) for step in route.steps)
-        assert rec.exited_at.ns - rec.injected_at.ns == expected
+        assert rec.exited_at - rec.injected_at == expected
 
 
 # -- fork / join -----------------------------------------------------------------
@@ -162,8 +162,8 @@ def test_join_left_right_pick_branch_by_declaration_order():
 def test_greedy_issue_on_linear_pipeline_streams_every_ns():
     decls, configs = declare_quad()
     result = run_route(decls, "S1 >> S2 >> S3", configs, [float(i) for i in range(6)])
-    assert [r.injected_at.ns for r in result.trace.records] == [0, 1, 2, 3, 4, 5]
-    exits = [r.exited_at.ns for r in result.trace.records]
+    assert [r.injected_at for r in result.trace.records] == [0, 1, 2, 3, 4, 5]
+    exits = [r.exited_at for r in result.trace.records]
     assert [b - a for a, b in zip(exits, exits[1:])] == [1, 1, 1, 1, 1]
     assert result.stats.total_stalls == 0
 
@@ -174,9 +174,9 @@ def test_greedy_issue_on_complex_route_spaces_by_mal():
         decls, "S1 >> S2 >> S3 >> S1 >> S3*2 >> S1 >> S2",
         configs, [float(i) for i in range(8)],
     )
-    inject = [r.injected_at.ns for r in result.trace.records]
+    inject = [r.injected_at for r in result.trace.records]
     assert [b - a for a, b in zip(inject, inject[1:])] == [4] * 7
-    exits = [r.exited_at.ns for r in result.trace.records]
+    exits = [r.exited_at for r in result.trace.records]
     assert [b - a for a, b in zip(exits, exits[1:])] == [4] * 7
     assert result.stats.total_stalls == 0
 
@@ -189,7 +189,7 @@ def test_greedy_issue_never_double_books_a_stage():
     )
     seen = set()
     for occ in result.trace.occupancy:
-        for t in range(occ.start.ns, occ.end.ns):
+        for t in range(occ.start, occ.end):
             assert (occ.stage, t) not in seen
             seen.add((occ.stage, t))
 
@@ -390,19 +390,19 @@ def pinned_corpus():
 
 
 PINNED_DIGESTS = {
-    "quad-greedy": "d42a3f1b8383bc33628bf738381ace188ea9d73670d3ad334b4ebfb2fef9ab3c",
-    "quad-eager": "347d1f428dc726c6f5f9d77042541c8fabfaebe1b6dc3048eb657ac7df1827fa",
-    "quad-fixed:1": "d42a3f1b8383bc33628bf738381ace188ea9d73670d3ad334b4ebfb2fef9ab3c",
-    "quad-fixed:3": "f526e9328c578c31e183d1f2ee9b1edba28d744b94b149294f696a0bc20e9fdf",
-    "feedback-greedy": "5319450cb0523f5b20707d73b9bda043d1a2f0cd4082d3698039af2f6b011934",
-    "feedback-eager": "c93ff3e38d7e9ee70a1bf58709150cd26c0a535d77d25d8149d1d6ab1987a06a",
-    "feedback-fixed:1": "32d182fb7773d971d25f3dcb12ebc3f74c05d0858167250f16e635f01e06a13d",
-    "feedback-fixed:3": "afd6e397c9a884974343df14cfb90bc216ddc284f3012d3b8753c060d746cb56",
-    "feedback-untimed-eager": "756d8ef65d515c09b8a17a613903c159c1142114ddbee705debceb6b04ef0454",
-    "feedback-horizon": "2c1c876072f9ee0c4115d9d0f7b6199490cc0bef8422a4f651cb16cef3735a3a",
-    "forkjoin-sum": "4187c5f2a5a01c0abade93419987dcc9e1bdd5a44f7cc78fbed0c507b6488df1",
-    "forkjoin-custom": "a810cfc7f52693502a494319c8b6619e7ce234f30f77630dc00127911eccff56",
-    "signal-drops": "5a342d53a72957c37e873f7e925b666fdb687c599cdab3ba0377c71148ec5f8c",
+    "quad-greedy": "9e64b71d621a3a939a566c6eb6ccb23bcaf2b6dad60cc834b61fe885eb2a1a13",
+    "quad-eager": "c7b7d3648cad6e2a22af465f69b6c4cc75056624b656f6205fd4bb9b1a4dcd45",
+    "quad-fixed:1": "9e64b71d621a3a939a566c6eb6ccb23bcaf2b6dad60cc834b61fe885eb2a1a13",
+    "quad-fixed:3": "cdb2f43ab655f801cbbd7d6dc0b5733164c19a0f66eaea9a383201f53904910d",
+    "feedback-greedy": "f9c6714ecb4d5c30a6c9e6ee40d30067321c87bd1f5d9dbf3774ffa430c55fa0",
+    "feedback-eager": "005f309cc6f5c178d81a0c21dc7d336b0ab267095a2faab8692481e35909cd3d",
+    "feedback-fixed:1": "41dbd24a742553b65cc4e67f6b7170f1356ad082d519abd136470424bbe5dad4",
+    "feedback-fixed:3": "bfca3fc990ee6bccb4939990ba02eb49a2a3d955b9c5b63060bb9ad999b22805",
+    "feedback-untimed-eager": "33a6a4902ae6c562d795450a90efa4c52017d7729bf88adf416f2d3223a997fa",
+    "feedback-horizon": "461c3e4720f5562c0c9a92ce3f8d2ff4ad1a8a634406ab6b30f1d56b385ba5a5",
+    "forkjoin-sum": "76b4410b21131adffd9b652da0c3ce507c4840693566c75390da823e2937870d",
+    "forkjoin-custom": "29185b9e7ed40ed40e9a11cc7bf1a2451ff9737a3e311694757caa0ff03881dc",
+    "signal-drops": "b40f37200236ad5d7c68d837e39216c259681fb91c8ffedd9dadecbefa024349",
 }
 
 SEVERED_MESSAGE = """\
@@ -428,7 +428,7 @@ deadlock: 3 transaction(s) in flight and no runnable process
 
 
 def test_run_results_pinned():
-    # Every trace record, occupancy SimTime, stat and warning keeps its exact
+    # Every trace record, occupancy, stat and warning keeps its exact
     # bytes as long as the engine keeps its (ns, delta, seq) dispatch order.
     digests = {
         name: hashlib.sha256(repr(make()).encode()).hexdigest()
@@ -450,14 +450,10 @@ def ns_only(result):
     change that renumbers delta phases, and nothing else, keeps.  The
     occupancies are sorted, since delta phases order those of one ns."""
     trace, stats = result.trace, result.stats
-
-    def ns(time):
-        return None if time is None else time.ns
-
     return (
-        [(r.txn_id, r.orig, r.data, ns(r.injected_at), ns(r.exited_at), r.dropped)
+        [(r.txn_id, r.orig, r.data, r.injected_at, r.exited_at, r.dropped)
          for r in trace.records],
-        sorted((o.start.ns, o.end.ns, o.stage, o.txn_id) for o in trace.occupancy),
+        sorted((o.start, o.end, o.stage, o.txn_id) for o in trace.occupancy),
         (stats.injected, stats.exited, stats.dropped, stats.in_flight, stats.final_time.ns,
          stats.timed_waits, stats.total_stalls, dict(stats.stage),
          dict(stats.stalls_by_channel), dict(stats.drops_by_channel), stats.truncated),
@@ -603,13 +599,13 @@ def issue_corpus():
 
 # SHA-256 of each issue run's repr(RunResult), then of its dispatch sequence.
 PINNED_ISSUE_RUNS = {
-    "forkjoin-custom-greedy": ("6983c9db0ba8db857c1057c3222e094df08a5526442fbbb8d35f1d46a7897fd1",
+    "forkjoin-custom-greedy": ("19d195f599124e07873505268d6de12a7d909e6d96a987bfb661a9716c36223e",
         "f0a88abe583ac3a1afe9749de251cb70bd599b615a8e17a49907dadae144ba92"),
-    "forkjoin-custom-fixed": ("f283b3da491ff56ba662091bd295751d43390f6dc2e2a7f66bdc40ad9e5d0210",
+    "forkjoin-custom-fixed": ("cd6216b848c211d02fcd0f83670bd8eb64ac7de420cc5142cb7a9905b8ecc8cc",
         "639517ac7ee79693641a8d4c282bd386d05f6c5e2c86353b7fb5e0705fd0a469"),
-    "feedback-delay2-greedy": ("bb82e5a0cc8aebb335a8c1cd94884d2a3dd0dd68a052eaca82c872f1393dc78d",
+    "feedback-delay2-greedy": ("2906c8c622fefa9601f8db445ef70c8ca6bd5b6385c21ff539de34fd4f26a1ea",
         "93e1f742fd196423bcc103e5995088ffaf9a0489efb62915bbf855e27b333050"),
-    "feedback-delay2-fixed": ("bb82e5a0cc8aebb335a8c1cd94884d2a3dd0dd68a052eaca82c872f1393dc78d",
+    "feedback-delay2-fixed": ("2906c8c622fefa9601f8db445ef70c8ca6bd5b6385c21ff539de34fd4f26a1ea",
         "93e1f742fd196423bcc103e5995088ffaf9a0489efb62915bbf855e27b333050"),
 }
 
@@ -772,7 +768,7 @@ def test_stage_stats_match_the_occupancy_log():
         for stage, st in result.stats.stage.items():
             spans = [o for o in result.trace.occupancy if o.stage == stage]
             assert st.items == len(spans), (name, stage)
-            assert st.busy_ns == sum(o.end.ns - o.start.ns for o in spans), (name, stage)
+            assert st.busy_ns == sum(o.end - o.start for o in spans), (name, stage)
 
 
 def test_occupancy_is_built_on_first_read_and_cached():
@@ -782,7 +778,7 @@ def test_occupancy_is_built_on_first_read_and_cached():
     first = trace.occupancy
     assert trace.occupancy is first
     assert len(first) == len(PIN_INPUTS) * 8
-    assert first[0] == ps.Occupancy("S1", 0, ps.SimTime(0, 2), ps.SimTime(1, 0))
+    assert first[0] == ps.Occupancy("S1", 0, 0, 1)
 
 
 def test_identical_runs_give_equal_traces():
@@ -826,9 +822,9 @@ def test_trace_equality_of_columns_agrees_with_the_views():
             changed(trace, entry=lambda e: (*e[:3], e[3] + 1, *e[4:])),
         ]
         if first.injected_at is not None:
-            delta = ps.SimTime(first.injected_at.ns, first.injected_at.delta + 1)
-            traces.append(changed(trace, record=lambda r: (r.txn_id, r.orig, r.data, delta,
-                                                           r.exited_at, r.dropped)))
+            traces.append(changed(trace, record=lambda r: (r.txn_id, r.orig, r.data,
+                                                           r.injected_at + 1, r.exited_at,
+                                                           r.dropped)))
     by_columns = [[a == b for b in traces] for a in traces]
     by_views = [[(a.records, a.occupancy_log) == (b.records, b.occupancy_log) for b in traces]
                 for a in traces]

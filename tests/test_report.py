@@ -125,12 +125,7 @@ RECORDS = st.lists(
 def test_one_pass_report_of_any_record_values(records):
     trace = ps.Trace(
         records=tuple(
-            TraceRecord(
-                i, orig, data,
-                None if inject is None else ps.SimTime(inject, 1),
-                None if exit_ns is None else ps.SimTime(exit_ns, 0),
-                dropped,
-            )
+            TraceRecord(i, orig, data, inject, exit_ns, dropped)
             for i, (orig, data, inject, exit_ns, dropped) in enumerate(records)
         ),
         occupancy_log=(),

@@ -23,9 +23,8 @@ CYCLE = ps.IssueCycle((1,))
 ROUTER = RouterNode("r_A", A, RoutingTable({0: ps.EXIT}))
 EDGE = ChannelEdge("r_A", "exit", None)
 CONFIG = ps.StageConfig(A, FN)
-T01 = ps.SimTime(0, 1)
-RECORD = TraceRecord(0, 1.0, 2.0, T01, None, False)
-TRACE = ps.Trace(records=(RECORD,), occupancy_log=(("A", 0, 0, 1, 1, 0),))
+RECORD = TraceRecord(0, 1.0, 2.0, 0, None, False)
+TRACE = ps.Trace(records=(RECORD,), occupancy_log=(("A", 0, 0, 1),))
 STAGE_STATS = StageStats(1, 1, 0)
 STATS = Stats(1, 0, 0, 1, ps.SimTime(1, 0), 1, 0, {"A": STAGE_STATS}, {}, {"A.in": 2}, True)
 DECLS = ps.declare_stages(["A", "B"])
@@ -104,17 +103,14 @@ CASES = [
     (Transaction, {"id": 0, "orig": 1.0, "data": 2.0, "step": 1, "branch": A},
      "Transaction(id=0, orig=1.0, data=2.0, step=1, branch=StageId('A', 0))"),
     (TraceRecord,
-     {"txn_id": 0, "orig": 1.0, "data": 2.0, "injected_at": T01, "exited_at": None,
+     {"txn_id": 0, "orig": 1.0, "data": 2.0, "injected_at": 0, "exited_at": None,
       "dropped": False},
-     "TraceRecord(txn_id=0, orig=1.0, data=2.0, injected_at=SimTime(ns=0, delta=1), "
-     "exited_at=None, dropped=False)"),
-    (Occupancy, {"stage": "A", "txn_id": 0, "start": T01, "end": ps.SimTime(1, 0)},
-     "Occupancy(stage='A', txn_id=0, start=SimTime(ns=0, delta=1), "
-     "end=SimTime(ns=1, delta=0))"),
-    (ps.Trace, {"records": (RECORD,), "occupancy_log": (("A", 0, 0, 1, 1, 0),)},
-     "Trace(records=(TraceRecord(txn_id=0, orig=1.0, data=2.0, injected_at=SimTime(ns=0, "
-     "delta=1), exited_at=None, dropped=False),), occupancy=(Occupancy(stage='A', txn_id=0, "
-     "start=SimTime(ns=0, delta=1), end=SimTime(ns=1, delta=0)),))"),
+     "TraceRecord(txn_id=0, orig=1.0, data=2.0, injected_at=0, exited_at=None, dropped=False)"),
+    (Occupancy, {"stage": "A", "txn_id": 0, "start": 0, "end": 1},
+     "Occupancy(stage='A', txn_id=0, start=0, end=1)"),
+    (ps.Trace, {"records": (RECORD,), "occupancy_log": (("A", 0, 0, 1),)},
+     "Trace(records=(TraceRecord(txn_id=0, orig=1.0, data=2.0, injected_at=0, exited_at=None, "
+     "dropped=False),), occupancy=(Occupancy(stage='A', txn_id=0, start=0, end=1),))"),
     (StageStats, {"items": 1, "busy_ns": 1, "stalls": 0},
      "StageStats(items=1, busy_ns=1, stalls=0)"),
     (Stats,
@@ -127,9 +123,9 @@ CASES = [
      "stalls_by_channel={}, drops_by_channel={'A.in': 2}, truncated=True)"),
     (ps.RunResult, {"trace": TRACE, "stats": STATS, "warnings": ("w",)},
      "RunResult(trace=Trace(records=(TraceRecord(txn_id=0, orig=1.0, data=2.0, "
-     "injected_at=SimTime(ns=0, delta=1), exited_at=None, dropped=False),), "
-     "occupancy=(Occupancy(stage='A', txn_id=0, start=SimTime(ns=0, delta=1), "
-     "end=SimTime(ns=1, delta=0)),)), stats=Stats(injected=1, exited=0, dropped=0, "
+     "injected_at=0, exited_at=None, dropped=False),), "
+     "occupancy=(Occupancy(stage='A', txn_id=0, start=0, end=1),)), "
+     "stats=Stats(injected=1, exited=0, dropped=0, "
      "in_flight=1, final_time=SimTime(ns=1, delta=0), timed_waits=1, total_stalls=0, "
      "stage={'A': StageStats(items=1, busy_ns=1, stalls=0)}, stalls_by_channel={}, "
      "drops_by_channel={'A.in': 2}, truncated=True), warnings=('w',))"),
