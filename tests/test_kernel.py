@@ -893,3 +893,44 @@ def test_valid_pipelines_never_deadlock(pipeline):
     # Nor does it overwrite an unread value.
     outputs = [c for c in (*stats.stalls_by_channel, *stats.drops_by_channel) if c.endswith(".out")]
     assert outputs == []
+
+
+def slower(cfg):
+    """``cfg`` one ns slower, or as it is if it is reactive (which cannot delay)."""
+    if cfg.exec is ps.ExecKind.REACTIVE:
+        return cfg
+    return ps.StageConfig(cfg.stage, cfg.function, ps.TimingSpec.timed((cfg.timing.delay or 0) + 1),
+                          cfg.channels, cfg.exec)
+
+
+@settings(max_examples=100, deadline=None)
+@given(valid_pipelines(), st.data())
+def test_occupancy_lasts_the_stage_delay_and_the_log_rebuilds(pipeline, data):
+    # Every occupancy of a stage lasts exactly ``delay or 0`` ns, reactive and
+    # untimed stages included, so a trace is its log's (stage, txn, start)
+    # entries plus one busy window per stage.
+    netlist, checked, inputs, issue = pipeline
+    trace = ps.run(netlist, checked, inputs, issue=issue).trace
+    delay = {s.name: cfg.timing.delay or 0 for s, cfg in checked.configs.items()}
+    assert all(o.end - o.start == delay[o.stage] for o in trace.occupancy)
+
+    # A horizon just before a stage's first occupancy ends leaves that stage without one.
+    first_end = {}
+    for o in trace.occupancy:
+        first_end.setdefault(o.stage, o.end)
+    horizon = data.draw(st.sampled_from([None, *(end - 1 for end in first_end.values() if end)]))
+    if horizon is not None:
+        trace = ps.run(netlist, checked, inputs, issue=issue, horizon_ns=horizon).trace
+        assert len({o.stage for o in trace.occupancy}) < len(first_end)
+    rebuilt = ps.Trace(records=trace.records, occupancy_log=trace.occupancy_log)
+    assert rebuilt == trace and hash(rebuilt) == hash(trace)
+
+    # The same route with every stage that can delay one ns slower.
+    configs = [slower(cfg) for cfg in checked.configs.values()]
+    other = ps.run(netlist, ps.validate_config(checked.route, configs, join=checked.join),
+                   inputs, issue=issue, horizon_ns=horizon).trace
+    assert (other == trace) == ((other.records, other.occupancy_log)
+                                == (trace.records, trace.occupancy_log))
+    loops = {s.name for s, cfg in checked.configs.items() if cfg.exec is not ps.ExecKind.REACTIVE}
+    if any(o.stage in loops for o in trace.occupancy):
+        assert other != trace
