@@ -2,7 +2,8 @@ import hashlib
 import random
 import tracemalloc
 from fractions import Fraction
-from itertools import combinations, islice
+from functools import cache
+from itertools import combinations, islice, product
 
 import pytest
 from hypothesis import given, settings
@@ -227,6 +228,55 @@ def test_mal_cycle_equals_karp_oracle(route):
     assert report.mal_cycle == karp_mal_cycle(report.vector)
     assert ps.minimal_average_latency(report.vector) == report.mal_cycle
     assert cycle_is_permissible(route, report.mal_cycle.latencies)
+
+
+def greedy_by_states(forbidden: frozenset[int], length: int) -> tuple[int, ...]:
+    """The cycle that always issuing at the smallest permitted latency enters.
+
+    A state is the set of latencies forbidden after the issues so far; the
+    restart latency ``length`` is always permitted.
+    """
+    state, seen, latencies = forbidden, {}, []
+    while state not in seen:
+        seen[state] = len(latencies)
+        d = min(d for d in range(1, length + 1) if d not in state)
+        latencies.append(d)
+        state = frozenset(f - d for f in state if f > d) | forbidden
+    return tuple(latencies[seen[state]:])
+
+
+def test_every_small_route_over_three_stages_matches_the_oracles():
+    """All 19,607 routes of 1-5 steps whose steps are any of the 7 non-empty
+    sets of 3 stages: 7 + 49 + 343 + 2,401 + 16,807.
+
+    Every route is analyzed.  The oracles are kept per what they depend on:
+    the greedy and Karp cycles on the length and forbidden set, a cycle's
+    permissibility on the length and the stage rows' marks.
+    """
+    sets = [frozenset(c) for k in (1, 2, 3) for c in combinations(STAGES[:3], k)]
+    greedy_of, mal_of, permissible = cache(greedy_by_states), cache(karp_mal_cycle), {}
+
+    def is_permissible(route, latencies):
+        key = (len(route), tuple(sorted(map(tuple, marks_by_scan(route).values()))), latencies)
+        if key not in permissible:
+            permissible[key] = cycle_is_permissible(route, latencies)
+        return permissible[key]
+
+    cases = 0
+    for length in range(1, 6):
+        for steps in product(sets, repeat=length):
+            route = ps.Route(steps)
+            report = ps.analyze(route)
+            forbidden = frozenset(forbidden_by_differences(route))
+            assert set(report.forbidden) == forbidden, steps
+            assert report.vector == ps.CollisionVector(
+                length, tuple(d in forbidden for d in range(1, length))), steps
+            assert report.greedy.latencies == greedy_of(forbidden, length), steps
+            assert report.mal_cycle == mal_of(report.vector), steps
+            for cycle in (report.greedy, report.mal_cycle):
+                assert is_permissible(route, cycle.latencies), steps
+            cases += 1
+    assert cases == 19_607
 
 
 @settings(max_examples=60, deadline=None)
