@@ -214,7 +214,7 @@ def _report_mapping(name: str, result: RunResult, report: AnalysisReport, issue:
     }
 
 
-_CHUNK_ROWS = 1000
+_CHUNK_ROWS = 256
 _RESULTS_MARK = _Verbatim("\0")  # no quoted string prints a raw NUL: _quote escapes it
 
 

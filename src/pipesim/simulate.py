@@ -27,8 +27,10 @@ does; only ``Stats.final_time`` keeps its delta, as a :class:`.SimTime`.
 A run keeps its results as columns of plain values, with no object per hop
 or per transaction for the garbage collector to track: per-id lists of each
 transaction's orig, data, and inject and exit ns, and one flat occupancy log
-of four entries per hop.  :class:`Trace` holds the columns; its record and
-occupancy objects are views built on first read.
+of three entries per hop: stage, transaction id and start ns.  Every
+occupancy of a stage lasts its fixed busy window, so the end is not logged.
+:class:`Trace` holds the columns and the busy window of each stage in the
+log; its record and occupancy objects are views built on first read.
 
 All of a run's mutable state sits on one ``_Runtime`` that every process
 holds.  Stalls and drops are the exception: the stage channels count them
@@ -40,6 +42,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import cached_property
+from itertools import islice
 from math import isfinite
 from typing import Iterator, Mapping, Sequence, Union
 
@@ -151,9 +154,12 @@ class Trace(Value):
     """Per-transaction records plus the stage occupancy log, kept as columns.
 
     Per transaction the columns hold id, orig, data, inject and exit ns
-    (None until reached) and whether it dropped; the log holds four entries
-    per hop.  ``records``, ``occupancy_log`` and ``occupancy`` are views
-    built on first read; equality compares the columns, hash the views.
+    (None until reached) and whether it dropped; the log holds three entries
+    per hop, (stage, txn_id, start_ns), and each stage in it has one busy
+    window, so an entry's end is its start plus its stage's busy ns.  A log
+    in which one stage has two durations raises :class:`ValueError`.
+    ``records``, ``occupancy_log`` and ``occupancy`` are views built on first
+    read; equality compares the columns, hash the views.
     """
 
     records: tuple[TraceRecord, ...]
@@ -162,14 +168,19 @@ class Trace(Value):
     def __init__(self, records: Sequence[TraceRecord], occupancy_log: Sequence[OccupancyEntry]):
         rows = [(r.txn_id, r.orig, r.data, r.injected_at, r.exited_at, r.dropped)
                 for r in records]
-        vars(self).update(_columns=tuple(zip(*rows)) or ((),) * 6,
-                          _log=[value for entry in occupancy_log for value in entry],
+        busy, log = {}, []
+        for stage, txn_id, start, end in occupancy_log:
+            if busy.setdefault(stage, end - start) != end - start:
+                raise ValueError(f"stage {stage} has occupancies of {busy[stage]} ns "
+                                 f"and {end - start} ns")
+            log += (stage, txn_id, start)
+        vars(self).update(_columns=tuple(zip(*rows)) or ((),) * 6, _log=log, _busy=busy,
                           records=records, occupancy_log=occupancy_log)
 
     @classmethod
-    def _of_columns(cls, columns: tuple[Sequence, ...], log: list) -> "Trace":
+    def _of_columns(cls, columns: tuple[Sequence, ...], log: list, busy: dict) -> "Trace":
         trace = cls.__new__(cls)
-        vars(trace).update(_columns=columns, _log=log)
+        vars(trace).update(_columns=columns, _log=log, _busy=busy)
         return trace
 
     def rows(self) -> Iterator[tuple]:
@@ -182,7 +193,9 @@ class Trace(Value):
 
     @cached_property
     def occupancy_log(self) -> tuple[OccupancyEntry, ...]:
-        return tuple(zip(*[iter(self._log)] * 4))
+        busy = self._busy
+        return tuple((stage, txn_id, start, start + busy[stage])
+                     for stage, txn_id, start in zip(*[iter(self._log)] * 3))
 
     @cached_property
     def occupancy(self) -> tuple[Occupancy, ...]:
@@ -192,7 +205,7 @@ class Trace(Value):
         if other.__class__ is self.__class__:
             # A run's ids are a range and its columns lists; a rebuilt trace's are tuples.
             return (tuple(map(tuple, self._columns)) == tuple(map(tuple, other._columns))
-                    and self._log == other._log)
+                    and self._log == other._log and self._busy == other._busy)
         return NotImplemented
 
     __hash__ = Value.__hash__  # of the views: defining __eq__ drops the inherited hash
@@ -435,7 +448,7 @@ def _stage_method(rt: _Runtime, cfg: StageConfig):
             # Holding a transaction and not blocked: the busy window is over.
             in_ch.consume()
             txn.step += 1
-            log((name, txn.id, start_ns, engine.ns))
+            log((name, txn.id, start_ns))
             out_ch.try_write(proc, txn)
             txn = None
 
@@ -591,11 +604,11 @@ def run(
     ids = range(len(rt.orig))
     slots = (rt.data, rt.inject_ns, rt.exit_ns)
     columns = (ids, rt.orig, *(c[:len(ids)] for c in slots), [i in dropped_ids for i in ids])
-    trace = Trace._of_columns(columns, rt.occupancy_log)
-
-    items = Counter(rt.occupancy_log[0::4])
+    items = Counter(islice(rt.occupancy_log, 0, None, 3))  # no copy of the log
+    busy = {s.name: _busy_ns(checked.config_of(s)) for s in netlist.stages if s.name in items}
+    trace = Trace._of_columns(columns, rt.occupancy_log, busy)
     stage_stats = {
-        s.name: StageStats(items[s.name], items[s.name] * _busy_ns(checked.config_of(s)),
+        s.name: StageStats(items[s.name], items[s.name] * busy.get(s.name, 0),
                            rt.in_channels[s].stalls)
         for s in netlist.stages
     }

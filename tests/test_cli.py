@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import io
 import json
@@ -377,23 +378,30 @@ class _HashingSink:
 
 
 # tracemalloc peak of the run below on CPython 3.11: 6.1 MiB when the report
-# and the CSV were each rendered whole, 3.1 MiB streamed, which is the peak of
-# the simulation itself.
-RUN_PEAK_CEILING = 4.5 * 2**20
+# and the CSV were each rendered whole, 2.7-3.0 MiB streamed in 1,000-row
+# chunks with a log of four entries per hop, 2.1-2.4 MiB in 256-row chunks
+# with three entries per hop.
+RUN_PEAK_CEILING = 2.6 * 2**20
+FEEDBACK_VALUES = [(i * 389) % 1999 - 999 for i in range(4000)]
+
+
+def feedback_run_argv(write_file, tmp_path):
+    """``pipesim run`` of FEEDBACK_VALUES on the feedback route, json-like with a trace."""
+    path = write_file("feedback.pipe", FEEDBACK_ROUTE)
+    inputs = tmp_path / "inputs.txt"
+    inputs.write_text("\n".join(map(str, FEEDBACK_VALUES)) + "\n", encoding="utf-8")
+    return ["run", path, "--inputs", str(inputs), "--format", "json-like",
+            "--trace", str(tmp_path / "trace.csv")]
 
 
 def test_streamed_run_report_memory(write_file, tmp_path, monkeypatch):
-    path = write_file("feedback.pipe", FEEDBACK_ROUTE)
-    values = [(i * 389) % 1999 - 999 for i in range(4000)]
-    inputs = tmp_path / "inputs.txt"
-    inputs.write_text("\n".join(map(str, values)) + "\n", encoding="utf-8")
-    trace = tmp_path / "trace.csv"
+    argv = feedback_run_argv(write_file, tmp_path)
+    path, trace, values = argv[1], Path(argv[-1]), FEEDBACK_VALUES
     sink = _HashingSink()
     monkeypatch.setattr(sys, "stdout", sink)
     tracemalloc.start()
     try:
-        code = cli.main(["run", path, "--inputs", str(inputs), "--format", "json-like",
-                         "--trace", str(trace)])
+        code = cli.main(argv)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -408,6 +416,25 @@ def test_streamed_run_report_memory(write_file, tmp_path, monkeypatch):
     assert sink.digest.hexdigest() == hashlib.sha256(expected.encode("utf-8")).hexdigest()
     assert trace.read_text(encoding="utf-8") == trace_to_csv(result.trace)
     assert peak <= RUN_PEAK_CEILING, peak
+
+
+# Gen-0 collections of the command below, after a full collection: a count
+# that is deterministic for one CPython build.  3 on CPython 3.11 when each
+# report chunk held 1,000 row tuples, 1 with 256-row chunks.
+RUN_GEN0_COLLECTIONS_CEILING = 1
+
+
+def test_streamed_run_report_collections(write_file, tmp_path, monkeypatch):
+    argv = feedback_run_argv(write_file, tmp_path)
+    monkeypatch.setattr(sys, "stdout", _HashingSink())
+    cli.main(argv)  # a first command loads the modules that it imports on use
+    assert gc.isenabled(), "the count needs the collector on"
+    gc.collect()
+    before = gc.get_stats()[0]["collections"]
+    code = cli.main(argv)
+    collections = gc.get_stats()[0]["collections"] - before
+    assert code == 0
+    assert collections <= RUN_GEN0_COLLECTIONS_CEILING, collections
 
 
 @pytest.mark.parametrize("spec, message", [

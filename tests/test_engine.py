@@ -486,8 +486,8 @@ def test_gen0_collections_of_the_feedback_route():
 
 # tracemalloc peak of the run below on CPython 3.11: 2.94 MB when the results
 # kept each time as ns and delta (six log entries per hop), 2.40 MB with ns
-# only (four per hop).
-RUN_PEAK_CEILING = 2_600_000
+# only (four per hop), 1.83 MB without the end ns (three per hop).
+RUN_PEAK_CEILING = 2_300_000
 
 
 def test_run_peak_memory_of_the_feedback_route():

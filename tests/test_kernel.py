@@ -800,13 +800,26 @@ def test_trace_equality_builds_no_view():
         assert "records" not in vars(trace) and "occupancy_log" not in vars(trace)
 
 
+def test_trace_refuses_a_stage_with_two_durations():
+    record = ps.TraceRecord(0, 1.0, 2.0, 0, 5, False)
+    log = (("A", 0, 0, 1), ("B", 0, 1, 3), ("A", 0, 3, 5))
+    with pytest.raises(ValueError, match="^stage A has occupancies of 1 ns and 2 ns$"):
+        ps.Trace(records=(record,), occupancy_log=log)
+    # One duration per stage, whatever the stage, and it takes part in equality.
+    trace = ps.Trace(records=(record,), occupancy_log=log[:2])
+    assert trace == ps.Trace(records=(record,), occupancy_log=list(log[:2]))
+    assert trace != ps.Trace(records=(record,), occupancy_log=(log[0], ("B", 0, 1, 4)))
+
+
 def test_trace_equality_of_columns_agrees_with_the_views():
-    def changed(trace, record=None, entry=None):
+    def changed(trace, record=None, entry=None, stage_entry=None):
         records, log = list(trace.records), list(trace.occupancy_log)
         if record is not None:
             records[0] = ps.TraceRecord(*record(records[0]))
         if entry is not None:
             log[0] = entry(log[0])
+        if stage_entry is not None:  # to every entry of the first entry's stage
+            log = [stage_entry(e) if e[0] == log[0][0] else e for e in log]
         return ps.Trace(records=tuple(records), occupancy_log=tuple(log))
 
     traces, runs = [], []
@@ -819,7 +832,8 @@ def test_trace_equality_of_columns_agrees_with_the_views():
             ps.Trace(records=trace.records, occupancy_log=trace.occupancy_log),
             changed(trace, record=lambda r: (r.txn_id, r.orig, r.data + 1.0, r.injected_at,
                                              r.exited_at, r.dropped)),
-            changed(trace, entry=lambda e: (*e[:3], e[3] + 1, *e[4:])),
+            changed(trace, entry=lambda e: (*e[:2], e[2] + 1, e[3] + 1)),
+            changed(trace, stage_entry=lambda e: (*e[:3], e[3] + 1)),
         ]
         if first.injected_at is not None:
             traces.append(changed(trace, record=lambda r: (r.txn_id, r.orig, r.data,
@@ -830,7 +844,7 @@ def test_trace_equality_of_columns_agrees_with_the_views():
                 for a in traces]
     assert by_columns == by_views
     # Each run equals its rebuild and differs from its changed copies.
-    assert all(by_columns[i][i + 1] and not any(by_columns[i][i + 2:i + 4]) for i in runs)
+    assert all(by_columns[i][i + 1] and not any(by_columns[i][i + 2:i + 5]) for i in runs)
 
 
 # -- liveness ----------------------------------------------------------------------------
