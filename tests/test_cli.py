@@ -396,7 +396,7 @@ def feedback_run_argv(write_file, tmp_path):
 
 def test_streamed_run_report_memory(write_file, tmp_path, monkeypatch):
     argv = feedback_run_argv(write_file, tmp_path)
-    path, trace, values = argv[1], Path(argv[-1]), FEEDBACK_VALUES
+    path, trace = argv[1], Path(argv[-1])
     sink = _HashingSink()
     monkeypatch.setattr(sys, "stdout", sink)
     tracemalloc.start()
@@ -410,7 +410,8 @@ def test_streamed_run_report_memory(write_file, tmp_path, monkeypatch):
     setup = ps.load_pipeline_file(path)
     route = setup.routes["main"]
     checked = ps.validate_config(route, setup.configs)
-    result = ps.run(ps.elaborate(route, setup.decls, checked), checked, [float(v) for v in values])
+    result = ps.run(ps.elaborate(route, setup.decls, checked), checked,
+                    [float(v) for v in FEEDBACK_VALUES])
     issue = ps.IssueSpec.greedy()
     expected = canonical(run_report_mapping("main", result, ps.analyze(route), issue)) + "\n"
     assert sink.digest.hexdigest() == hashlib.sha256(expected.encode("utf-8")).hexdigest()
