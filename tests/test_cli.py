@@ -720,3 +720,87 @@ def test_output_does_not_depend_on_hash_seed(tmp_path):
         seen.append(outputs)
     assert all(codes == 0 for codes, _, _ in seen[0][:3])
     assert all(outputs == seen[0] for outputs in seen[1:])
+
+
+# -- help and usage ---------------------------------------------------------------------
+
+_RUN_HELP = """\
+usage: pipesim run [-h] --inputs INPUTS [--issue ISSUE] [--horizon HORIZON]
+                   [--trace TRACE] [--format {text,json-like}]
+                   [--type TXN_TYPE]
+                   file
+
+positional arguments:
+  file                  pipeline definition file
+
+options:
+  -h, --help            show this help message and exit
+  --inputs INPUTS       comma separated orig values, or a path to a file of
+                        values
+  --issue ISSUE         greedy, eager or fixed:<interval>
+  --horizon HORIZON     stop after this many ns
+  --trace TRACE         write the CSV transaction trace here
+  --format {text,json-like}
+  --type TXN_TYPE       pipeline name to run
+"""
+
+# (argv, exit code, stdout, stderr) at an 80-column terminal.
+HELP_AND_USAGE = [
+    (["-h"], 0, """\
+usage: pipesim [-h] {analyze,run,elaborate} ...
+
+Command-line front end.
+
+positional arguments:
+  {analyze,run,elaborate}
+    analyze             derive scheduling quantities
+    run                 simulate transactions through the pipeline
+    elaborate           emit the module graph as DOT
+
+options:
+  -h, --help            show this help message and exit
+""", ""),
+    (["analyze", "-h"], 0, """\
+usage: pipesim analyze [-h] [--format {text,json-like}] file
+
+positional arguments:
+  file                  pipeline definition file
+
+options:
+  -h, --help            show this help message and exit
+  --format {text,json-like}
+""", ""),
+    (["run", "-h"], 0, _RUN_HELP, ""),
+    (["elaborate", "-h"], 0, """\
+usage: pipesim elaborate [-h] [--dot DOT] [--type TXN_TYPE] file
+
+positional arguments:
+  file             pipeline definition file
+
+options:
+  -h, --help       show this help message and exit
+  --dot DOT        write DOT here instead of stdout
+  --type TXN_TYPE  pipeline name to elaborate
+""", ""),
+    ([], 1, "", "pipesim: error: the following arguments are required: command\n"),
+    (["check", "quad.pipe"], 1, "", "pipesim: error: argument command: invalid choice: "
+     "'check' (choose from 'analyze', 'run', 'elaborate')\n"),
+    (["run", "quad.pipe"], 1, "",
+     "pipesim run: error: the following arguments are required: --inputs\n"),
+    (["analyze", "quad.pipe", "--format", "yaml"], 1, "", "pipesim analyze: error: argument "
+     "--format: invalid choice: 'yaml' (choose from 'text', 'json-like')\n"),
+    (["run", "quad.pipe", "--inputs", "1", "--horizon", "x"], 1, "",
+     "pipesim run: error: argument --horizon: invalid int value: 'x'\n"),
+    (["run", "quad.pipe", "--inputs", "1", "--t", "x"], 1, "",
+     "pipesim run: error: ambiguous option: --t could match --trace, --type\n"),
+    (["elaborate", "quad.pipe", "extra.pipe"], 1, "",
+     "pipesim: error: unrecognized arguments: extra.pipe\n"),
+    (["run", "quad.pipe", "--inputs"], 1, "",
+     "pipesim run: error: argument --inputs: expected one argument\n"),
+]
+
+
+@pytest.mark.parametrize("argv, code, out, err", HELP_AND_USAGE)
+def test_help_and_usage_text_pinned(capsys, monkeypatch, argv, code, out, err):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert invoke(capsys, *argv) == (code, out, err)

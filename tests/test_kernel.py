@@ -622,6 +622,34 @@ def test_issue_runs_pinned(dispatch_recorder):
     assert digests == PINNED_ISSUE_RUNS
 
 
+def test_eager_issue_retry_can_be_refused(monkeypatch):
+    # S0 runs twice per transaction, so the issue's granted write into
+    # S0.in can find the slot taken again by a transaction's second visit.
+    from pipesim.engine import BlockingChannel
+
+    retries = []
+    try_write = BlockingChannel.try_write
+
+    def recorded(self, proc, value):
+        retry = proc.name == "issue" and proc.pending is not None
+        accepted = try_write(self, proc, value)
+        if retry:
+            retries.append(accepted)
+        return accepted
+
+    monkeypatch.setattr(BlockingChannel, "try_write", recorded)
+    decls = ps.declare_stages(["S0", "S1"])
+    configs = [ps.StageConfig(decls[name], ps.parse_function("data + orig"),
+                              timing=ps.TimingSpec.timed(delay))
+               for name, delay in (("S0", 1), ("S1", 3))]
+    result = run_route(decls, "S0 >> S0 >> S1", configs, [0, 1, 2, 3, 4],
+                       issue=ps.IssueSpec.eager())
+    assert False in retries
+    assert [(r.injected_at, r.exited_at) for r in result.trace.records] == [
+        (0, 7), (1, 10), (3, 13), (5, 16), (8, 19)]
+    assert result.stats.stalls_by_channel == {"S0.in": 8, "S1.in": 4}
+
+
 def test_stage_outputs_never_stall():
     # A stage writes its output without a blocked-write path: the router
     # drains each output one delta after the write, before the next one.
