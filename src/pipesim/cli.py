@@ -12,12 +12,13 @@ Reports go to stdout, diagnostics to stderr.  Exit codes: 0 success,
 
 from __future__ import annotations
 
-import argparse
 import math
 import os
 import sys
 from contextlib import nullcontext
+from types import SimpleNamespace
 
+from ._value import Value
 from .elaborate import Netlist, elaborate, to_dot
 from .errors import PipelineError
 from .fileformat import PipelineSetup, load_pipeline_file, read_text
@@ -30,45 +31,6 @@ EXIT_ERROR = 1
 EXIT_DEADLOCK = 2
 EXIT_HORIZON = 3
 _FORMATS = ("text", "json-like")  # of analyze and run reports
-
-
-class _ArgumentParser(argparse.ArgumentParser):
-    # argparse exits with 2 on usage errors; 2 is reserved for deadlocks here.
-    def error(self, message):
-        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = _ArgumentParser(prog="pipesim", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_analyze = sub.add_parser("analyze", help="derive scheduling quantities")
-    p_analyze.add_argument("file", help="pipeline definition file")
-    p_analyze.add_argument(
-        "--format", choices=_FORMATS, default=_FORMATS[0], dest="fmt"
-    )
-
-    p_run = sub.add_parser("run", help="simulate transactions through the pipeline")
-    p_run.add_argument("file", help="pipeline definition file")
-    p_run.add_argument(
-        "--inputs",
-        required=True,
-        help="comma separated orig values, or a path to a file of values",
-    )
-    p_run.add_argument("--issue", help=f"{ISSUE_KINDS_TEXT}<interval>")
-    p_run.add_argument("--horizon", type=int, help="stop after this many ns")
-    p_run.add_argument("--trace", help="write the CSV transaction trace here")
-    p_run.add_argument(
-        "--format", choices=_FORMATS, default=_FORMATS[0], dest="fmt"
-    )
-    p_run.add_argument("--type", dest="txn_type", help="pipeline name to run")
-
-    p_elab = sub.add_parser("elaborate", help="emit the module graph as DOT")
-    p_elab.add_argument("file", help="pipeline definition file")
-    p_elab.add_argument("--dot", help="write DOT here instead of stdout")
-    p_elab.add_argument("--type", dest="txn_type", help="pipeline name to elaborate")
-
-    return parser
 
 
 def _select_pipeline(setup: PipelineSetup, txn_type: str | None) -> str:
@@ -213,21 +175,98 @@ def _cmd_elaborate(args) -> int:
     return EXIT_OK
 
 
-_COMMANDS = {
-    "analyze": _cmd_analyze,
-    "run": _cmd_run,
-    "elaborate": _cmd_elaborate,
+class _Option(Value):  # one ``--flag value`` option, as ``add_argument`` takes it
+    flag: str
+    dest: str
+    help: str | None = None
+    default: object = None
+    required: bool = False
+    choices: tuple | None = None
+    type: type | None = None
+
+
+_FORMAT = _Option("--format", "fmt", default=_FORMATS[0], choices=_FORMATS)
+
+# The command line: each command's function, its help, and the options after
+# its positional ``file`` in ``add_argument`` order.  argparse and the fast
+# path of :func:`main` both read it.
+_COMMAND_LINE = {
+    "analyze": (_cmd_analyze, "derive scheduling quantities", (_FORMAT,)),
+    "run": (_cmd_run, "simulate transactions through the pipeline", (
+        _Option("--inputs", "inputs", "comma separated orig values, or a path to a file of values",
+                required=True),
+        _Option("--issue", "issue", f"{ISSUE_KINDS_TEXT}<interval>"),
+        _Option("--horizon", "horizon", "stop after this many ns", type=int),
+        _Option("--trace", "trace", "write the CSV transaction trace here"),
+        _FORMAT,
+        _Option("--type", "txn_type", "pipeline name to run"),
+    )),
+    "elaborate": (_cmd_elaborate, "emit the module graph as DOT", (
+        _Option("--dot", "dot", "write DOT here instead of stdout"),
+        _Option("--type", "txn_type", "pipeline name to elaborate"),
+    )),
 }
 
 
+def _build_parser():
+    """The argparse parser of :data:`_COMMAND_LINE`: it reads every command
+    line the fast path leaves, and prints help, usage and errors."""
+    import argparse  # here, so a well-formed command line never loads it
+
+    class ArgumentParser(argparse.ArgumentParser):
+        # argparse exits with 2 on usage errors; 2 is reserved for deadlocks here.
+        def error(self, message):
+            self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
+
+    parser = ArgumentParser(prog="pipesim", description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (_, command_help, options) in _COMMAND_LINE.items():
+        command_parser = sub.add_parser(command, help=command_help)
+        command_parser.add_argument("file", help="pipeline definition file")
+        for o in options:
+            command_parser.add_argument(o.flag, dest=o.dest, default=o.default, required=o.required,
+                                        choices=o.choices, type=o.type, help=o.help)
+    return parser
+
+
+def _parse_fast(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace argparse returns for ``<command> <file> (--flag value)*``
+    whose flags are exact options of the command, each given once, whose
+    values start with no ``-``, convert and are among their choices, and
+    which has every required option; None for any other command line."""
+    if len(argv) % 2 or not argv or argv[0] not in _COMMAND_LINE or argv[1].startswith("-"):
+        return None
+    command, file, *rest = argv
+    options = {o.flag: o for o in _COMMAND_LINE[command][2]}
+    args = {"command": command, "file": file}
+    for flag, value in zip(rest[::2], rest[1::2]):
+        option = options.pop(flag, None)  # so a repeated flag is left to argparse
+        if option is None or value.startswith("-"):
+            return None
+        try:
+            value = value if option.type is None else option.type(value)
+        except ValueError:
+            return None
+        if option.choices is not None and value not in option.choices:
+            return None
+        args[option.dest] = value
+    for option in options.values():
+        if option.required:
+            return None
+        args[option.dest] = option.default
+    return SimpleNamespace(**args)
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _parse_fast(argv)
+    if args is None:
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return int(exc.code or 0)
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
-        return _COMMANDS[args.command](args)
+        return _COMMAND_LINE[args.command][0](args)
     except (OSError, PipelineError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

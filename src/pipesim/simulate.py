@@ -166,6 +166,7 @@ class Trace(Value):
     occupancy_log: tuple[OccupancyEntry, ...]
 
     def __init__(self, records: Sequence[TraceRecord], occupancy_log: Sequence[OccupancyEntry]):
+        records, occupancy_log = tuple(records), tuple(occupancy_log)
         rows = [(r.txn_id, r.orig, r.data, r.injected_at, r.exited_at, r.dropped)
                 for r in records]
         busy, log = {}, []

@@ -7,8 +7,8 @@ come from ``tests/test_cli.py``)::
 
 It writes a corpus of definition files to a temporary directory: the
 README's quad and feedback routes, a fork/join route with a signal and an
-untimed stage, each of ``test_cli.MALFORMED_FILES``, and a file of 4,000
-input values. From that directory it runs ``pipesim.cli.main`` in this
+untimed stage, a route on which eager issue has a granted write refused,
+each of ``test_cli.MALFORMED_FILES``, and a file of 4,000 input values. From that directory it runs ``pipesim.cli.main`` in this
 process over each invocation below, and prints ``<digest>  <arguments>``,
 where the digest is a SHA-256 over the exit code, stdout, stderr and every
 file the invocation wrote. Paths are relative, so two runs of one checkout
@@ -53,11 +53,18 @@ join = "dataL + dataR - orig";
 
 TWO_TYPES = QUAD.replace("pipeline = ", "pipeline short = S1 >> S3;\npipeline long = ")
 
+REFUSED_RETRY = """\
+stage S0 { fn = "data + orig"; delay = 1; }
+stage S1 { fn = "data + orig"; delay = 3; }
+pipeline = S0 >> S0 >> S1;
+"""
+
 FILES = {
     "quad.pipe": QUAD,
     "feedback.pipe": FEEDBACK,
     "forkjoin.pipe": FORK_JOIN,
     "types.pipe": TWO_TYPES,
+    "retry.pipe": REFUSED_RETRY,
     "inputs.txt": "1 2.5\n-3,4e-3\n",
     "inputs4000.txt": "".join(f"{(i * 389) % 1999 - 999}\n" for i in range(4000)),
     **{f"malformed{number:02}.pipe": text for number, (text, _) in enumerate(MALFORMED_FILES)},
@@ -97,6 +104,13 @@ INVOCATIONS = [
     ["analyze", "absent.pipe"],
     ["run", "quad.pipe", "--inputs", "1e200"],
     *(["analyze", name] for name in FILES if name.startswith("malformed")),
+    ["run", "retry.pipe", "--inputs", "0,1,2,3,4", "--issue", "eager"],
+    # Spellings that argparse reads, not the fast path: each prints the
+    # digest of its canonical form above.
+    ["analyze", "feedback.pipe", "--form", "json-like"],
+    ["run", "quad.pipe", "--inputs=0,1,2,3", "--format", "json-like"],
+    ["run", "--format", "json-like", "--inputs", "0,1,2,3", "quad.pipe"],
+    ["analyze", "types.pipe", "--format", "text", "--format", "json-like"],
 ]
 
 

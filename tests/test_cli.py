@@ -7,9 +7,12 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import pipesim as ps
 from pipesim import cli, report
@@ -804,3 +807,86 @@ options:
 def test_help_and_usage_text_pinned(capsys, monkeypatch, argv, code, out, err):
     monkeypatch.setenv("COLUMNS", "80")
     assert invoke(capsys, *argv) == (code, out, err)
+
+
+# -- fast path ---------------------------------------------------------------------------
+
+_FLAGS = ["--format", "--inputs", "--issue", "--horizon", "--trace", "--type", "--dot"]
+_VALUES = ["quad.pipe", "x", "1,2", "", "-1", "+5", "5", "\u0663", "yaml", "json-like", "text",
+           "greedy", "fixed:3"]
+_TOKENS = [
+    "analyze", "run", "elaborate", "-h", "--help", "--", "-",
+    *_FLAGS, *(flag[:n] for flag in _FLAGS for n in range(3, len(flag))),
+    *(f"{flag}={value}" for flag in _FLAGS for value in ("1,2", "", "-1", "5", "json-like")),
+    *_VALUES,
+]
+
+
+_COMMAND_FLAGS = {"analyze": ["--format"], "elaborate": ["--dot", "--type"],
+                  "run": ["--inputs", "--issue", "--horizon", "--trace", "--format", "--type"]}
+_FLAG_VALUES = {"--format": ["text", "json-like", "yaml", "-1"],
+                "--horizon": ["5", "+5", "\u0663", "x", "", "-1"]}
+
+
+@st.composite
+def command_lines(draw):
+    """0-8 tokens of the vocabulary, or a command, a file and up to three
+    pairs of a flag, mostly of that command, and a value; the flags are
+    distinct in half of them."""
+    if draw(st.booleans()):
+        return draw(st.lists(st.sampled_from(_TOKENS), max_size=8))
+    command = draw(st.sampled_from(sorted(_COMMAND_FLAGS)))
+    flags = draw(st.lists(st.sampled_from(_COMMAND_FLAGS[command] + ["--dot"]), max_size=3,
+                          unique=draw(st.booleans())))
+    if command == "run" and draw(st.booleans()):
+        flags = ["--inputs", *flags[:2]]
+    argv = [command, draw(st.sampled_from(_VALUES))]
+    for flag in flags:
+        argv += [flag, draw(st.sampled_from(_FLAG_VALUES.get(flag, _VALUES)))]
+    return argv
+
+
+def parse_with_argparse(argv):
+    """argparse's namespace for ``argv`` as a dict, or None if it exits."""
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            return vars(cli._build_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+@settings(max_examples=500, deadline=None)
+@given(command_lines())
+@example(["run", "quad.pipe", "--inputs", "1,2", "--horizon", "+5", "--format", "json-like"])
+@example(["analyze", "", "--format", "text"])
+@example(["run", "x", "--horizon", "\u0663", "--inputs", ""])
+def test_fast_path_agrees_with_argparse(argv):
+    fast = cli._parse_fast(argv)
+    if fast is not None:
+        assert vars(fast) == parse_with_argparse(argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "quad.pipe"],
+    ["run", "quad.pipe", "--inputs", "0,1", "--issue", "fixed:3", "--horizon", "9",
+     "--trace", "t.csv", "--format", "json-like", "--type", "long"],
+    ["elaborate", "quad.pipe", "--type", "long", "--dot", "g.dot"],
+])
+def test_fast_path_reads_the_common_forms(argv):
+    assert vars(cli._parse_fast(argv)) == parse_with_argparse(argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "quad.pipe", "--form", "json-like"],
+    ["run", "quad.pipe", "--inputs=0,1"],
+    ["analyze", "--format", "json-like", "quad.pipe"],
+    ["analyze", "quad.pipe", "--format", "text", "--format", "json-like"],
+    ["run", "quad.pipe", "--inputs", "1", "--horizon", "-1"],
+    ["run", "quad.pipe", "--inputs", "1", "--horizon", "x"],
+    ["analyze", "quad.pipe", "--format", "yaml"],
+    ["run", "quad.pipe"],
+    ["analyze", "quad.pipe", "--dot", "g.dot"],
+    ["run", "quad.pipe", "--inputs", "1", "-h"],
+])
+def test_fast_path_leaves_other_command_lines_to_argparse(argv):
+    assert cli._parse_fast(argv) is None

@@ -137,6 +137,20 @@ def test_run_loads_no_json(looped_pipe, tmp_path):
     assert modules_loaded(code, ("pipesim.simulate", "json")) == ["pipesim.simulate"]
 
 
+def test_well_formed_commands_load_no_argparse(looped_pipe, tmp_path):
+    """``argparse``, with the ``gettext`` and ``locale`` that its help and
+    error texts load, costs milliseconds; only a command line the fast path
+    does not read, such as ``-h`` or an error, needs it."""
+    modules = ("argparse", "gettext", "locale")
+    for argv in (
+        ("analyze", looped_pipe, "--format", "json-like"),
+        ("run", looped_pipe, "--inputs", "1,2,3", "--format", "json-like",
+         "--trace", str(tmp_path / "trace.csv")),
+        ("elaborate", looped_pipe),
+    ):
+        assert modules_loaded(cli_code(*argv), modules) == [], argv[0]
+
+
 # Every public name that ``pipesim/__init__.py`` bound when it imported each
 # module eagerly, in its import order.
 PUBLIC_NAMES = [

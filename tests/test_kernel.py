@@ -839,6 +839,16 @@ def test_trace_refuses_a_stage_with_two_durations():
     assert trace != ps.Trace(records=(record,), occupancy_log=(log[0], ("B", 0, 1, 4)))
 
 
+def test_trace_keeps_its_own_copy_of_the_given_lists():
+    record = ps.TraceRecord(0, 1.0, 2.0, 0, 1, False)
+    records, log = [record], [("A", 0, 0, 1)]
+    trace = ps.Trace(records=records, occupancy_log=log)
+    assert hash(trace) == hash(ps.Trace(records=(record,), occupancy_log=(("A", 0, 0, 1),)))
+    log.append(("A", 0, 1, 2))
+    records.append(record)
+    assert trace.occupancy_log == (("A", 0, 0, 1),) and trace.records == (record,)
+
+
 def test_trace_equality_of_columns_agrees_with_the_views():
     def changed(trace, record=None, entry=None, stage_entry=None):
         records, log = list(trace.records), list(trace.occupancy_log)
