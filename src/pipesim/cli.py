@@ -230,10 +230,12 @@ def _build_parser():
 
 
 def _parse_fast(argv: list[str]) -> SimpleNamespace | None:
-    """The namespace argparse returns for ``<command> <file> (--flag value)*``
-    whose flags are exact options of the command, each given once, whose
-    values start with no ``-``, convert and are among their choices, and
-    which has every required option; None for any other command line."""
+    """argparse's namespace for ``<command> <file> (--flag value)*``, or None.
+
+    It reads a command line only if each flag is an exact option of the
+    command given once, no value starts with ``-``, each value converts and
+    is among its choices, and every required option is present; argparse
+    reads every other one."""
     if len(argv) % 2 or not argv or argv[0] not in _COMMAND_LINE or argv[1].startswith("-"):
         return None
     command, file, *rest = argv
@@ -250,11 +252,9 @@ def _parse_fast(argv: list[str]) -> SimpleNamespace | None:
         if option.choices is not None and value not in option.choices:
             return None
         args[option.dest] = value
-    for option in options.values():
-        if option.required:
-            return None
-        args[option.dest] = option.default
-    return SimpleNamespace(**args)
+    if any(option.required for option in options.values()):
+        return None
+    return SimpleNamespace(**args, **{o.dest: o.default for o in options.values()})
 
 
 def main(argv=None) -> int:

@@ -812,8 +812,8 @@ def test_help_and_usage_text_pinned(capsys, monkeypatch, argv, code, out, err):
 # -- fast path ---------------------------------------------------------------------------
 
 _FLAGS = ["--format", "--inputs", "--issue", "--horizon", "--trace", "--type", "--dot"]
-_VALUES = ["quad.pipe", "x", "1,2", "", "-1", "+5", "5", "\u0663", "yaml", "json-like", "text",
-           "greedy", "fixed:3"]
+_VALUES = ["quad.pipe", "x", "1,2", "", "-1", "-x", "--", "+5", "5", "\u0663", "yaml", "json-like",
+           "text", "greedy", "fixed:3"]
 _TOKENS = [
     "analyze", "run", "elaborate", "-h", "--help", "--", "-",
     *_FLAGS, *(flag[:n] for flag in _FLAGS for n in range(3, len(flag))),
@@ -866,27 +866,26 @@ def test_fast_path_agrees_with_argparse(argv):
         assert vars(fast) == parse_with_argparse(argv)
 
 
-@pytest.mark.parametrize("argv", [
-    ["analyze", "quad.pipe"],
-    ["run", "quad.pipe", "--inputs", "0,1", "--issue", "fixed:3", "--horizon", "9",
-     "--trace", "t.csv", "--format", "json-like", "--type", "long"],
-    ["elaborate", "quad.pipe", "--type", "long", "--dot", "g.dot"],
+@pytest.mark.parametrize("argv, fast", [
+    (["analyze", "quad.pipe"], True),
+    (["run", "quad.pipe", "--inputs", "0,1", "--issue", "fixed:3", "--horizon", "9",
+      "--trace", "t.csv", "--format", "json-like", "--type", "long"], True),
+    (["elaborate", "quad.pipe", "--type", "long", "--dot", "g.dot"], True),
+    (["analyze", "quad.pipe", "--form", "json-like"], False),
+    (["run", "quad.pipe", "--inputs=0,1"], False),
+    (["analyze", "--format", "json-like", "quad.pipe"], False),
+    (["analyze", "quad.pipe", "--format", "text", "--format", "json-like"], False),
+    (["run", "quad.pipe", "--inputs", "1", "--horizon", "-1"], False),
+    (["run", "quad.pipe", "--inputs", "1", "--horizon", "x"], False),
+    (["analyze", "quad.pipe", "--format", "yaml"], False),
+    (["run", "quad.pipe"], False),
+    (["analyze", "quad.pipe", "--dot", "g.dot"], False),
+    (["run", "quad.pipe", "--inputs", "1", "-h"], False),
 ])
-def test_fast_path_reads_the_common_forms(argv):
-    assert vars(cli._parse_fast(argv)) == parse_with_argparse(argv)
-
-
-@pytest.mark.parametrize("argv", [
-    ["analyze", "quad.pipe", "--form", "json-like"],
-    ["run", "quad.pipe", "--inputs=0,1"],
-    ["analyze", "--format", "json-like", "quad.pipe"],
-    ["analyze", "quad.pipe", "--format", "text", "--format", "json-like"],
-    ["run", "quad.pipe", "--inputs", "1", "--horizon", "-1"],
-    ["run", "quad.pipe", "--inputs", "1", "--horizon", "x"],
-    ["analyze", "quad.pipe", "--format", "yaml"],
-    ["run", "quad.pipe"],
-    ["analyze", "quad.pipe", "--dot", "g.dot"],
-    ["run", "quad.pipe", "--inputs", "1", "-h"],
-])
-def test_fast_path_leaves_other_command_lines_to_argparse(argv):
-    assert cli._parse_fast(argv) is None
+def test_fast_path_reads_only_well_formed_command_lines(argv, fast):
+    """The common forms skip argparse; every other form is left to it."""
+    namespace = cli._parse_fast(argv)
+    if fast:
+        assert vars(namespace) == parse_with_argparse(argv)
+    else:
+        assert namespace is None
