@@ -14,6 +14,11 @@ where the digest is a SHA-256 over the exit code, stdout, stderr and every
 file the invocation wrote. Paths are relative, so two runs of one checkout
 print identical lines, and a change that keeps every output byte prints the
 same lines as its parent.
+
+``tests/cli_digests.txt`` holds the lines, and ``tests/test_cli.py`` compares
+them.  A change that means to alter output bytes records the file again::
+
+    python tests/cli_digests.py > tests/cli_digests.txt
 """
 
 from __future__ import annotations
@@ -130,17 +135,22 @@ def invoke(argv: list[str]) -> str:
     return digest.hexdigest()
 
 
-def main() -> int:
+def digest_lines() -> list[str]:
+    """``<digest>  <arguments>`` for each invocation, run over a fresh corpus."""
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as corpus:
         os.chdir(corpus)
         try:
             for name, text in FILES.items():
                 Path(name).write_text(text, encoding="utf-8")
-            for argv in INVOCATIONS:
-                print(f"{invoke(argv)}  {' '.join(argv)}")
+            return [f"{invoke(argv)}  {' '.join(argv)}" for argv in INVOCATIONS]
         finally:
             os.chdir(home)
+
+
+def main() -> int:
+    for line in digest_lines():
+        print(line)
     return 0
 
 

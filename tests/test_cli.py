@@ -509,6 +509,15 @@ def test_elaborate_draws_signal_channels_dashed(write_file, capsys):
 # -- determinism ----------------------------------------------------------------------
 
 
+def test_cli_output_digests_pinned():
+    """Every output byte of ``tests/cli_digests.py``'s 115 invocations: exit
+    code, stdout, stderr and written files."""
+    import cli_digests
+
+    pinned = Path(__file__).with_name("cli_digests.txt").read_text(encoding="utf-8")
+    assert cli_digests.digest_lines() == pinned.splitlines()
+
+
 def test_cli_invocations_are_byte_identical(write_file, capsys, tmp_path):
     quad = write_file("quad.pipe", QUAD)
     looped = write_file("looped.pipe", LOOPED)
