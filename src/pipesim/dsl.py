@@ -132,9 +132,11 @@ class StageSet:
 def declare_stages(names: Iterable[str]) -> StageSet:
     """Declare pipeline stages; ordinals are assigned in declaration order.
 
-    Raises :class:`DeclarationError` on an empty list, a malformed
-    identifier, or a duplicate name.
+    Raises :class:`DeclarationError` on a string in place of the list, an
+    empty list, a malformed identifier, or a duplicate name.
     """
+    if isinstance(names, str):
+        raise DeclarationError(f"names must be a sequence of stage names, not the string {names!r}")
     names = list(names)
     if not names:
         raise DeclarationError("at least one stage must be declared")

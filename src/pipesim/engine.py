@@ -206,8 +206,11 @@ class Engine:
 
         A positive ``ns`` is a timed event, appended to the list of its
         nanosecond; 0 wakes ``proc`` one delta later at the current nanosecond.
+        A negative ``ns`` raises :class:`ValueError`.
         """
         if ns <= 0:
+            if ns < 0:
+                raise ValueError(f"{proc.name} cannot sleep {ns} ns")
             proc.until = self.ns
             self.wake(proc)
             return

@@ -254,6 +254,8 @@ StageFunction = Union[FunctionSpec, Callable[[float, float], float]]
 
 def parse_function(source: str, variables: Sequence[str] = _STAGE_VARIABLES) -> FunctionSpec:
     """Parse a function expression; the default variable set is a stage's."""
+    if isinstance(variables, str):
+        raise ConfigError(f"variables must be a sequence of names, not the string {variables!r}")
     compiled = _FnParser(source, variables).parse()
     return FunctionSpec(source=source, variables=tuple(variables), compiled=compiled)
 
@@ -484,12 +486,14 @@ def validate_config(
 ) -> CheckedConfig:
     """Check a set of stage configs against a route.
 
-    Raises :class:`ConfigError` for an entry that is not a
-    :class:`StageConfig`, a missing or duplicate stage config, or a fork
-    without a join spec; each :class:`StageConfig` checked itself when it was
-    built.  Returns the checked configuration together with non-fatal
-    warnings.
+    Raises :class:`ConfigError` for a single :class:`StageConfig` in place of
+    the collection, an entry that is not a :class:`StageConfig`, a missing or
+    duplicate stage config, or a fork without a join spec; each
+    :class:`StageConfig` checked itself when it was built.  Returns the
+    checked configuration together with non-fatal warnings.
     """
+    if isinstance(configs, StageConfig):
+        raise ConfigError("configs must be a sequence or mapping of StageConfigs, not one")
     mapped = isinstance(configs, Mapping)
     entries = list(configs.values() if mapped else configs)
     for cfg in entries:

@@ -262,6 +262,11 @@ DIAGNOSTICS = {
                            ps.DeclarationError, "invalid stage name 5"),
     "declare twice": (lambda: ps.declare_stages(["S1", "S1"]),
                       ps.DeclarationError, "duplicate stage name 'S1'"),
+    # A string is a sequence of one-letter names.
+    "declare a string": (lambda: ps.declare_stages("AB"), ps.DeclarationError,
+                         "names must be a sequence of stage names, not the string 'AB'"),
+    "declare a string of one name": (lambda: ps.declare_stages("S1"), ps.DeclarationError,
+                                     "names must be a sequence of stage names, not the string 'S1'"),
     "lookup unknown name": (lambda: _D["nope"], KeyError, "\"unknown stage 'nope'\""),
     "lookup bad position": (lambda: _D[9], IndexError, "no stage at position 9: 4 declared"),
     "seq with int": (lambda: _S1 >> 5, ps.ExpressionError, _SEQ_TEXT),

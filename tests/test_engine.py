@@ -234,6 +234,25 @@ def test_queue_channel_never_blocks_writers():
     assert port.state == "blocked reading q"
 
 
+def test_negative_sleep_raises():
+    # It used to act as a zero sleep: resumed at 0 ns, delta 1.
+    engine = Engine()
+    resumed = []
+
+    def resume(proc):
+        resumed.append((engine.ns, engine.delta))
+        if len(resumed) > 1:
+            proc.done = True
+            return
+        engine.sleep(proc, -5)
+
+    engine.spawn("napper", resume)
+    with pytest.raises(ValueError) as exc:
+        engine.run()
+    assert str(exc.value) == "napper cannot sleep -5 ns"
+    assert resumed == [(0, 0)]
+
+
 @pytest.mark.parametrize(
     "make, method",
     [

@@ -55,6 +55,13 @@ def test_parse_function_rejects_unknown_variable():
         ps.parse_function("dataL + 1")
 
 
+def test_parse_function_rejects_a_string_of_variables():
+    # A string is a sequence of one-letter variables: 'o', 'r', 'i', 'g'.
+    with pytest.raises(ps.ConfigError) as exc:
+        ps.parse_function("o + r", variables="orig")
+    assert str(exc.value) == "variables must be a sequence of names, not the string 'orig'"
+
+
 def test_parse_function_position_in_error():
     with pytest.raises(ps.FunctionParseError) as exc:
         ps.parse_function("data + + 1")
@@ -353,6 +360,14 @@ def test_entry_that_is_not_a_stage_config_rejected():
         with pytest.raises(ps.ConfigError) as exc:
             ps.validate_config(route, configs)
         assert str(exc.value) == f"stage configuration is a {kind}, not a StageConfig"
+
+
+def test_single_stage_config_rejected(decls):
+    # It used to end in TypeError: 'StageConfig' object is not iterable.
+    route = ps.flatten(ps.parse("S1", decls))
+    with pytest.raises(ps.ConfigError) as exc:
+        ps.validate_config(route, quad_configs(decls)[0])
+    assert str(exc.value) == "configs must be a sequence or mapping of StageConfigs, not one"
 
 
 def test_run_checks_a_checked_config_against_the_route(decls):
