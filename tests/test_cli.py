@@ -4,6 +4,7 @@ import io
 import json
 import os
 import re
+import runpy
 import subprocess
 import sys
 import tracemalloc
@@ -898,3 +899,30 @@ def test_fast_path_reads_only_well_formed_command_lines(argv, fast):
         assert vars(namespace) == parse_with_argparse(argv)
     else:
         assert namespace is None
+
+
+# -- entry points ------------------------------------------------------------------
+
+
+def looped_analysis_text() -> str:
+    decls = ps.declare_stages(["S1", "S2", "S3"])
+    route = ps.flatten(ps.parse("S1 >> S2 >> S3 >> S1 >> S3*2 >> S1 >> S2", decls))
+    return report.analysis_text("main", ps.analyze(route, decls))
+
+
+def test_console_main_exits_with_the_command_code(write_file, capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["pipesim", "analyze", write_file("looped.pipe", LOOPED)])
+    with pytest.raises(SystemExit) as exc:
+        cli.console_main()
+    assert exc.value.code == 0
+    assert capsys.readouterr() == (looped_analysis_text(), "")
+
+
+def test_cli_module_runs_as_a_script(write_file, capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["pipesim", "analyze", write_file("looped.pipe", LOOPED)])
+    # runpy warns that it runs a second copy of an imported module.
+    with pytest.warns(RuntimeWarning, match="'pipesim.cli' found in sys.modules"):
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_module("pipesim.cli", run_name="__main__")
+    assert exc.value.code == 0
+    assert capsys.readouterr() == (looped_analysis_text(), "")
