@@ -20,100 +20,42 @@ transactions through a deterministic discrete-event model of it::
     print([rec.data for rec in result.trace.records])
 """
 
-from .dsl import (
-    DeclarationError,
-    ExpressionError,
-    Fork,
-    ParseError,
-    PipeExpr,
-    Repeat,
-    Route,
-    Seq,
-    StageId,
-    StageRef,
-    StageSet,
-    declare_stages,
-    flatten,
-    fork,
-    parse,
-    pretty,
-    repeat,
-    seq,
-)
-# Imported eagerly: a first ``import pipesim.elaborate`` would otherwise bind
-# the submodule over the function.
-from .elaborate import (
-    EXIT,
-    ChannelEdge,
-    ElaborationError,
-    Netlist,
-    RouterNode,
-    RoutingTable,
-    elaborate,
-    routing_table,
-    to_dot,
-)
-from .errors import PipelineError
-from .fileformat import (
-    PipelineFileError,
-    PipelineSetup,
-    load_pipeline_file,
-    parse_pipeline_text,
-)
-from .policy import (
-    UNTIMED,
-    ChannelKind,
-    CheckedConfig,
-    ConfigError,
-    ExecKind,
-    FunctionEvalError,
-    FunctionParseError,
-    FunctionSpec,
-    IssueSpec,
-    JoinSpec,
-    StageConfig,
-    TimingSpec,
-    parse_function,
-    validate_config,
-)
-
-# Set-up (load, validate, elaborate) never runs the analysis or the
-# simulator, so their names load their module on first use.
-_LAZY_EXPORTS = {
+# Every public name, by the module that defines it, in ``__all__`` order.
+_EXPORTS = {
     "analysis": ("AnalysisError", "AnalysisReport", "CollisionVector", "IssueCycle",
                  "ReservationTable", "analyze", "collision_vector", "forbidden_latencies",
                  "greedy_cycle", "minimal_average_latency", "reservation_table"),
+    "dsl": ("DeclarationError", "ExpressionError", "Fork", "ParseError", "PipeExpr", "Repeat",
+            "Route", "Seq", "StageId", "StageRef", "StageSet", "declare_stages", "flatten",
+            "fork", "parse", "pretty", "repeat", "seq"),
+    "elaborate": ("EXIT", "ChannelEdge", "ElaborationError", "Netlist", "RouterNode",
+                  "RoutingTable", "elaborate", "routing_table", "to_dot"),
     "engine": ("DeadlockError", "Engine", "JoinError", "RoutingFault", "SimTime"),
+    "errors": ("PipelineError",),
+    "fileformat": ("PipelineFileError", "PipelineSetup", "load_pipeline_file",
+                   "parse_pipeline_text"),
+    "policy": ("UNTIMED", "ChannelKind", "CheckedConfig", "ConfigError", "ExecKind",
+               "FunctionEvalError", "FunctionParseError", "FunctionSpec", "IssueSpec", "JoinSpec",
+               "StageConfig", "TimingSpec", "parse_function", "validate_config"),
     "simulate": ("Occupancy", "RunResult", "StageStats", "Stats", "Trace", "TraceRecord",
                  "Transaction", "run"),
 }
-_LAZY = {name: module for module, names in _LAZY_EXPORTS.items() for name in names}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = list(_MODULE_OF)
 
-__all__ = [
-    *_LAZY_EXPORTS["analysis"],
-    "DeclarationError", "ExpressionError", "Fork", "ParseError", "PipeExpr", "Repeat", "Route",
-    "Seq", "StageId", "StageRef", "StageSet", "declare_stages", "flatten", "fork", "parse",
-    "pretty", "repeat", "seq",
-    "EXIT", "ChannelEdge", "ElaborationError", "Netlist", "RouterNode", "RoutingTable",
-    "elaborate", "routing_table", "to_dot",
-    *_LAZY_EXPORTS["engine"],
-    "PipelineError",
-    "PipelineFileError", "PipelineSetup", "load_pipeline_file", "parse_pipeline_text",
-    "UNTIMED", "ChannelKind", "CheckedConfig", "ConfigError", "ExecKind", "FunctionEvalError",
-    "FunctionParseError", "FunctionSpec", "IssueSpec", "JoinSpec", "StageConfig", "TimingSpec",
-    "parse_function", "validate_config",
-    *_LAZY_EXPORTS["simulate"],
-]
+# The set-up layer loads now; analysis, engine and simulate, which set-up
+# never runs, load on first use of one of their names.  ``elaborate`` is bound
+# now: a first ``import pipesim.elaborate`` would bind the submodule over it.
+from . import fileformat  # noqa: E402
+from .elaborate import elaborate  # noqa: E402
 
 
 def __getattr__(name: str):
-    module = _LAZY.get(name)
+    module = _MODULE_OF.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from importlib import import_module
-
-    value = getattr(import_module(f".{module}", __name__), name)
-    globals()[name] = value
+    # ``from .module import name``, without loading importlib.
+    value = globals()[name] = getattr(__import__(f"{__name__}.{module}", fromlist=[name]), name)
     return value
 
 

@@ -78,6 +78,15 @@ def modules_loaded(code: str, modules: tuple[str, ...]) -> list[str]:
     return ast.literal_eval(out.stdout.splitlines()[-1])
 
 
+def test_import_loads_the_setup_layer():
+    """``import pipesim`` loads the set-up layer, ``fileformat`` included, and
+    no other pipesim module."""
+    assert modules_loaded("import pipesim", tuple(MODULES)) == [
+        "pipesim", "pipesim._lex", "pipesim._value", "pipesim.dsl", "pipesim.elaborate",
+        "pipesim.errors", "pipesim.fileformat", "pipesim.policy",
+    ]
+
+
 def test_cli_import_loads_no_dataclasses():
     """``dataclasses`` pulls in ``inspect`` and ``ast``: milliseconds on every
     command."""
