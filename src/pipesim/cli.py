@@ -108,12 +108,8 @@ def run_and_report(
     with trace_file as csv_out:
         for warning in result.warnings:
             print(f"warning: {warning}", file=sys.stderr)
-        if fmt == "json-like":
-            report.write_run_report(name, result, analysis_report, issue, sys.stdout, csv_out)
-        else:
-            if csv_out is not None:
-                csv_out.write(report.trace_to_csv(result.trace))
-            sys.stdout.write(report.run_report_text(name, result, analysis_report, issue))
+        write = report.write_run_report if fmt == "json-like" else report.write_run_text
+        write(name, result, analysis_report, issue, sys.stdout, csv_out)
     return EXIT_HORIZON if result.stats.truncated else EXIT_OK
 
 

@@ -4,13 +4,15 @@ The structured-text format is a canonical JSON subset: object keys sorted,
 reals printed with up to six significant digits, integers bare.  Identical
 inputs therefore always serialize to identical bytes.  :func:`canonical`
 renders small mappings: the analysis report and the run report around its
-``results``.  :func:`write_run_report` streams the run report's rows and the
-CSV trace together, a chunk of rows at a time, and
-``canonical(run_report_mapping(...))`` and :func:`trace_to_csv` specify them.
+``results``.  :func:`write_run_report` and :func:`write_run_text` stream a
+run's json-like or text report and its CSV trace, 256 rows at a time, as
+``canonical(run_report_mapping(...))``, :func:`run_report_text` and
+:func:`trace_to_csv` specify them.
 """
 
 from __future__ import annotations
 
+from io import StringIO
 from itertools import islice
 from typing import TYPE_CHECKING, Mapping
 
@@ -27,6 +29,7 @@ __all__ = [
     "run_report_text",
     "run_report_mapping",
     "write_run_report",
+    "write_run_text",
 ]
 
 FORMAT_VERSION = 1
@@ -122,16 +125,34 @@ def _canonical_sequence(obj, indent: int) -> str:
 
 
 _CSV_HEADER = "id,inject_ns,exit_ns,orig,data"
+_CHUNK_ROWS = 256
 
 
 def trace_to_csv(trace: Trace) -> str:
     """One row per transaction; columns exactly id,inject_ns,exit_ns,orig,data."""
-    lines = [_CSV_HEADER]
-    for txn_id, orig, data, inject, exit_ns, _ in trace.rows():
-        inject = "" if inject is None else str(inject)
-        exit_ns = "" if exit_ns is None else str(exit_ns)
-        lines.append(f"{txn_id},{inject},{exit_ns},{format_real(orig)},{format_real(data)}")
-    return "\n".join(lines) + "\n"
+    out = StringIO()
+    for _ in _chunks(trace, out):
+        pass
+    return out.getvalue()
+
+
+def _chunks(trace: Trace, csv_out=None):
+    """Yield ``trace.rows()`` 256 at a time, each chunk zipped with its orig and data
+    texts: a zip makes no tuple per row, so no gen-0 collection.  Given ``csv_out``,
+    write the CSV header there first, and each chunk's CSV lines before the chunk."""
+    if csv_out is not None:
+        csv_out.write(_CSV_HEADER + "\n")
+    rows = trace.rows()
+    while chunk := list(islice(rows, _CHUNK_ROWS)):
+        origs = [format_real(row[1]) for row in chunk]
+        datas = [format_real(row[2]) for row in chunk]
+        if csv_out is not None:
+            csv_out.write("".join([
+                f"{txn_id},{'' if inject is None else inject},{'' if exit_ns is None else exit_ns},"
+                f"{orig_text},{data_text}\n"
+                for (txn_id, _, _, inject, exit_ns, _), orig_text, data_text
+                in zip(chunk, origs, datas)]))
+        yield zip(chunk, origs, datas)
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +235,6 @@ def _report_mapping(name: str, result: RunResult, report: AnalysisReport, issue:
     }
 
 
-_CHUNK_ROWS = 256
 _RESULTS_MARK = _Verbatim("\0")  # no quoted string prints a raw NUL: _quote escapes it
 
 
@@ -223,22 +243,13 @@ def write_run_report(name: str, result: RunResult, report: AnalysisReport, issue
     """Write ``canonical(run_report_mapping(...)) + "\n"`` to ``out``, a chunk of rows at a time.
 
     Given ``csv_out``, write :func:`trace_to_csv` of the trace there too, each
-    chunk's CSV lines before its rows; each ``orig`` and ``data`` is formatted once.
+    chunk's CSV lines before its rows.
     """
     mapping = _report_mapping(name, result, report, issue, _RESULTS_MARK)
     head, tail = canonical(mapping).split(_RESULTS_MARK)
-    if csv_out is not None:
-        csv_out.write(_CSV_HEADER + "\n")
     out.write(head)
-    rows, opening = result.trace.rows(), "[\n"
-    while chunk := list(islice(rows, _CHUNK_ROWS)):
-        origs = [format_real(row[1]) for row in chunk]
-        datas = [format_real(row[2]) for row in chunk]
-        if csv_out is not None:
-            csv_out.write("".join([
-                f"{txn_id},{'' if inject is None else inject},{'' if exit_ns is None else exit_ns},"
-                f"{orig_text},{data_text}\n" for (txn_id, _, _, inject, exit_ns, _), orig_text,
-                data_text in zip(chunk, origs, datas)]))
+    opening = "[\n"
+    for chunk in _chunks(result.trace, csv_out):
         out.write(opening + ",\n".join([
             f'    {{\n      "data": {data_text},\n'
             f'      "dropped": {"true" if dropped else "false"},\n'
@@ -247,33 +258,33 @@ def write_run_report(name: str, result: RunResult, report: AnalysisReport, issue
             f'      "orig": {orig_text}\n    }}'
             if type(orig) is float and type(data) is float else "    " + canonical(
                 dict(zip(_RESULT_KEYS, (txn_id, orig, data, inject_ns, exit_ns, dropped))), 2)
-            for (txn_id, orig, data, inject_ns, exit_ns, dropped), orig_text, data_text
-            in zip(chunk, origs, datas)
+            for (txn_id, orig, data, inject_ns, exit_ns, dropped), orig_text, data_text in chunk
         ]))
         opening = ",\n"
     out.write(("[]" if opening == "[\n" else "\n  ]") + tail + "\n")
 
 
-def run_report_text(
-    name: str,
-    result: RunResult,
-    report: AnalysisReport,
-    issue: IssueSpec,
-) -> str:
+def run_report_text(name: str, result: RunResult, report: AnalysisReport, issue: IssueSpec) -> str:
+    out = StringIO()
+    write_run_text(name, result, report, issue, out)
+    return out.getvalue()
+
+
+def write_run_text(name: str, result: RunResult, report: AnalysisReport, issue: IssueSpec,
+                   out, csv_out=None) -> None:
+    """Write :func:`run_report_text` to ``out``, and the CSV trace to ``csv_out``, as
+    :func:`write_run_report` does."""
+    out.write(f"pipeline {name}: {report.route.describe()}\nissue policy: {issue}\n"
+              "transactions:\n  id  inject_ns  exit_ns  orig  data\n")
+    for chunk in _chunks(result.trace, csv_out):
+        out.write("".join([
+            f"  {txn_id:>2}  {'-' if inject is None else inject:>9}  "
+            f"{'-' if exit_ns is None else exit_ns:>7}  "
+            f"{orig_text}  {data_text}{' (dropped)' if dropped else ''}\n"
+            for (txn_id, _, _, inject, exit_ns, dropped), orig_text, data_text in chunk
+        ]))
     stats = result.stats
-    lines = [f"pipeline {name}: {report.route.describe()}"]
-    lines.append(f"issue policy: {issue}")
-    lines.append("transactions:")
-    lines.append("  id  inject_ns  exit_ns  orig  data")
-    for txn_id, orig, data, inject, exit_ns, dropped in result.trace.rows():
-        inject = "-" if inject is None else str(inject)
-        exit_ns = "-" if exit_ns is None else str(exit_ns)
-        flag = " (dropped)" if dropped else ""
-        lines.append(
-            f"  {txn_id:>2}  {inject:>9}  {exit_ns:>7}  "
-            f"{format_real(orig)}  {format_real(data)}{flag}"
-        )
-    lines.append("stats:")
+    lines = ["stats:"]
     lines.append(
         f"  injected={stats.injected} exited={stats.exited} "
         f"dropped={stats.dropped} in_flight={stats.in_flight}"
@@ -292,4 +303,4 @@ def run_report_text(
     lines.append(f"  forbidden latencies: {forbidden}")
     lines.append(f"  greedy cycle: {_cycle_text(report.greedy)}")
     lines.append(f"  {_mal_text(report)}")
-    return "\n".join(lines) + "\n"
+    out.write("\n".join(lines) + "\n")

@@ -423,6 +423,37 @@ def test_streamed_run_report_memory(write_file, tmp_path, monkeypatch):
     assert peak <= RUN_PEAK_CEILING, peak
 
 
+# tracemalloc peak of the text run below on CPython 3.11: 2.71 MB when the
+# text report and the CSV were each built whole, 2.1 MB in 256-row chunks
+# (2.96 and 2.26 MB when the command first loads the modules it imports on use).
+TEXT_RUN_PEAK_CEILING = 2.4 * 2**20
+
+
+def test_streamed_text_report_memory(write_file, tmp_path, monkeypatch):
+    argv = feedback_run_argv(write_file, tmp_path)
+    argv[argv.index("json-like")] = "text"
+    path, trace = argv[1], Path(argv[-1])
+    sink = _HashingSink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    tracemalloc.start()
+    try:
+        code = cli.main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+
+    setup = ps.load_pipeline_file(path)
+    route = setup.routes["main"]
+    checked = ps.validate_config(route, setup.configs)
+    result = ps.run(ps.elaborate(route, setup.decls, checked), checked,
+                    [float(v) for v in FEEDBACK_VALUES])
+    expected = report.run_report_text("main", result, ps.analyze(route), ps.IssueSpec.greedy())
+    assert sink.digest.hexdigest() == hashlib.sha256(expected.encode("utf-8")).hexdigest()
+    assert trace.read_text(encoding="utf-8") == trace_to_csv(result.trace)
+    assert peak <= TEXT_RUN_PEAK_CEILING, peak
+
+
 # Gen-0 collections of the command below, after a full collection: a count
 # that is deterministic for one CPython build.  3 on CPython 3.11 when each
 # report chunk held 1,000 row tuples, 1 with 256-row chunks.
