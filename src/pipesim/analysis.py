@@ -42,22 +42,6 @@ from .dsl import ExprLike, Route, StageId, StageSet, flatten
 from .errors import PipelineError
 from .policy import IssueSpec
 
-__all__ = [
-    "AnalysisError",
-    "ReservationTable",
-    "CollisionVector",
-    "IssueCycle",
-    "AnalysisReport",
-    "reservation_table",
-    "forbidden_latencies",
-    "collision_vector",
-    "greedy_cycle",
-    "minimal_average_latency",
-    "issue_times",
-    "issue_warnings",
-    "analyze",
-]
-
 
 class AnalysisError(PipelineError):
     """An analysis input violates its preconditions."""

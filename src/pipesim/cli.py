@@ -24,8 +24,6 @@ from .errors import PipelineError
 from .fileformat import PipelineSetup, load_pipeline_file, read_text
 from .policy import ISSUE_KINDS, ISSUE_KINDS_TEXT, CheckedConfig, IssueSpec, validate_config
 
-__all__ = ["main", "console_main", "run_and_report"]
-
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_DEADLOCK = 2

@@ -22,26 +22,6 @@ from ._lex import Cursor, PositionedError, Token, tokenize, unexpected_character
 from ._value import Value
 from .errors import PipelineError
 
-__all__ = [
-    "DeclarationError",
-    "ExpressionError",
-    "ParseError",
-    "StageId",
-    "StageSet",
-    "PipeExpr",
-    "StageRef",
-    "Seq",
-    "Repeat",
-    "Fork",
-    "Route",
-    "declare_stages",
-    "seq",
-    "repeat",
-    "fork",
-    "parse",
-    "flatten",
-    "pretty",
-]
 
 class DeclarationError(PipelineError):
     """A stage declaration is invalid (empty set, duplicate name, bad identifier)."""
@@ -132,11 +112,13 @@ class StageSet:
 def declare_stages(names: Iterable[str]) -> StageSet:
     """Declare pipeline stages; ordinals are assigned in declaration order.
 
-    Raises :class:`DeclarationError` on a string in place of the list, an
-    empty list, a malformed identifier, or a duplicate name.
+    Raises :class:`DeclarationError` on a string or a non-iterable in place
+    of the list, an empty list, a malformed identifier, or a duplicate name.
     """
     if isinstance(names, str):
         raise DeclarationError(f"names must be a sequence of stage names, not the string {names!r}")
+    if not isinstance(names, Iterable):
+        raise DeclarationError(f"names must be a sequence of stage names, not {names!r}")
     names = list(names)
     if not names:
         raise DeclarationError("at least one stage must be declared")
@@ -353,8 +335,9 @@ def _pretty_term(node: PipeExpr) -> str:
 # Parentheses are deliberately rejected: grouping has no defined meaning in
 # this grammar.
 
-_TOKEN_RE = re.compile(
-    r"""
+# Compiled on first use by :func:`parse`, its only reader; ``.pipe`` files
+# have their own lexer.
+_TOKEN_PATTERN = r"""
     (?P<ws>\s+)
   | (?P<shift>>>)
   | (?P<star>\*)
@@ -362,9 +345,7 @@ _TOKEN_RE = re.compile(
   | (?P<int>\d+)
   | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<other>.)
-    """,
-    re.VERBOSE,
-)
+"""
 
 
 _KINDS = frozenset(("shift", "star", "plus", "int", "ident", "end"))
@@ -439,4 +420,5 @@ def parse(text: str, decls: StageSet) -> PipeExpr:
     The resulting AST is identical to the one the builder operators produce
     for the same expression.
     """
-    return parse_tokens(tokenize(_TOKEN_RE, text, ParseError, _unexpected), decls)
+    token_re = re.compile(_TOKEN_PATTERN, re.VERBOSE)  # cached by re after the first call
+    return parse_tokens(tokenize(token_re, text, ParseError, _unexpected), decls)

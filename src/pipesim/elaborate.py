@@ -17,19 +17,6 @@ from .dsl import Route, StageId, StageSet
 from .errors import PipelineError
 from .policy import ChannelKind, CheckedConfig, StageConfig
 
-__all__ = [
-    "ElaborationError",
-    "EXIT",
-    "RoutingTable",
-    "RouterNode",
-    "ChannelEdge",
-    "Netlist",
-    "elaborate",
-    "routing_table",
-    "to_dot",
-    "router_name",
-]
-
 ENTRY = "entry"
 EXIT_NODE = "exit"
 

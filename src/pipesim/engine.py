@@ -55,22 +55,6 @@ from typing import Callable, Optional
 from ._value import Value
 from .errors import PipelineError
 
-__all__ = [
-    "SimTime",
-    "DeadlockError",
-    "RoutingFault",
-    "JoinError",
-    "Read",
-    "Write",
-    "BLOCKED",
-    "Process",
-    "Engine",
-    "BlockingChannel",
-    "SignalChannel",
-    "SeveredChannel",
-    "QueueChannel",
-]
-
 
 @total_ordering
 class SimTime(Value):
@@ -306,10 +290,13 @@ class ChannelBase:
 class BlockingChannel(ChannelBase):
     """Single-slot FIFO: reads block while empty, writes block while full.
 
-    Writers blocked on a full slot are granted it by arrival: earlier
-    nanosecond first, ties broken by transaction id, then by suspension order.
-    Each refused write is a stall; ``stalls`` numbers them, which gives the
-    suspension order.
+    Writers blocked on a full slot are granted it by their latest refused
+    write: earlier nanosecond first, ties broken by transaction id, then by
+    suspension order.  A grant only wakes the writer, so another write can
+    fill the slot before its retry; that retry is refused as well, counts a
+    second stall and queues anew under the retry's nanosecond, not the first
+    one.  Each refused write is a stall; ``stalls`` numbers them, which gives
+    the suspension order.
     """
 
     def __init__(self, name: str, engine: Engine):

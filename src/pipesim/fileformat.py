@@ -44,14 +44,6 @@ from .policy import (
     parse_function,
 )
 
-__all__ = [
-    "PipelineFileError",
-    "PipelineSetup",
-    "parse_pipeline_text",
-    "load_pipeline_file",
-    "read_text",
-]
-
 
 class PipelineFileError(PositionedError):
     """A definition file is malformed at ``line``, ``column`` (both from 1)."""

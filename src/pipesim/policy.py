@@ -13,28 +13,12 @@ import enum
 import re
 from functools import lru_cache
 from operator import itemgetter
-from typing import Callable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from ._lex import Cursor, PositionedError, tokenize
 from ._value import Value
 from .dsl import Route, StageId
 from .errors import PipelineError
-
-__all__ = [
-    "FunctionParseError",
-    "FunctionEvalError",
-    "ConfigError",
-    "FunctionSpec",
-    "parse_function",
-    "TimingSpec",
-    "ChannelKind",
-    "ExecKind",
-    "JoinSpec",
-    "StageConfig",
-    "IssueSpec",
-    "CheckedConfig",
-    "validate_config",
-]
 
 
 class FunctionParseError(PositionedError):
@@ -256,6 +240,8 @@ def parse_function(source: str, variables: Sequence[str] = _STAGE_VARIABLES) -> 
     """Parse a function expression; the default variable set is a stage's."""
     if isinstance(variables, str):
         raise ConfigError(f"variables must be a sequence of names, not the string {variables!r}")
+    if not isinstance(variables, Iterable):
+        raise ConfigError(f"variables must be a sequence of names, not {variables!r}")
     compiled = _FnParser(source, variables).parse()
     return FunctionSpec(source=source, variables=tuple(variables), compiled=compiled)
 
@@ -486,14 +472,19 @@ def validate_config(
 ) -> CheckedConfig:
     """Check a set of stage configs against a route.
 
-    Raises :class:`ConfigError` for a single :class:`StageConfig` in place of
-    the collection, an entry that is not a :class:`StageConfig`, a missing or
-    duplicate stage config, or a fork without a join spec; each
-    :class:`StageConfig` checked itself when it was built.  Returns the
+    Raises :class:`ConfigError` for a single :class:`StageConfig` or a
+    non-iterable in place of the collection, an entry that is not a
+    :class:`StageConfig`, a missing or duplicate stage config, or a fork
+    without a join spec; each :class:`StageConfig` checked itself when it
+    was built.  Returns the
     checked configuration together with non-fatal warnings.
     """
     if isinstance(configs, StageConfig):
         raise ConfigError("configs must be a sequence or mapping of StageConfigs, not one")
+    if not isinstance(configs, Iterable):
+        raise ConfigError(
+            f"configs must be a sequence or mapping of StageConfigs, not {configs!r}"
+        )
     mapped = isinstance(configs, Mapping)
     entries = list(configs.values() if mapped else configs)
     for cfg in entries:

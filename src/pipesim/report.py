@@ -21,17 +21,6 @@ if TYPE_CHECKING:
     from .policy import IssueSpec
     from .simulate import RunResult, Trace
 
-__all__ = [
-    "format_real",
-    "canonical",
-    "trace_to_csv",
-    "analysis_text",
-    "run_report_text",
-    "run_report_mapping",
-    "write_run_report",
-    "write_run_text",
-]
-
 FORMAT_VERSION = 1
 
 

@@ -78,17 +78,6 @@ from .policy import (
     validate_config,
 )
 
-__all__ = [
-    "Transaction",
-    "TraceRecord",
-    "Occupancy",
-    "Trace",
-    "StageStats",
-    "Stats",
-    "RunResult",
-    "run",
-]
-
 
 class Transaction(Value):
     """A unit of work in flight.
@@ -259,7 +248,6 @@ class _Runtime:
         self.netlist = netlist
         self.route = netlist.route
         self._edges = {(e.src, e.dst) for e in netlist.edges}
-        self._severed: dict[tuple[str, str], SeveredChannel] = {}
         self._join_pending: dict[tuple[int, int], list[Transaction]] = {}
         # Resolved now, so that a custom join compiles when the run builds.
         self._merge = checked.join.merger() if checked.join is not None else None
@@ -295,12 +283,7 @@ class _Runtime:
     def channel_into(self, src_node: str, dest: StageId) -> ChannelBase:
         if (src_node, dest.name) in self._edges:
             return self.in_channels[dest]
-        key = (src_node, dest.name)
-        if key not in self._severed:
-            self._severed[key] = SeveredChannel(
-                f"{src_node}->{dest.name} (severed)", self.engine
-            )
-        return self._severed[key]
+        return SeveredChannel(f"{src_node}->{dest.name} (severed)", self.engine)
 
     def collect_join(self, txn: Transaction, completed_step: int) -> Transaction | None:
         """Gather fork copies; returns the merged transaction once all arrived."""

@@ -337,6 +337,13 @@ def test_dsl_diagnostics_pinned(build, error, text):
     assert str(caught.value) == text
 
 
+def test_declare_stages_rejects_names_that_are_not_iterable():
+    # It used to end in TypeError: 'NoneType' object is not iterable.
+    with pytest.raises(ps.DeclarationError) as exc:
+        ps.declare_stages(None)
+    assert str(exc.value) == "names must be a sequence of stage names, not None"
+
+
 def test_stage_set_lookups_and_fork_operands():
     assert "S1" in _D and "nope" not in _D and _S1 in _D
     assert _D[0] is _S1 and _D[-1] is _S4

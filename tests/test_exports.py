@@ -1,5 +1,6 @@
-"""Every name a pipesim module exports exists, no module uses another's
-private names, and each command loads only the modules it runs."""
+"""Every name the package exports exists, only the package lists its public
+names, no module uses another's private names, and each command loads only
+the modules it runs."""
 
 import ast
 import importlib
@@ -18,12 +19,43 @@ MODULES = ["pipesim"] + [
 ]
 
 
+LISTED = [name for names in pipesim._EXPORTS.values() for name in names]
+
+
+def test_no_name_is_exported_twice():
+    assert len(set(LISTED)) == len(LISTED)
+
+
 @pytest.mark.parametrize("name", MODULES)
 def test_every_exported_name_exists(name):
+    """Each name ``_EXPORTS`` lists resolves in its module and in the package."""
     module = importlib.import_module(name)
-    exported = getattr(module, "__all__", ())
-    assert len(set(exported)) == len(exported), name
-    assert [n for n in exported if not hasattr(module, n)] == []
+    listed = LISTED if name == "pipesim" else pipesim._EXPORTS.get(name.rpartition(".")[2], ())
+    assert [n for n in listed if not hasattr(module, n)] == []
+
+
+def names_all(source: str) -> bool:
+    """Whether a module's source names ``__all__``: assigns, extends or reads it."""
+    return any(
+        isinstance(node, ast.Name) and node.id == "__all__" for node in ast.walk(ast.parse(source))
+    )
+
+
+def test_scan_finds_all_lists():
+    assert names_all("__all__ = ['run']\n")
+    assert names_all("__all__: list[str] = []\n__all__ += ['run']\n")
+    assert not names_all("all_ = ['__all__']\n")
+
+
+def test_only_the_package_lists_public_names():
+    """``_EXPORTS`` in ``__init__.py`` is the one list of public names; in a
+    submodule, a name is private when it has a leading underscore."""
+    package = Path(pipesim.__file__).parent
+    assert [
+        path.name
+        for path in sorted(package.glob("*.py"))
+        if path.name != "__init__.py" and names_all(path.read_text(encoding="utf-8"))
+    ] == []
 
 
 def private_names_from_other_modules(source: str) -> list[str]:

@@ -62,6 +62,13 @@ def test_parse_function_rejects_a_string_of_variables():
     assert str(exc.value) == "variables must be a sequence of names, not the string 'orig'"
 
 
+def test_parse_function_rejects_variables_that_are_not_iterable():
+    # It used to end in TypeError: 'NoneType' object is not iterable.
+    with pytest.raises(ps.ConfigError) as exc:
+        ps.parse_function("x", variables=None)
+    assert str(exc.value) == "variables must be a sequence of names, not None"
+
+
 def test_parse_function_position_in_error():
     with pytest.raises(ps.FunctionParseError) as exc:
         ps.parse_function("data + + 1")
@@ -368,6 +375,17 @@ def test_single_stage_config_rejected(decls):
     with pytest.raises(ps.ConfigError) as exc:
         ps.validate_config(route, quad_configs(decls)[0])
     assert str(exc.value) == "configs must be a sequence or mapping of StageConfigs, not one"
+
+
+@pytest.mark.parametrize("configs", [None, 5])
+def test_configs_that_are_not_iterable_rejected(decls, configs):
+    # It used to end in TypeError: '<type>' object is not iterable.
+    route = ps.flatten(ps.parse("S1", decls))
+    with pytest.raises(ps.ConfigError) as exc:
+        ps.validate_config(route, configs)
+    assert str(exc.value) == (
+        f"configs must be a sequence or mapping of StageConfigs, not {configs!r}"
+    )
 
 
 def test_run_checks_a_checked_config_against_the_route(decls):
