@@ -18,11 +18,12 @@ import sys
 from contextlib import nullcontext
 from types import SimpleNamespace
 
+from ._lex import PositionedError
 from ._value import Value
 from .elaborate import Netlist, elaborate, to_dot
 from .errors import PipelineError
-from .fileformat import PipelineSetup, load_pipeline_file, read_text
-from .policy import ISSUE_KINDS, ISSUE_KINDS_TEXT, CheckedConfig, IssueSpec, validate_config
+from .fileformat import PipelineSetup, load_pipeline_file, parse_issue, read_text
+from .policy import ISSUE_KINDS_TEXT, CheckedConfig, IssueSpec, validate_config
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -64,18 +65,6 @@ def _parse_inputs(spec: str) -> list[float]:
     if not values:
         raise PipelineError("no input values given")
     return values
-
-
-def _parse_issue(spec: str) -> IssueSpec:
-    kind, colon, interval = spec.partition(":")
-    if kind == "fixed" and colon:
-        try:
-            return IssueSpec.fixed(int(interval))
-        except ValueError:
-            raise PipelineError(f"bad fixed issue interval in {spec!r}") from None
-    if kind in ISSUE_KINDS[:-1] and not colon:
-        return IssueSpec(kind)
-    raise PipelineError(f"unknown issue policy {spec!r}; use {ISSUE_KINDS_TEXT}<k>")
 
 
 def run_and_report(
@@ -138,7 +127,10 @@ def _cmd_run(args) -> int:
     route = setup.routes[name]
     inputs = _parse_inputs(args.inputs)
     if args.issue is not None:
-        issue = _parse_issue(args.issue)
+        try:
+            issue = parse_issue(args.issue)
+        except PositionedError as exc:
+            raise PipelineError(f"in --issue: {exc}") from None
     else:
         issue = setup.issue or IssueSpec.greedy()
     checked = validate_config(route, setup.configs, join=setup.join)
@@ -189,7 +181,7 @@ _COMMAND_LINE = {
     "run": (_cmd_run, "simulate transactions through the pipeline", (
         _Option("--inputs", "inputs", "comma separated orig values, or a path to a file of values",
                 required=True),
-        _Option("--issue", "issue", f"{ISSUE_KINDS_TEXT}<interval>"),
+        _Option("--issue", "issue", ISSUE_KINDS_TEXT),
         _Option("--horizon", "horizon", "stop after this many ns", type=int),
         _Option("--trace", "trace", "write the CSV transaction trace here"),
         _FORMAT,

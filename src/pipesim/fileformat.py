@@ -14,7 +14,8 @@ Stage blocks accept optional ``channel`` and ``exec`` settings, worded as
 untimed model.  Multi-function pipelines repeat ``pipeline <name> = ...;``
 with distinct names.  ``join`` (:data:`.JOIN_KINDS`, or a quoted expression)
 merges forks and ``issue`` (:data:`.ISSUE_KINDS`) sets the default issue
-policy.  Comments run from a ``#`` outside a quoted string to end of line.
+policy; :func:`parse_issue` reads the same value for the command line.
+Comments run from a ``#`` outside a quoted string to end of line.
 """
 
 from __future__ import annotations
@@ -185,20 +186,33 @@ class _FileParser(Cursor):
     def parse_issue_def(self) -> IssueSpec:
         self.expect("ident", "issue")
         self.expect("punct", "=")
-        value = self.advance()
-        if value.kind != "ident" or value.text not in ISSUE_KINDS:
-            self.fail(f"expected {ISSUE_KINDS_TEXT}<interval>", value.position)
-        if value.text != "fixed":
-            issue = IssueSpec(kind=value.text)
-        else:
-            self.expect("punct", ":")
-            interval = self.expect("int", what="an issue interval")
-            try:
-                issue = IssueSpec.fixed(int(interval.text))
-            except ConfigError as exc:
-                self.fail(str(exc), interval.position)
+        issue = _read_issue(self)
         self.expect("punct", ";")
         return issue
+
+
+def _read_issue(cursor: Cursor) -> IssueSpec:
+    """The issue value at ``cursor``: a kind word, and ``:`` plus an int for fixed."""
+    value = cursor.advance()
+    if value.kind != "ident" or value.text not in ISSUE_KINDS:
+        raise cursor.error(f"expected {ISSUE_KINDS_TEXT}", value.position)
+    if value.text != "fixed":
+        return IssueSpec(kind=value.text)
+    cursor.expect("punct", ":")
+    interval = cursor.expect("int", what="an issue interval")
+    try:
+        return IssueSpec.fixed(int(interval.text))
+    except (ConfigError, ValueError) as exc:  # ValueError: more digits than int() reads
+        raise cursor.error(str(exc), interval.position) from None
+
+
+def parse_issue(text: str) -> IssueSpec:
+    """The issue policy that ``text`` gives as the value of a file's ``issue = ...;``,
+    comments and whitespace included; errors are positioned in ``text``."""
+    cursor = Cursor(tokenize(_FILE_TOKEN, text, PositionedError), PositionedError)
+    issue = _read_issue(cursor)
+    cursor.finish()
+    return issue
 
 
 def _unquote(raw: str) -> str:

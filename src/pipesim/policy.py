@@ -402,9 +402,9 @@ class StageConfig(Value):
 
 
 # The issue kinds in the order diagnostics list them; only the last takes an
-# interval, so a diagnostic appends its placeholder to ISSUE_KINDS_TEXT.
+# interval, shown in ISSUE_KINDS_TEXT by its placeholder.
 ISSUE_KINDS = ("greedy", "eager", "fixed")
-ISSUE_KINDS_TEXT = f"{', '.join(ISSUE_KINDS[:-1])} or {ISSUE_KINDS[-1]}:"
+ISSUE_KINDS_TEXT = f"{', '.join(ISSUE_KINDS[:-1])} or {ISSUE_KINDS[-1]}:<interval>"
 
 
 class IssueSpec(Value):
@@ -420,7 +420,7 @@ class IssueSpec(Value):
 
     def __init__(self, kind: str, interval: int | None = None):
         if kind not in ISSUE_KINDS:
-            raise ConfigError(f"unknown issue policy {kind!r}; use {ISSUE_KINDS_TEXT}<k>")
+            raise ConfigError(f"unknown issue policy {kind!r}; use {ISSUE_KINDS_TEXT}")
         if kind == "fixed":
             # A float or bool interval would leak into every issue time and report.
             if interval is not None and (

@@ -8,7 +8,8 @@ come from ``tests/test_cli.py``)::
 It writes a corpus of definition files to a temporary directory: the
 README's quad and feedback routes, a fork/join route with a signal and an
 untimed stage, a route on which eager issue has a granted write refused,
-each of ``test_cli.MALFORMED_FILES``, and a file of 4,000 input values. From that directory it runs ``pipesim.cli.main`` in this
+a route with a repeat count past the route limit, each of
+``test_cli.MALFORMED_FILES``, and a file of 4,000 input values. From that directory it runs ``pipesim.cli.main`` in this
 process over each invocation below, and prints ``<digest>  <arguments>``,
 where the digest is a SHA-256 over the exit code, stdout, stderr and every
 file the invocation wrote. Paths are relative, so two runs of one checkout
@@ -71,6 +72,7 @@ FILES = {
     "types.pipe": TWO_TYPES,
     "retry.pipe": REFUSED_RETRY,
     "inputs.txt": "1 2.5\n-3,4e-3\n",
+    "overlimit.pipe": QUAD.replace("S2 >>", "S2*1000000000000000000000 >>"),
     "inputs4000.txt": "".join(f"{(i * 389) % 1999 - 999}\n" for i in range(4000)),
     **{f"malformed{number:02}.pipe": text for number, (text, _) in enumerate(MALFORMED_FILES)},
 }
@@ -116,6 +118,11 @@ INVOCATIONS = [
     ["run", "quad.pipe", "--inputs=0,1,2,3", "--format", "json-like"],
     ["run", "--format", "json-like", "--inputs", "0,1,2,3", "quad.pipe"],
     ["analyze", "types.pipe", "--format", "text", "--format", "json-like"],
+    # Issue spellings whose outcome the file grammar decides, and a repeat
+    # count past the route limit.
+    *(["run", "quad.pipe", "--inputs", "1,2", "--issue", issue]
+      for issue in ("fixed : 4", " greedy", "fixed:+4", "fixed:1_000")),
+    ["run", "overlimit.pipe", "--inputs", "1"],
 ]
 
 

@@ -474,18 +474,58 @@ def test_streamed_run_report_collections(write_file, tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("spec, message", [
-    ("slow", "unknown issue policy 'slow'; use greedy, eager or fixed:<k>"),
-    ("fixed", "unknown issue policy 'fixed'; use greedy, eager or fixed:<k>"),
-    ("greedy:2", "unknown issue policy 'greedy:2'; use greedy, eager or fixed:<k>"),
-    ("fixed:x", "bad fixed issue interval in 'fixed:x'"),
-    ("fixed:2:3", "bad fixed issue interval in 'fixed:2:3'"),
-    ("fixed:0", "fixed issue interval must be >= 1, got 0"),
+    ("slow", "in --issue: col 1: expected greedy, eager or fixed:<interval>"),
+    ("fixed", "in --issue: col 6: expected :, got end of input"),
+    ("greedy:2", "in --issue: col 7: unexpected token ':'"),
+    ("fixed:x", "in --issue: col 7: expected an issue interval, got 'x'"),
+    ("fixed:2:3", "in --issue: col 8: unexpected token ':'"),
+    ("fixed:0", "in --issue: col 7: fixed issue interval must be >= 1, got 0"),
 ])
 def test_run_issue_flag_diagnostics(write_file, capsys, spec, message):
     path = write_file("quad.pipe", QUAD)
     assert invoke(capsys, "run", path, "--inputs", "1", "--issue", spec) == (
         1, "", f"error: {message}\n"
     )
+
+
+def run_main(argv):
+    """``cli.main(argv)``'s exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def issue_files(tmp_path_factory):
+    """A definition file without an issue setting, and a path for one with it."""
+    home = tmp_path_factory.mktemp("issue")
+    (home / "plain.pipe").write_text(QUAD, encoding="utf-8")
+    return str(home / "plain.pipe"), home / "setting.pipe"
+
+
+_ISSUE_PIECES = [*ISSUE_KINDS, *(kind[:n] for kind in ISSUE_KINDS for n in range(1, len(kind))),
+                 ":", "0", "4", "12", "\u0663", "_", "+", "-", " ", "\n", "#", '"']
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.sampled_from(_ISSUE_PIECES), max_size=6).map("".join))
+@example("fixed:+4")
+@example("fixed:1_000")
+@example(" fixed:4")
+@example("fixed : 4")
+@example("greedy # note")
+@example("fixed:\u0663")
+def test_issue_flag_and_file_setting_agree(issue_files, text):
+    """``--issue X`` and ``issue = X`` read one grammar: both run with the
+    same issue policy, which the report prints, or both exit 1.  The newline
+    keeps a comment in X from swallowing the ``;``."""
+    plain, setting = issue_files
+    setting.write_text(f"{QUAD}issue = {text}\n;\n", encoding="utf-8")
+    flag_code, flag_out, _ = run_main(["run", plain, "--inputs", "1", "--issue", text])
+    file_code, file_out, _ = run_main(["run", str(setting), "--inputs", "1"])
+    assert flag_code == file_code in (0, 1)
+    assert flag_out == file_out
 
 
 # -- elaborate ----------------------------------------------------------------------
@@ -542,7 +582,7 @@ def test_elaborate_draws_signal_channels_dashed(write_file, capsys):
 
 
 def test_cli_output_digests_pinned():
-    """Every output byte of ``tests/cli_digests.py``'s 115 invocations: exit
+    """Every output byte of ``tests/cli_digests.py``'s 121 invocations: exit
     code, stdout, stderr and written files."""
     import cli_digests
 
@@ -659,6 +699,8 @@ MALFORMED_FILES = [
     (_A + "pipeline = A;\nissue greedy;\n", "line 3, col 7: expected =, got 'greedy'"),
     (_A + "pipeline = A;\nissue = eager;\nissue = greedy;\n",
      "line 4, col 1: duplicate issue setting"),
+    # A route has at most 4,096 steps.
+    (_A + "pipeline = A*4097;\n", "line 2, col 14: repeat count must be <= 4096, got 4097"),
 ]
 
 
@@ -696,8 +738,8 @@ def test_readme_lists_the_policy_words():
     assert words("`channel = ", ";`") == tuple(kind.value for kind in ps.ChannelKind)
     assert words("`exec = ", ";`") == tuple(kind.value for kind in ps.ExecKind)
     assert words("`join = ", r'\|"<expr>";`') == JOIN_KINDS[:-1]
-    assert words("`issue = ", ":<k>;`") == ISSUE_KINDS
-    assert words("--issue ", r":k\]") == ISSUE_KINDS
+    assert words("`issue = ", ":<interval>;`") == ISSUE_KINDS
+    assert words("--issue ", r":<interval>\]") == ISSUE_KINDS
 
 
 def _one_stage(fn):

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pipesim as ps
+from pipesim import dsl
 from oracles import random_expr
 
 
@@ -326,6 +327,21 @@ DIAGNOSTICS = {
                           ps.ParseError, "col 10: repeat count must be >= 1, got 0"),
     "parse fork twice": (lambda: ps.parse("S1 + S2 + S1", _D),
                          ps.ParseError, "col 4: duplicate stage 'S1' in fork"),
+    # A route has at most 4,096 steps; each check fails before any step is built.
+    "repeat past the limit": (lambda: _S1 * 10**21, ps.ExpressionError,
+                              "repeat count must be <= 4096, got 1000000000000000000000"),
+    "repeat() past the limit": (lambda: ps.repeat(_S1, 10**21), ps.ExpressionError,
+                                "repeat count must be <= 4096, got 1000000000000000000000"),
+    "Repeat past the limit": (lambda: ps.Repeat(_S1, 4097),
+                              ps.ExpressionError, "repeat count must be <= 4096, got 4097"),
+    "flatten past the limit": (lambda: ps.flatten(_S1 * 4000 >> _S2 * 4000 >> _S3 * 4000),
+                               ps.ExpressionError, "route is more than 4096 steps long"),
+    "parse a count past the limit": (lambda: ps.parse("S1*4097", _D),
+                                     ps.ParseError, "col 4: repeat count must be <= 4096, got 4097"),
+    "parse a term past the limit": (lambda: ps.parse("S1 >> S2*4096", _D),
+                                    ps.ParseError, "col 7: route is more than 4096 steps long"),
+    "parse a stage past the limit": (lambda: ps.parse("S1*4000 >> S2*96 >> S3", _D),
+                                     ps.ParseError, "col 21: route is more than 4096 steps long"),
 }
 
 
@@ -401,3 +417,16 @@ def test_stage_names_are_exactly_those_the_old_pattern_matched(name):
     else:
         accepted = True
     assert accepted == bool(_OLD_IDENT_RE.match(name))
+
+
+def test_routes_of_up_to_the_limit_flatten(decls):
+    assert dsl.MAX_ROUTE_STEPS == 4096
+    assert len(ps.flatten(ps.parse("S1*4000 >> S2*95 >> S3", decls))) == 4096
+    assert len(ps.flatten(decls["S1"] * 4096)) == 4096
+
+
+def test_a_count_too_long_for_int_is_a_parse_error_at_the_count(decls):
+    # int() reads at most 4,300 digits by default; past the limit, either way.
+    with pytest.raises(ps.ParseError) as caught:
+        ps.parse("S1 >> S2*" + "1" * 4301, decls)
+    assert caught.value.position == 9

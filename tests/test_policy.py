@@ -283,7 +283,7 @@ def test_issue_fixed_requires_positive_interval():
 @pytest.mark.parametrize(
     "kwargs, message",
     [
-        ({"kind": "gready"}, "unknown issue policy 'gready'; use greedy, eager or fixed:<k>"),
+        ({"kind": "gready"}, "unknown issue policy 'gready'; use greedy, eager or fixed:<interval>"),
         ({"kind": "fixed"}, "fixed issue interval must be >= 1, got None"),
         ({"kind": "fixed", "interval": 0}, "fixed issue interval must be >= 1, got 0"),
         ({"kind": "greedy", "interval": 5}, "the greedy issue policy takes no interval, got 5"),
