@@ -10,6 +10,7 @@ name becomes a token kind.  Positions are zero-based offsets into the text.
 from __future__ import annotations
 
 import re
+import sys
 from typing import Callable, NamedTuple
 
 from .errors import PipelineError
@@ -59,6 +60,17 @@ def tokenize(
         tokens.append(Token(kind, match.group(), match.start()))
     tokens.append(Token("end", "", len(text)))
     return tokens
+
+
+def read_int(token: Token, error: Callable[[str, int], Exception]) -> int:
+    """The value of an ``int`` token; more digits than ``int()`` reads raise
+    ``error(message, position)``, a message that names the limit."""
+    try:
+        return int(token.text)
+    except ValueError:
+        message = (f"integer of {len(token.text)} digits is longer than the limit of "
+                   f"{sys.get_int_max_str_digits()} digits")
+        raise error(message, token.position) from None
 
 
 class Cursor:

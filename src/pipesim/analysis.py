@@ -70,15 +70,11 @@ class ReservationTable(Value):
         """Render the table as text: rows are stages, columns steps, X marks."""
         name_width = max(len(s.name) for s in self.stages)
         widths = [len(str(i)) for i in range(self.length)]
-        header = " " * name_width + "  " + " ".join(
-            str(i).rjust(w) for i, w in zip(range(self.length), widths)
-        )
+        header = " " * name_width + "  " + " ".join(str(i).rjust(w) for i, w in enumerate(widths))
         lines = [header]
         for stage in self.stages:
             row = set(self.marks[stage])
-            cells = " ".join(
-                ("X" if i in row else ".").rjust(w) for i, w in zip(range(self.length), widths)
-            )
+            cells = " ".join(("X" if i in row else ".").rjust(w) for i, w in enumerate(widths))
             lines.append(stage.name.ljust(name_width) + "  " + cells)
         return "\n".join(lines)
 
@@ -105,14 +101,17 @@ def forbidden_latencies(table: ReservationTable) -> frozenset[int]:
     """All pairwise mark differences within a single stage's row.
 
     Latency 0 (two issues in the same cycle) is always forbidden and is not
-    stored.
+    stored.  Walking a row's marks from the last, ``row`` holds the marks
+    from ``mark`` on as bits, and bit ``d`` of ``row >> mark`` is set when a
+    mark lies ``d`` cycles after ``mark``: one OR per mark.
     """
-    forbidden: set[int] = set()
+    forbidden = 0
     for marks in table.marks.values():
-        for i, earlier in enumerate(marks):
-            for later in marks[i + 1 :]:
-                forbidden.add(later - earlier)
-    return frozenset(forbidden)
+        row = 0
+        for mark in reversed(marks):
+            row |= 1 << mark
+            forbidden |= row >> mark
+    return frozenset(d for d, bit in enumerate(bin(forbidden >> 1)[:1:-1], 1) if bit == "1")
 
 
 # ---------------------------------------------------------------------------

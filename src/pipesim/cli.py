@@ -259,7 +259,20 @@ def main(argv=None) -> int:
 
 
 def console_main() -> None:
-    sys.exit(main())
+    """Run ``main`` and end the process once its output is flushed.
+
+    Every file a command writes is closed before ``main`` returns, so the
+    interpreter's teardown has nothing left to do and is skipped.  A flush
+    that fails goes back to ``sys.exit``, which reports it as it always has.
+    """
+    code = main()
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:  # a stream closed at start-up
+                stream.flush()
+    except (OSError, ValueError):
+        sys.exit(code)
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 from typing import Iterable, Iterator, Union
 
-from ._lex import Cursor, PositionedError, Token, tokenize, unexpected_character
+from ._lex import Cursor, PositionedError, Token, read_int, tokenize, unexpected_character
 from ._value import Value
 from .errors import PipelineError
 
@@ -400,9 +400,10 @@ class _Parser(Cursor):
         if token.kind == "star":
             self.advance()
             count_token = self.expect("int", what="a repeat count")
+            count = read_int(count_token, self.error)
             try:
-                return repeat(stage, int(count_token.text))
-            except (ExpressionError, ValueError) as exc:  # ValueError: more digits than int() reads
+                return repeat(stage, count)
+            except ExpressionError as exc:
                 raise ParseError(str(exc), count_token.position) from None
         if token.kind == "plus":
             members = [stage]

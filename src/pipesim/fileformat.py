@@ -25,7 +25,7 @@ import re
 
 from . import dsl
 from .dsl import PipeExpr, Route, StageId, StageSet
-from ._lex import Cursor, PositionedError, Token, tokenize
+from ._lex import Cursor, PositionedError, Token, read_int, tokenize
 from ._value import Value
 from .errors import PipelineError
 from .policy import (
@@ -201,8 +201,8 @@ def _read_issue(cursor: Cursor) -> IssueSpec:
     cursor.expect("punct", ":")
     interval = cursor.expect("int", what="an issue interval")
     try:
-        return IssueSpec.fixed(int(interval.text))
-    except (ConfigError, ValueError) as exc:  # ValueError: more digits than int() reads
+        return IssueSpec.fixed(read_int(interval, cursor.error))
+    except ConfigError as exc:
         raise cursor.error(str(exc), interval.position) from None
 
 
@@ -255,7 +255,7 @@ def parse_pipeline_text(text: str) -> PipelineSetup:
 
         value = settings["delay"]
         if value.kind == "int":
-            timing = TimingSpec.timed(int(value.text))
+            timing = TimingSpec.timed(read_int(value, parser.error))
         elif value.kind == "ident" and value.text == "untimed":
             timing = UNTIMED
         else:

@@ -1,10 +1,25 @@
 import hashlib
+import os
 import sys
 from pathlib import Path
 
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
+
+
+@pytest.fixture(autouse=True)
+def refuse_process_exit(monkeypatch):
+    """Make ``os._exit`` raise in the test process.
+
+    ``cli.console_main`` ends its process with ``os._exit``; called in
+    process, it would end the whole session with status 0 and no summary.
+    """
+
+    def refused(code):
+        raise AssertionError(f"os._exit({code}) called in the test process")
+
+    monkeypatch.setattr(os, "_exit", refused)
 
 
 class DispatchRecorder:

@@ -132,6 +132,14 @@ def test_forbidden_latencies_feedback(feedback_route):
     assert ps.forbidden_latencies(ps.reservation_table(feedback_route)) == {2}
 
 
+def test_forbidden_latencies_at_the_route_limit():
+    # S2's row marks steps 1..4095, so every difference 1..4094 occurs.
+    decls = ps.declare_stages(["S1", "S2"])
+    route = ps.flatten(ps.parse("S1 >> S2*4095", decls))
+    assert len(route) == ps.dsl.MAX_ROUTE_STEPS
+    assert ps.forbidden_latencies(ps.reservation_table(route)) == frozenset(range(1, 4095))
+
+
 # -- collision vectors ------------------------------------------------------
 
 

@@ -4,7 +4,6 @@ import io
 import json
 import os
 import re
-import runpy
 import subprocess
 import sys
 import tracemalloc
@@ -701,6 +700,13 @@ MALFORMED_FILES = [
      "line 4, col 1: duplicate issue setting"),
     # A route has at most 4,096 steps.
     (_A + "pipeline = A*4097;\n", "line 2, col 14: repeat count must be <= 4096, got 4097"),
+    # int() reads at most 4,300 digits: one reader names that limit for every number.
+    ('stage A { fn = "data"; delay = ' + "1" * 4301 + "; }\npipeline = A;\n",
+     "line 1, col 32: integer of 4301 digits is longer than the limit of 4300 digits"),
+    (_A + "pipeline = A*" + "1" * 4301 + ";\n",
+     "line 2, col 14: integer of 4301 digits is longer than the limit of 4300 digits"),
+    (_A + "pipeline = A;\nissue = fixed:" + "1" * 4301 + ";\n",
+     "line 3, col 15: integer of 4301 digits is longer than the limit of 4300 digits"),
 ]
 
 
@@ -983,19 +989,122 @@ def looped_analysis_text() -> str:
     return report.analysis_text("main", ps.analyze(route, decls))
 
 
-def test_console_main_exits_with_the_command_code(write_file, capsys, monkeypatch):
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+CONSOLE_MAIN = ["-c", "from pipesim.cli import console_main; console_main()"]
+MODULE = ["-m", "pipesim.cli"]  # what the ``pipesim`` script runs, via console_main
+
+
+def child(entry, *argv, close="", **kwargs):
+    """``subprocess.run`` of ``python <entry> <argv>`` with this checkout's ``src`` first.
+
+    ``close``, a shell redirection such as ``2>&-``, closes a stream before start-up.
+    """
+    env = dict(os.environ, COLUMNS="80")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    command = ["sh", "-c", f'exec "$@" {close}', "sh", sys.executable, *entry, *argv]
+    return subprocess.run(command, env=env, timeout=60, **kwargs)
+
+
+def test_console_main_exits_with_the_command_code(write_file):
+    proc = child(CONSOLE_MAIN, "analyze", write_file("looped.pipe", LOOPED), capture_output=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, looped_analysis_text().encode(), b"")
+
+
+def test_cli_module_runs_as_a_script(write_file):
+    proc = child(MODULE, "analyze", write_file("looped.pipe", LOOPED), capture_output=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, looped_analysis_text().encode(), b"")
+
+
+def test_console_main_in_the_test_process_is_refused(write_file, capsys, monkeypatch):
     monkeypatch.setattr(sys, "argv", ["pipesim", "analyze", write_file("looped.pipe", LOOPED)])
-    with pytest.raises(SystemExit) as exc:
+    with pytest.raises(AssertionError, match=r"os\._exit\(0\) called in the test process"):
         cli.console_main()
-    assert exc.value.code == 0
     assert capsys.readouterr() == (looped_analysis_text(), "")
 
 
-def test_cli_module_runs_as_a_script(write_file, capsys, monkeypatch):
-    monkeypatch.setattr(sys, "argv", ["pipesim", "analyze", write_file("looped.pipe", LOOPED)])
-    # runpy warns that it runs a second copy of an imported module.
-    with pytest.warns(RuntimeWarning, match="'pipesim.cli' found in sys.modules"):
-        with pytest.raises(SystemExit) as exc:
-            runpy.run_module("pipesim.cli", run_name="__main__")
-    assert exc.value.code == 0
-    assert capsys.readouterr() == (looped_analysis_text(), "")
+# No netlist elaborated from a file deadlocks, so the exit-2 case makes
+# ``simulate.run`` raise, in process and in the child alike.
+_DEADLOCK = "deadlock: forced for the exit path"
+_DEADLOCKED = ["-c", f"""\
+from pipesim import cli, engine, simulate
+def run(*args, **kwargs):
+    raise engine.DeadlockError({_DEADLOCK!r})
+simulate.run = run
+cli.console_main()
+"""]
+_CHILD_CASES = [
+    (MODULE, ["analyze", "quad.pipe"]),
+    (MODULE, ["run", "quad.pipe", "--inputs", "1,hello"]),
+    (_DEADLOCKED, ["run", "quad.pipe", "--inputs", "1"]),
+    (MODULE, ["run", "quad.pipe", "--inputs", "1,2,3,4", "--horizon", "2"]),
+    (MODULE, ["run", "--help"]),
+    (MODULE, ["run", "quad.pipe"]),
+    (MODULE, ["run", "feedback.pipe", "--inputs", "inputs.txt", "--format", "json-like",
+              "--trace", "trace.csv"]),
+]
+
+
+def test_a_child_ends_as_cli_main_does_in_process(tmp_path, monkeypatch):
+    """Exit code, stdout, stderr and written files; stdout goes to a file."""
+    from pipesim import engine, simulate
+
+    work = tmp_path / "work"
+    work.mkdir()
+    (work / "quad.pipe").write_text(QUAD, encoding="utf-8")
+    (work / "feedback.pipe").write_text(LOOPED, encoding="utf-8")
+    (work / "inputs.txt").write_text("".join(f"{i % 97}\n" for i in range(4000)), encoding="utf-8")
+    monkeypatch.chdir(work)
+    monkeypatch.setenv("COLUMNS", "80")
+
+    def written(before):
+        files = {path.name: path.read_bytes() for path in work.iterdir() if path.name not in before}
+        for name in files:
+            (work / name).unlink()
+        return files
+
+    def deadlocked(*args, **kwargs):
+        raise engine.DeadlockError(_DEADLOCK)
+
+    seen = []
+    for entry, argv in _CHILD_CASES:
+        before = set(os.listdir(work))
+        out, err = io.StringIO(), io.StringIO()
+        with monkeypatch.context() as patch, redirect_stdout(out), redirect_stderr(err):
+            if entry is _DEADLOCKED:
+                patch.setattr(simulate, "run", deadlocked)
+            code = cli.main(argv)
+        in_process = (argv, code, out.getvalue().encode(), err.getvalue().encode(), written(before))
+        with open(tmp_path / "stdout", "wb") as stdout:
+            proc = child(entry, *argv, cwd=work, stdout=stdout, stderr=subprocess.PIPE)
+        in_child = (argv, proc.returncode, (tmp_path / "stdout").read_bytes(), proc.stderr,
+                    written(before))
+        assert in_child == in_process
+        seen.append(in_child)
+    assert [code for _, code, *_ in seen] == [0, 1, 2, 3, 0, 1, 0]
+    _, _, report_bytes, _, files = seen[-1]
+    assert len(report_bytes) > 500_000 and files["trace.csv"].count(b"\n") == 4001
+
+
+def test_a_broken_or_closed_stream_ends_as_it_did_before(write_file, tmp_path):
+    """Pinned as the interpreter's own exit left them: a stdout reader that
+    goes away, a closed stderr and a closed stdout."""
+    quad = write_file("quad.pipe", QUAD)
+    inputs = write_file("inputs.txt", "".join(f"{i}\n" for i in range(4000)))
+    head = subprocess.Popen(["head", "-c", "10"], stdin=subprocess.PIPE, stdout=subprocess.DEVNULL)
+    proc = child(MODULE, "run", quad, "--inputs", inputs, "--format", "json-like",
+                 stdout=head.stdin, stderr=subprocess.PIPE)
+    head.stdin.close()
+    head.wait(timeout=60)
+    assert (proc.returncode, proc.stderr) == (1, b"error: [Errno 32] Broken pipe\n")
+
+    # With stderr closed, argparse drops its message and print() falls back to stdout.
+    proc = child(MODULE, "run", quad, close="2>&-", stdout=subprocess.PIPE)
+    assert (proc.returncode, proc.stdout) == (1, b"")
+    absent = str(tmp_path / "absent.pipe")
+    proc = child(MODULE, "analyze", absent, close="2>&-", stdout=subprocess.PIPE)
+    message = f"error: [Errno 2] No such file or directory: {absent!r}\n"
+    assert (proc.returncode, proc.stdout) == (1, message.encode())
+
+    proc = child(MODULE, "analyze", quad, close=">&-", stderr=subprocess.PIPE)
+    assert proc.returncode == 1
+    assert proc.stderr.endswith(b"AttributeError: 'NoneType' object has no attribute 'write'\n")

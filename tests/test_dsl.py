@@ -430,3 +430,4 @@ def test_a_count_too_long_for_int_is_a_parse_error_at_the_count(decls):
     with pytest.raises(ps.ParseError) as caught:
         ps.parse("S1 >> S2*" + "1" * 4301, decls)
     assert caught.value.position == 9
+    assert str(caught.value) == "col 10: integer of 4301 digits is longer than the limit of 4300 digits"
