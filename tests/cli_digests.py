@@ -8,7 +8,8 @@ come from ``tests/test_cli.py``)::
 It writes a corpus of definition files to a temporary directory: the
 README's quad and feedback routes, a fork/join route with a signal and an
 untimed stage, a route on which eager issue has a granted write refused,
-a route with a repeat count past the route limit, each of
+a route with a repeat count past the route limit, a route whose stages are
+declared in an order other than the one it first uses them in, each of
 ``test_cli.MALFORMED_FILES``, and a file of 4,000 input values. From that directory it runs ``pipesim.cli.main`` in this
 process over each invocation below, and prints ``<digest>  <arguments>``,
 where the digest is a SHA-256 over the exit code, stdout, stderr and every
@@ -65,6 +66,19 @@ stage S1 { fn = "data + orig"; delay = 3; }
 pipeline = S0 >> S0 >> S1;
 """
 
+# Declared C A E D B, first used B A D C, and E never used: a route's stages,
+# marks and routing tables follow declaration order, not first use.  A forks
+# with D and is reused, and B is reused at once.
+OUT_OF_ORDER = """\
+stage C { fn = "data - 1";      delay = 1; }
+stage A { fn = "data + orig";   delay = 2; }
+stage E { fn = "data * 3";      delay = 1; }
+stage D { fn = "data * 2";      delay = 1; }
+stage B { fn = "data + 2*orig"; delay = 1; }
+pipeline = B >> A + D >> C >> B*2 >> A;
+join = "dataL - dataR";
+"""
+
 FILES = {
     "quad.pipe": QUAD,
     "feedback.pipe": FEEDBACK,
@@ -73,6 +87,7 @@ FILES = {
     "retry.pipe": REFUSED_RETRY,
     "inputs.txt": "1 2.5\n-3,4e-3\n",
     "overlimit.pipe": QUAD.replace("S2 >>", "S2*1000000000000000000000 >>"),
+    "order.pipe": OUT_OF_ORDER,
     "inputs4000.txt": "".join(f"{(i * 389) % 1999 - 999}\n" for i in range(4000)),
     **{f"malformed{number:02}.pipe": text for number, (text, _) in enumerate(MALFORMED_FILES)},
 }
@@ -123,6 +138,11 @@ INVOCATIONS = [
     *(["run", "quad.pipe", "--inputs", "1,2", "--issue", issue]
       for issue in ("fixed : 4", " greedy", "fixed:+4", "fixed:1_000")),
     ["run", "overlimit.pipe", "--inputs", "1"],
+    # Declaration order against the order of first use.
+    *(["analyze", "order.pipe", "--format", fmt] for fmt in ("text", "json-like")),
+    ["run", "order.pipe", "--inputs", "1,2,3,4,5", "--format", "json-like",
+     "--trace", "order.csv"],
+    ["elaborate", "order.pipe"],
 ]
 
 
