@@ -15,6 +15,7 @@ import itertools
 import random
 import re
 from fractions import Fraction
+from typing import NamedTuple
 
 import pipesim as ps
 from pipesim.analysis import _find_cycle
@@ -196,6 +197,68 @@ def replay_routing_tables(netlist: ps.Netlist) -> ps.Route:
             break
         steps.append(set(dests))
     return ps.Route(tuple(frozenset(s) for s in steps))
+
+
+class TandemRun(NamedTuple):
+    """What :func:`tandem_run` predicts: each input's inject and exit ns,
+    each (stage, txn) occupancy's start ns, and each stage's stalls."""
+
+    inject_ns: list[int]
+    exit_ns: list[int]
+    starts: dict[tuple[str, int], int]
+    stalls: dict[str, int]
+
+
+def tandem_run(route: ps.Route, delays: dict[str, int], issue_ns: list[int | None]) -> TandemRun:
+    """Ns times of a run over a route in which no stage appears twice.
+
+    Every latch then has one writer per transaction and transactions keep
+    their order, so the times follow the max-plus departure recurrence of a
+    tandem line with unbounded buffers, one input at a time:
+
+    * a write into stage s attempted at ns a lands at w = max(a, end_s), its
+      occupancy starts at w, and end_s becomes w + delay_s;
+    * input n is attempted at max(issue_ns[n], inject(n-1)), where None is no
+      issue time, and its copies are written in declaration order, each one
+      attempted when the last landed; inject(n) is the last landing;
+    * a step is done when its last copy ends (the join).  The router of that
+      copy's stage writes the next step's copies, in declaration order, from
+      no earlier than its own previous landing; after the last step the
+      transaction exits then.
+
+    A write attempted before ``end_s`` is a stall: the rule of a route whose
+    delays are all at least 1, where a latch frees before any write of the
+    same ns.  Of copies that end together, the last to reach its router is
+    the one that started last, then the one declared last.
+    """
+    end = {s.name: 0 for s in route.stages}
+    stalls = dict.fromkeys(end, 0)
+    port_free: dict[str, int] = {}
+    inject, exits, starts = [], [], {}
+
+    def write(txn, stages, attempt):
+        """Land copies in declaration order; returns the last landing."""
+        for stage in sorted(stages, key=lambda s: s.ordinal):
+            name = stage.name
+            stalls[name] += attempt < end[name]
+            attempt = max(attempt, end[name])
+            starts[name, txn] = attempt
+            end[name] = attempt + delays[name]
+        return attempt
+
+    for txn, issue in enumerate(issue_ns):
+        attempt = inject[-1] if inject else 0
+        if issue is not None:
+            attempt = max(attempt, issue)
+        inject.append(write(txn, route.steps[0], attempt))
+        for k, step in enumerate(route.steps):
+            done, _, last = max((end[s.name], starts[s.name, txn], s.ordinal) for s in step)
+            if k + 1 == len(route.steps):
+                exits.append(done)
+                break
+            router = next(s.name for s in step if s.ordinal == last)
+            port_free[router] = write(txn, route.steps[k + 1], max(done, port_free.get(router, 0)))
+    return TandemRun(inject, exits, starts, stalls)
 
 
 def random_expr(rng: random.Random, max_stages: int = 6, max_terms: int = 10):

@@ -1,13 +1,14 @@
 import hashlib
 import random
+from itertools import islice
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import pipesim as ps
-from oracles import random_expr, unit_configs
-from pipesim import simulate
+from oracles import random_expr, tandem_run, unit_configs
+from pipesim import analysis, simulate
 from pipesim.elaborate import RouterNode
 from pipesim.engine import Engine
 from pipesim.report import trace_to_csv
@@ -945,6 +946,37 @@ def test_valid_pipelines_never_deadlock(pipeline):
     # Nor does it overwrite an unread value.
     outputs = [c for c in (*stats.stalls_by_channel, *stats.drops_by_channel) if c.endswith(".out")]
     assert outputs == []
+
+
+def blocking_loop(cfg):
+    """``cfg`` with blocking channels and loop execution, its delay kept."""
+    return ps.StageConfig(cfg.stage, cfg.function, cfg.timing)
+
+
+@settings(max_examples=100, deadline=None)
+@given(valid_pipelines())
+def test_a_route_that_reuses_no_stage_runs_as_a_tandem_line(pipeline):
+    # With blocking latches and no stage in two steps, every ns of a run is
+    # the max-plus recurrence of ``oracles.tandem_run``; with every delay at
+    # least 1, so are the stalls.
+    netlist, checked, inputs, issue = pipeline
+    route = netlist.route
+    assume(sum(map(len, route.steps)) == len(route.stages))
+    checked = ps.validate_config(route, [blocking_loop(c) for c in checked.configs.values()],
+                                 join=checked.join)
+    result = ps.run(netlist, checked, inputs, issue=issue)
+    vector = ps.analyze(route).vector
+    issue_ns = list(islice(analysis.issue_times(issue, vector), len(inputs)))
+    issue_ns += [None] * (len(inputs) - len(issue_ns))
+    delays = {s.name: cfg.timing.delay or 0 for s, cfg in checked.configs.items()}
+    want = tandem_run(route, delays, issue_ns)
+
+    trace = result.trace
+    assert [r.injected_at for r in trace.records] == want.inject_ns
+    assert [r.exited_at for r in trace.records] == want.exit_ns
+    assert {(stage, txn): start for stage, txn, start, _ in trace.occupancy_log} == want.starts
+    if min(delays.values()) >= 1:
+        assert {name: s.stalls for name, s in result.stats.stage.items()} == want.stalls
 
 
 def slower(cfg):
