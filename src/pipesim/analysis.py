@@ -89,12 +89,7 @@ def reservation_table(route: Route, decls: StageSet | None = None) -> Reservatio
         for stage in route.stages:
             if stage not in decls:
                 raise AnalysisError(f"stage {stage.name!r} is not in the declaration set")
-    stages = route.stages
-    marks = {
-        stage: tuple(i for i, step in enumerate(route.steps) if stage in step)
-        for stage in stages
-    }
-    return ReservationTable(stages=stages, length=len(route), marks=marks)
+    return ReservationTable(stages=route.stages, length=len(route), marks=route.marks.copy())
 
 
 def forbidden_latencies(table: ReservationTable) -> frozenset[int]:

@@ -16,7 +16,9 @@ that type follows.
 from __future__ import annotations
 
 import re
-from typing import Iterable, Iterator, Union
+from functools import cached_property
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping, Union
 
 from ._lex import Cursor, PositionedError, Token, read_int, tokenize, unexpected_character
 from ._value import Value
@@ -263,7 +265,10 @@ def fork(stages: Iterable[StageId]) -> PipeExpr:
 
 
 class Route(Value):
-    """The ordered steps a transaction visits; each step is a set of stages."""
+    """The ordered steps a transaction visits; each step is a set of stages.
+
+    ``marks`` and ``stages`` are derived from the steps on first read; copies
+    and pickles carry the steps alone."""
 
     steps: tuple[frozenset[StageId], ...]
 
@@ -277,13 +282,21 @@ class Route(Value):
     def __len__(self) -> int:
         return len(self.steps)
 
-    @property
+    @cached_property
+    def marks(self) -> Mapping[StageId, tuple[int, ...]]:
+        """Each stage of the route, in ordinal order, mapped to the sorted
+        steps at which it is busy: its reservation-table row.  Read-only,
+        and built on first read in one pass over the steps."""
+        rows: dict[StageId, list[int]] = {}
+        for i, step in enumerate(self.steps):
+            for stage in step:
+                rows.setdefault(stage, []).append(i)
+        return MappingProxyType({s: tuple(rows[s]) for s in sorted(rows, key=lambda s: s.ordinal)})
+
+    @cached_property
     def stages(self) -> tuple[StageId, ...]:
         """Distinct stages used by the route, in ordinal order."""
-        found: set[StageId] = set()
-        for step in self.steps:
-            found.update(step)
-        return tuple(sorted(found, key=lambda s: s.ordinal))
+        return tuple(self.marks)
 
     def fork_steps(self) -> tuple[int, ...]:
         return tuple(i for i, step in enumerate(self.steps) if len(step) > 1)

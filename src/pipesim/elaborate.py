@@ -106,17 +106,13 @@ def routing_table(route: Route, stage: StageId) -> RoutingTable:
     For every step index i at which the stage is busy, the entry maps i to
     the stages of step i+1, or to EXIT when i is the final step.
     """
-    entries: dict[int, Destination] = {}
-    for i, step in enumerate(route.steps):
-        if stage not in step:
-            continue
-        if i + 1 < len(route.steps):
-            entries[i] = frozenset(route.steps[i + 1])
-        else:
-            entries[i] = EXIT
-    if not entries:
+    marks = route.marks.get(stage)
+    if marks is None:
         raise ElaborationError(f"stage {stage.name!r} does not appear in the route")
-    return RoutingTable(entries=entries)
+    steps = route.steps
+    return RoutingTable(entries={
+        i: frozenset(steps[i + 1]) if i + 1 < len(steps) else EXIT for i in marks
+    })
 
 
 def elaborate(
@@ -138,21 +134,8 @@ def elaborate(
                 )
     stages = route.stages
 
-    routers = [
-        RouterNode(
-            name=ENTRY,
-            stage=None,
-            table=RoutingTable(entries={-1: frozenset(route.steps[0])}),
-        )
-    ]
-    for stage in stages:
-        routers.append(
-            RouterNode(
-                name=router_name(stage),
-                stage=stage,
-                table=routing_table(route, stage),
-            )
-        )
+    routers = [RouterNode(ENTRY, None, RoutingTable({-1: frozenset(route.steps[0])}))]
+    routers += (RouterNode(router_name(s), s, routing_table(route, s)) for s in stages)
 
     edges: list[ChannelEdge] = []
     seen: set[tuple[str, str]] = set()

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 import re
 
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 
 import pipesim as ps
 from pipesim import dsl
-from oracles import random_expr
+from oracles import marks_by_scan, random_expr
 
 
 @pytest.fixture
@@ -205,6 +207,62 @@ def test_flatten_records_reuse_steps(decls):
     route = ps.flatten(ps.parse("S1 >> S2 >> S1", decls))
     marks = [i for i, step in enumerate(route.steps) if decls["S1"] in step]
     assert marks == [0, 2]
+
+
+def test_route_marks_are_its_rows_in_declaration_order(decls):
+    rng = random.Random(11)
+    for _ in range(50):
+        _, expr = random_expr(rng)
+        route = ps.flatten(expr)
+        assert {s.name: list(m) for s, m in route.marks.items()} == marks_by_scan(route)
+        assert list(route.marks) == sorted(route.marks, key=lambda s: s.ordinal)
+        assert route.stages == tuple(route.marks)
+    route = ps.flatten(ps.parse("S3 >> S1 + S2 >> S3", decls))
+    assert list(route.marks.items()) == [(decls["S1"], (1,)), (decls["S2"], (1,)),
+                                         (decls["S3"], (0, 2))]
+    assert route.marks is route.marks and route.stages is route.stages  # built once
+    with pytest.raises(TypeError):
+        route.marks[decls["S1"]] = (0,)
+    with pytest.raises(AttributeError):
+        route.marks = {}
+    assert route.marks[decls["S1"]] == (1,)
+
+
+@pytest.mark.parametrize("how", [copy.copy, copy.deepcopy,
+                                 lambda value: pickle.loads(pickle.dumps(value))])
+def test_route_copies_keep_every_field_and_rebuild_the_marks(decls, how):
+    route = ps.flatten(ps.parse("S3 >> S1 + S2 >> S3*2", decls))
+    assert route.marks  # a built row cache must not block the copies
+    again = how(route)
+    assert again is not route and again == route and repr(again) == repr(route)
+    assert again.steps == route.steps and again.marks == route.marks
+    assert again.stages == route.stages
+    assert route.__reduce__() == (ps.Route, (route.steps,))
+
+
+def test_a_long_chain_hashes_each_stage_a_few_times(monkeypatch):
+    # Each row is worked out once, in Route.marks, and the table and the
+    # routing tables read it: no scan of the steps per stage, which made
+    # 2,098,176 StageId hashes on this chain.
+    decls = ps.declare_stages([f"S{i}" for i in range(1024)])
+    route = ps.Route(tuple(frozenset((s,)) for s in reversed(list(decls))))
+    calls = 0
+    hash_of = ps.StageId.__hash__
+
+    def counted(stage):
+        nonlocal calls
+        calls += 1
+        return hash_of(stage)
+
+    monkeypatch.setattr(ps.StageId, "__hash__", counted)
+    table = ps.reservation_table(route, decls)
+    netlist = ps.elaborate(route, decls)
+    monkeypatch.undo()
+    assert calls <= 8192
+    assert {s.name: list(m) for s, m in route.marks.items()} == marks_by_scan(route)
+    assert table.stages == netlist.stages == tuple(decls)
+    assert table.marks[decls[0]] == (1023,)
+    assert netlist.router_of(decls[0]).table.entries == {1023: ps.EXIT}
 
 
 def term_count(node):
