@@ -32,6 +32,19 @@ EXIT_HORIZON = 3
 _FORMATS = ("text", "json-like")  # of analyze and run reports
 
 
+def _diagnose(line: str) -> None:
+    """Print a diagnostic line to stderr; with stderr closed at start-up, drop it."""
+    if sys.stderr is not None:
+        print(line, file=sys.stderr)
+
+
+def _stdout():
+    """The stream reports go to; closed at start-up, a :class:`PipelineError`."""
+    if sys.stdout is None:
+        raise PipelineError("stdout is closed")
+    return sys.stdout
+
+
 def _select_pipeline(setup: PipelineSetup, txn_type: str | None) -> str:
     names = list(setup.pipelines)
     if txn_type is not None:
@@ -87,16 +100,17 @@ def run_and_report(
             netlist, checked, inputs, issue=issue, horizon_ns=horizon_ns
         )
     except DeadlockError as exc:
-        print(str(exc), file=sys.stderr)
+        _diagnose(str(exc))
         return EXIT_DEADLOCK
     # The trace file opens before any report output, so an unwritable path
-    # fails with nothing on stdout.
+    # fails with nothing on stdout; a closed stdout fails before either.
+    out = _stdout()
     trace_file = nullcontext() if trace_path is None else open(trace_path, "w", encoding="utf-8")
     with trace_file as csv_out:
         for warning in result.warnings:
-            print(f"warning: {warning}", file=sys.stderr)
+            _diagnose(f"warning: {warning}")
         write = report.write_run_report if fmt == "json-like" else report.write_run_text
-        write(name, result, analysis_report, issue, sys.stdout, csv_out)
+        write(name, result, analysis_report, issue, out, csv_out)
     return EXIT_HORIZON if result.stats.truncated else EXIT_OK
 
 
@@ -112,12 +126,12 @@ def _cmd_analyze(args) -> int:
                 for name, route in setup.routes.items()
             },
         }
-        print(report.canonical(mapping))
+        _stdout().write(report.canonical(mapping) + "\n")
         return EXIT_OK
     chunks = []
     for name, route in setup.routes.items():
         chunks.append(report.analysis_text(name, analysis.analyze(route, setup.decls)))
-    sys.stdout.write("\n".join(chunks))
+    _stdout().write("\n".join(chunks))
     return EXIT_OK
 
 
@@ -157,7 +171,7 @@ def _cmd_elaborate(args) -> int:
         with open(args.dot, "w", encoding="utf-8") as handle:
             handle.write(dot)
     else:
-        sys.stdout.write(dot)
+        _stdout().write(dot)
     return EXIT_OK
 
 
@@ -254,7 +268,7 @@ def main(argv=None) -> int:
     try:
         return _COMMAND_LINE[args.command][0](args)
     except (OSError, PipelineError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _diagnose(f"error: {exc}")
         return EXIT_ERROR
 
 

@@ -1086,8 +1086,9 @@ def test_a_child_ends_as_cli_main_does_in_process(tmp_path, monkeypatch):
 
 
 def test_a_broken_or_closed_stream_ends_as_it_did_before(write_file, tmp_path):
-    """Pinned as the interpreter's own exit left them: a stdout reader that
-    goes away, a closed stderr and a closed stdout."""
+    """A stdout reader that goes away ends as the interpreter's own exit left
+    it.  A closed stderr drops diagnostics, and a command whose report finds
+    stdout closed exits 1 with one line on stderr."""
     quad = write_file("quad.pipe", QUAD)
     inputs = write_file("inputs.txt", "".join(f"{i}\n" for i in range(4000)))
     head = subprocess.Popen(["head", "-c", "10"], stdin=subprocess.PIPE, stdout=subprocess.DEVNULL)
@@ -1097,14 +1098,30 @@ def test_a_broken_or_closed_stream_ends_as_it_did_before(write_file, tmp_path):
     head.wait(timeout=60)
     assert (proc.returncode, proc.stderr) == (1, b"error: [Errno 32] Broken pipe\n")
 
-    # With stderr closed, argparse drops its message and print() falls back to stdout.
+    # With stderr closed, argparse and the CLI drop their messages.
     proc = child(MODULE, "run", quad, close="2>&-", stdout=subprocess.PIPE)
     assert (proc.returncode, proc.stdout) == (1, b"")
-    absent = str(tmp_path / "absent.pipe")
-    proc = child(MODULE, "analyze", absent, close="2>&-", stdout=subprocess.PIPE)
-    message = f"error: [Errno 2] No such file or directory: {absent!r}\n"
-    assert (proc.returncode, proc.stdout) == (1, message.encode())
+    proc = child(MODULE, "analyze", str(tmp_path / "absent.pipe"), close="2>&-",
+                 stdout=subprocess.PIPE)
+    assert (proc.returncode, proc.stdout) == (1, b"")
+    looped = write_file("looped.pipe", LOOPED)
+    warned = child(MODULE, "run", looped, "--inputs", "1,2", "--issue", "fixed:1",
+                   capture_output=True)
+    assert warned.returncode == 0 and warned.stderr.startswith(b"warning: ")
+    proc = child(MODULE, "run", looped, "--inputs", "1,2", "--issue", "fixed:1", close="2>&-",
+                 stdout=subprocess.PIPE)
+    assert (proc.returncode, proc.stdout) == (0, warned.stdout)
 
-    proc = child(MODULE, "analyze", quad, close=">&-", stderr=subprocess.PIPE)
-    assert proc.returncode == 1
-    assert proc.stderr.endswith(b"AttributeError: 'NoneType' object has no attribute 'write'\n")
+    closed = [["analyze", quad], ["analyze", quad, "--format", "json-like"],
+              ["run", quad, "--inputs", "1,2"],
+              ["run", quad, "--inputs", "1,2", "--format", "json-like", "--trace", "t.csv"],
+              ["elaborate", quad]]
+    for argv in closed:
+        proc = child(MODULE, *argv, close=">&-", stderr=subprocess.PIPE, cwd=tmp_path)
+        assert (proc.returncode, proc.stderr) == (1, b"error: stdout is closed\n"), argv
+    assert not (tmp_path / "t.csv").exists()
+    proc = child(MODULE, "elaborate", quad, "--dot", "quad.dot", close=">&-",
+                 stderr=subprocess.PIPE, cwd=tmp_path)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert (tmp_path / "quad.dot").read_bytes() == child(MODULE, "elaborate", quad,
+                                                        capture_output=True).stdout
