@@ -1085,7 +1085,7 @@ def test_a_child_ends_as_cli_main_does_in_process(tmp_path, monkeypatch):
     assert len(report_bytes) > 500_000 and files["trace.csv"].count(b"\n") == 4001
 
 
-def test_a_broken_or_closed_stream_ends_as_it_did_before(write_file, tmp_path):
+def test_a_broken_or_closed_stream_ends_as_it_did_before(write_file, tmp_path, capsys):
     """A stdout reader that goes away ends as the interpreter's own exit left
     it.  A closed stderr drops diagnostics, and a command whose report finds
     stdout closed exits 1 with one line on stderr."""
@@ -1105,12 +1105,12 @@ def test_a_broken_or_closed_stream_ends_as_it_did_before(write_file, tmp_path):
                  stdout=subprocess.PIPE)
     assert (proc.returncode, proc.stdout) == (1, b"")
     looped = write_file("looped.pipe", LOOPED)
-    warned = child(MODULE, "run", looped, "--inputs", "1,2", "--issue", "fixed:1",
-                   capture_output=True)
-    assert warned.returncode == 0 and warned.stderr.startswith(b"warning: ")
+    assert cli.main(["run", looped, "--inputs", "1,2", "--issue", "fixed:1"]) == 0
+    warned = capsys.readouterr()
+    assert warned.err.startswith("warning: ")
     proc = child(MODULE, "run", looped, "--inputs", "1,2", "--issue", "fixed:1", close="2>&-",
                  stdout=subprocess.PIPE)
-    assert (proc.returncode, proc.stdout) == (0, warned.stdout)
+    assert (proc.returncode, proc.stdout) == (0, warned.out.encode())
 
     closed = [["analyze", quad], ["analyze", quad, "--format", "json-like"],
               ["run", quad, "--inputs", "1,2"],
@@ -1123,5 +1123,5 @@ def test_a_broken_or_closed_stream_ends_as_it_did_before(write_file, tmp_path):
     proc = child(MODULE, "elaborate", quad, "--dot", "quad.dot", close=">&-",
                  stderr=subprocess.PIPE, cwd=tmp_path)
     assert (proc.returncode, proc.stderr) == (0, b"")
-    assert (tmp_path / "quad.dot").read_bytes() == child(MODULE, "elaborate", quad,
-                                                        capture_output=True).stdout
+    assert cli.main(["elaborate", quad]) == 0
+    assert (tmp_path / "quad.dot").read_text(encoding="utf-8") == capsys.readouterr().out

@@ -953,7 +953,7 @@ def blocking_loop(cfg):
     return ps.StageConfig(cfg.stage, cfg.function, cfg.timing)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=75, deadline=None)
 @given(valid_pipelines())
 def test_a_route_that_reuses_no_stage_runs_as_a_tandem_line(pipeline):
     # With blocking latches and no stage in two steps, every ns of a run is
