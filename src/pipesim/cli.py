@@ -39,7 +39,7 @@ def _diagnose(line: str) -> None:
 
 
 def _stdout():
-    """The stream reports go to; closed at start-up, a :class:`PipelineError`."""
+    """``sys.stdout``, where reports go; a :class:`PipelineError` if it was closed at start-up."""
     if sys.stdout is None:
         raise PipelineError("stdout is closed")
     return sys.stdout
@@ -126,7 +126,7 @@ def _cmd_analyze(args) -> int:
                 for name, route in setup.routes.items()
             },
         }
-        _stdout().write(report.canonical(mapping) + "\n")
+        print(report.canonical(mapping), file=_stdout())
         return EXIT_OK
     chunks = []
     for name, route in setup.routes.items():

@@ -223,8 +223,8 @@ def tandem_run(route: ps.Route, delays: dict[str, int], issue_ns: list[int | Non
       attempted when the last landed; inject(n) is the last landing;
     * a step is done when its last copy ends (the join).  The router of that
       copy's stage writes the next step's copies, in declaration order, from
-      no earlier than its own previous landing; after the last step the
-      transaction exits then.
+      no earlier than its own previous landing.  When the last step is done,
+      the transaction exits.
 
     A write attempted before ``end_s`` is a stall: the rule of a route whose
     delays are all at least 1, where a latch frees before any write of the
@@ -252,11 +252,11 @@ def tandem_run(route: ps.Route, delays: dict[str, int], issue_ns: list[int | Non
             attempt = max(attempt, issue)
         inject.append(write(txn, route.steps[0], attempt))
         for k, step in enumerate(route.steps):
-            done, _, last = max((end[s.name], starts[s.name, txn], s.ordinal) for s in step)
+            done, _, _, router = max((end[s.name], starts[s.name, txn], s.ordinal, s.name)
+                                     for s in step)
             if k + 1 == len(route.steps):
                 exits.append(done)
                 break
-            router = next(s.name for s in step if s.ordinal == last)
             port_free[router] = write(txn, route.steps[k + 1], max(done, port_free.get(router, 0)))
     return TandemRun(inject, exits, starts, stalls)
 
