@@ -1085,6 +1085,17 @@ def test_a_child_ends_as_cli_main_does_in_process(tmp_path, monkeypatch):
     assert len(report_bytes) > 500_000 and files["trace.csv"].count(b"\n") == 4001
 
 
+def test_closed_standard_streams_in_process(write_file, tmp_path, monkeypatch, capsys):
+    quad = write_file("quad.pipe", QUAD)
+    monkeypatch.setattr(sys, "stdout", None)
+    assert cli.main(["elaborate", quad]) == 1
+    assert capsys.readouterr().err == "error: stdout is closed\n"
+    monkeypatch.setattr(sys, "stderr", None)
+    assert cli.main(["analyze", str(tmp_path / "absent.pipe")]) == 1
+    monkeypatch.undo()
+    assert capsys.readouterr() == ("", "")
+
+
 def test_a_broken_or_closed_stream_ends_as_it_did_before(write_file, tmp_path, capsys):
     """A stdout reader that goes away ends as the interpreter's own exit left
     it.  A closed stderr drops diagnostics, and a command whose report finds
