@@ -9,8 +9,9 @@ It writes a corpus of definition files to a temporary directory: the
 README's quad and feedback routes, a fork/join route with a signal and an
 untimed stage, a route on which eager issue has a granted write refused,
 a route with a repeat count past the route limit, a route whose stages are
-declared in an order other than the one it first uses them in, each of
-``test_cli.MALFORMED_FILES``, and a file of 4,000 input values. From that directory it runs ``pipesim.cli.main`` in this
+declared in an order other than the one it first uses them in, a chain of
+256 distinct stages, each of ``test_cli.MALFORMED_FILES``, and a file of
+4,000 input values. From that directory it runs ``pipesim.cli.main`` in this
 process over each invocation below, and prints ``<digest>  <arguments>``,
 where the digest is a SHA-256 over the exit code, stdout, stderr and every
 file the invocation wrote. Paths are relative, so two runs of one checkout
@@ -79,6 +80,13 @@ pipeline = B >> A + D >> C >> B*2 >> A;
 join = "dataL - dataR";
 """
 
+# A chain of 256 distinct stages: set-up and the reservation table at a size
+# where a per-stage or per-cell cost shows, with the grid 256 rows wide.
+CHAIN = "".join(
+    f'stage C{i} {{ fn = "data + {i % 7}*orig - {i % 5}"; delay = {1 + i % 3}; }}\n'
+    for i in range(256)
+) + f"pipeline = {' >> '.join(f'C{i}' for i in range(256))};\n"
+
 FILES = {
     "quad.pipe": QUAD,
     "feedback.pipe": FEEDBACK,
@@ -88,6 +96,7 @@ FILES = {
     "inputs.txt": "1 2.5\n-3,4e-3\n",
     "overlimit.pipe": QUAD.replace("S2 >>", "S2*1000000000000000000000 >>"),
     "order.pipe": OUT_OF_ORDER,
+    "chain.pipe": CHAIN,
     "inputs4000.txt": "".join(f"{(i * 389) % 1999 - 999}\n" for i in range(4000)),
     **{f"malformed{number:02}.pipe": text for number, (text, _) in enumerate(MALFORMED_FILES)},
 }
@@ -143,6 +152,10 @@ INVOCATIONS = [
     ["run", "order.pipe", "--inputs", "1,2,3,4,5", "--format", "json-like",
      "--trace", "order.csv"],
     ["elaborate", "order.pipe"],
+    # A 256-stage chain.
+    *(["analyze", "chain.pipe", "--format", fmt] for fmt in ("text", "json-like")),
+    ["elaborate", "chain.pipe"],
+    ["run", "chain.pipe", "--inputs", "1", "--format", "json-like"],
 ]
 
 
