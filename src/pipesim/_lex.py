@@ -5,13 +5,18 @@ definition files (:mod:`fileformat`) each describe their tokens as one
 regular expression of named groups.  A ``ws`` or ``comment`` match is
 skipped, an ``other`` match is an unexpected character, and every other group
 name becomes a token kind.  Positions are zero-based offsets into the text.
+
+A :class:`Token` is a plain 3-tuple with named read access, built in
+:func:`tokenize` by ``tuple.__new__``: a ``typing.NamedTuple`` costs a class
+build at import and a Python-level constructor call per token.
 """
 
 from __future__ import annotations
 
 import re
 import sys
-from typing import Callable, NamedTuple
+from operator import itemgetter
+from typing import Callable
 
 from .errors import PipelineError
 
@@ -30,10 +35,16 @@ class PositionedError(PipelineError):
         return f"col {self.position + 1}: {base}"
 
 
-class Token(NamedTuple):
-    kind: str
-    text: str
-    position: int
+class Token(tuple):
+    """``(kind, text, position)``, unpacked or read by name."""
+
+    __slots__ = ()
+    kind = property(itemgetter(0))
+    text = property(itemgetter(1))
+    position = property(itemgetter(2))
+
+    def __new__(cls, kind: str, text: str, position: int):
+        return tuple.__new__(cls, (kind, text, position))
 
 
 def unexpected_character(char: str) -> str:
@@ -51,13 +62,14 @@ def tokenize(
     The first ``other`` match raises ``error(unexpected(char), offset)``.
     """
     tokens = []
+    new = tuple.__new__
     for match in pattern.finditer(text):
         kind = match.lastgroup
         if kind == "ws" or kind == "comment":
             continue
         if kind == "other":
-            raise error(unexpected(match.group()), match.start())
-        tokens.append(Token(kind, match.group(), match.start()))
+            raise error(unexpected(match[0]), match.start())
+        tokens.append(new(Token, (kind, match[0], match.start())))
     tokens.append(Token("end", "", len(text)))
     return tokens
 

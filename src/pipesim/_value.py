@@ -21,9 +21,11 @@ class Value:
     pickles are rebuilt through the constructor, and the fields, in order,
     are the class's positional match pattern.
 
-    A class built once per transaction defines ``__slots__`` and its own
-    ``__init__``, setting each field with ``object.__setattr__``: the
-    generic constructor binds its arguments by name, at twice the cost.
+    A call that gives every field in order, all by position or all by
+    keyword, binds them directly; any other call is checked argument by
+    argument, filling in defaults.  A class built once per transaction
+    defines ``__slots__`` and its own ``__init__``, setting each field with
+    ``object.__setattr__``: the generic constructor costs more.
     """
 
     __slots__ = ()
@@ -43,6 +45,11 @@ class Value:
     def __init__(self, *args, **kwargs):
         cls = type(self)
         fields = cls._fields
+        # Every field, in order, all by position or all by keyword: nothing to check.
+        if (len(args) == len(fields) and not kwargs) or (not args and tuple(kwargs) == fields):
+            for name, value in zip(fields, args or kwargs.values()):
+                object.__setattr__(self, name, value)
+            return
         if len(args) > len(fields):
             raise TypeError(
                 f"{cls.__name__}() takes {len(fields)} arguments but {len(args)} were given"

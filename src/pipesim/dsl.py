@@ -16,9 +16,10 @@ that type follows.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable, Iterator, Mapping
 from functools import cached_property
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Union
 
 from ._lex import Cursor, PositionedError, Token, read_int, tokenize, unexpected_character
 from ._value import Value

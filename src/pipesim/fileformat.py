@@ -230,11 +230,11 @@ def parse_pipeline_text(text: str) -> PipelineSetup:
     if not pipeline_defs:
         parser.fail("no pipeline expression", 0)
 
-    names = []
+    names: dict[str, None] = {}
     for name_token, _ in stage_blocks:
         if name_token.text in names:
             parser.fail(f"duplicate stage {name_token.text!r}", name_token.position)
-        names.append(name_token.text)
+        names[name_token.text] = None
     decls = dsl.declare_stages(names)
 
     configs: dict[StageId, StageConfig] = {}

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import enum
 import re
+from collections.abc import Iterable, Mapping, Sequence
 from functools import lru_cache
 from operator import itemgetter
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from typing import Callable, Union
 
 from ._lex import Cursor, PositionedError, tokenize
 from ._value import Value

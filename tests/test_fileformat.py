@@ -1,3 +1,6 @@
+import random
+import sys
+
 import pytest
 
 import pipesim as ps
@@ -103,3 +106,52 @@ def test_load_pipeline_file(tmp_path):
     path.write_text(QUAD, encoding="utf-8")
     setup = ps.load_pipeline_file(path)
     assert list(setup.pipelines) == ["main"]
+
+
+def sparse_file(length: int, changes: int) -> str:
+    """A file of ``length`` stages over the route sparse(length, changes):
+    distinct single-stage steps, then ``changes`` times a seeded pick of two
+    steps sets the later one to the earlier one's stage."""
+    steps = [f"S{i}" for i in range(length)]
+    rng = random.Random(length)
+    for _ in range(changes):
+        a, b = rng.sample(range(length), 2)
+        steps[max(a, b)] = steps[min(a, b)]
+    blocks = "".join(f'stage S{i} {{ fn = "data + {i + 1}*orig"; delay = 1; }}\n'
+                     for i in range(length))
+    return f"{blocks}pipeline = {' >> '.join(steps)};\n"
+
+
+# Python and builtin calls of one warm set-up of a sparse(22,3) file, as the
+# benchmark's set-up child makes it: a count that does not depend on the
+# host.  CPython 3.11 counted 7,434 with a NamedTuple token, a record
+# constructor that checked each argument and ``typing.Iterable`` checks, and
+# 6,423 with tuple tokens built by ``tuple.__new__``, records bound directly
+# and ``collections.abc`` checks; the ceiling leaves about 2% over that.
+SETUP_CALLS_CEILING = 6_550
+
+
+def test_calls_of_one_setup_of_a_sparse_file(tmp_path):
+    path = tmp_path / "sparse.pipe"
+    path.write_text(sparse_file(22, 3), encoding="utf-8")
+
+    def setup():
+        loaded = ps.load_pipeline_file(path)
+        for route in loaded.routes.values():
+            ps.validate_config(route, loaded.configs, join=loaded.join)
+            ps.elaborate(route, loaded.decls)
+
+    setup()
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event in ("call", "c_call"):
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        setup()
+    finally:
+        sys.setprofile(None)
+    assert calls <= SETUP_CALLS_CEILING, calls

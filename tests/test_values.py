@@ -8,6 +8,7 @@ refusal of assignment, and equality across classes.
 import pytest
 
 import pipesim as ps
+from pipesim._value import Value
 from pipesim.elaborate import ChannelEdge, RouterNode, RoutingTable
 from pipesim.fileformat import PipelineSetup
 from pipesim.simulate import Occupancy, StageStats, Stats, TraceRecord, Transaction
@@ -250,3 +251,30 @@ def test_missing_field_and_foreign_comparison():
         ps.StageId("A")
     trace = ps.Trace(records=(), occupancy_log=())
     assert trace.__eq__(5) is NotImplemented and trace != 5
+
+
+class Pair(Value):
+    left: int
+    right: int = 0
+
+
+@pytest.mark.parametrize("args, kwargs, text", [
+    ((1, 2, 3), {}, "Pair() takes 2 arguments but 3 were given"),
+    ((1, 2), {"right": 3}, "Pair() got an unexpected or repeated argument 'right'"),
+    ((1,), {"left": 2}, "Pair() got an unexpected or repeated argument 'left'"),
+    ((), {"left": 1, "other": 2}, "Pair() got an unexpected or repeated argument 'other'"),
+    ((), {"left": 1, "right": 2, "other": 3},
+     "Pair() got an unexpected or repeated argument 'other'"),
+    ((), {"right": 2}, "Pair() missing argument 'left'"),
+    ((), {}, "Pair() missing argument 'left'"),
+])
+def test_a_bad_call_names_its_fault(args, kwargs, text):
+    with pytest.raises(TypeError) as exc:
+        Pair(*args, **kwargs)
+    assert str(exc.value) == text
+
+
+def test_every_call_shape_binds_the_fields_in_order():
+    calls = [Pair(1, 2), Pair(left=1, right=2), Pair(right=2, left=1), Pair(1, right=2)]
+    assert [repr(pair) for pair in calls] == ["Pair(left=1, right=2)"] * 4
+    assert Pair(1) == Pair(left=1) == Pair(1, 0)
