@@ -67,15 +67,24 @@ class ReservationTable(Value):
         return max(len(m) for m in self.marks.values())
 
     def ascii_grid(self) -> str:
-        """Render the table as text: rows are stages, columns steps, X marks."""
+        """Render the table as text: rows are stages, columns steps, X marks.
+
+        Each column is as wide as its step number, right-aligned; a row is
+        the blank row with an ``X`` put in where each of its marks ends.
+        """
         name_width = max(len(s.name) for s in self.stages)
-        widths = [len(str(i)) for i in range(self.length)]
-        header = " " * name_width + "  " + " ".join(str(i).rjust(w) for i, w in enumerate(widths))
-        lines = [header]
+        numbers = [str(i) for i in range(self.length)]
+        blank = " ".join(" " * (len(n) - 1) + "." for n in numbers)
+        # The offset in ``blank`` of each column's last character.
+        last = [end - 2 for end in accumulate(len(n) + 1 for n in numbers)]
+        lines = [" " * name_width + "  " + " ".join(numbers)]
         for stage in self.stages:
-            row = set(self.marks[stage])
-            cells = " ".join(("X" if i in row else ".").rjust(w) for i, w in enumerate(widths))
-            lines.append(stage.name.ljust(name_width) + "  " + cells)
+            parts, start = [stage.name.ljust(name_width), "  "], 0
+            for step in self.marks[stage]:
+                parts += (blank[start:last[step]], "X")
+                start = last[step] + 1
+            parts.append(blank[start:])
+            lines.append("".join(parts))
         return "\n".join(lines)
 
 

@@ -30,6 +30,18 @@ def marks_by_scan(route: ps.Route) -> dict[str, list[int]]:
     return {name: sorted(v) for name, v in marks.items()}
 
 
+def grid_by_cells(table: ps.ReservationTable) -> str:
+    """The text grid of a table, one right-aligned cell at a time."""
+    name_width = max(len(s.name) for s in table.stages)
+    widths = [len(str(i)) for i in range(table.length)]
+    lines = [" " * name_width + "  " + " ".join(str(i).rjust(w) for i, w in enumerate(widths))]
+    for stage in table.stages:
+        row = set(table.marks[stage])
+        cells = " ".join(("X" if i in row else ".").rjust(w) for i, w in enumerate(widths))
+        lines.append(stage.name.ljust(name_width) + "  " + cells)
+    return "\n".join(lines)
+
+
 def schedule_conflicts(route: ps.Route, issue_times: list[int]) -> int:
     """Count double-bookings when transactions issue at the given times."""
     marks = marks_by_scan(route)

@@ -16,6 +16,7 @@ from oracles import (
     cycle_is_permissible,
     forbidden_by_differences,
     forbidden_by_schedule,
+    grid_by_cells,
     karp_mal_cycle,
     marks_by_scan,
     random_expr,
@@ -111,6 +112,19 @@ def test_ascii_grid_shape(looped_route):
     lines = grid.splitlines()
     assert len(lines) == 4
     assert lines[1].startswith("S1") and lines[1].count("X") == 3
+
+
+@settings(max_examples=150, deadline=None)
+@given(routes())
+def test_ascii_grid_matches_a_cell_by_cell_rendering(route):
+    table = ps.reservation_table(route)
+    assert table.ascii_grid() == grid_by_cells(table)
+
+
+@pytest.mark.parametrize("length", [9, 10, 11, 99, 100, 101, 1001])
+def test_ascii_grid_across_column_widths(length):
+    table = ps.reservation_table(sparse_route(length, 3))
+    assert table.ascii_grid() == grid_by_cells(table)
 
 
 # -- forbidden latencies ----------------------------------------------------
@@ -308,6 +322,17 @@ def test_mal_of_sparse_route_above_row_bound():
     assert report.mal_cycle.latencies == (5, 4, 5, 4, 1, 4, 4, 1, 4)
     assert ps.minimal_average_latency(report.vector) == report.mal_cycle
     assert cycle_is_permissible(route, report.mal_cycle.latencies)
+
+
+def test_a_mal_below_the_row_bound_is_an_internal_error(looped_route, monkeypatch):
+    """S1 is busy at three steps of the looped route, so no cycle averages
+    below 3; a search that claimed one would be wrong, and analyze says so."""
+    import pipesim.analysis
+
+    monkeypatch.setattr(pipesim.analysis, "_minimal_cycle", lambda vector, bound: IssueCycle((2,)))
+    with pytest.raises(AnalysisError, match="^internal error: MAL fell below the "
+                                            "reservation-table lower bound$"):
+        ps.analyze(looped_route)
 
 
 # SHA-256 over (length, sorted forbidden set, greedy latencies, MAL latencies)
