@@ -6,9 +6,8 @@ regular expression of named groups.  A ``ws`` or ``comment`` match is
 skipped, an ``other`` match is an unexpected character, and every other group
 name becomes a token kind.  Positions are zero-based offsets into the text.
 
-A :class:`Token` is a plain 3-tuple with named read access, built in
-:func:`tokenize` by ``tuple.__new__``: a ``typing.NamedTuple`` costs a class
-build at import and a Python-level constructor call per token.
+A :class:`Token` is a plain 3-tuple with named read access; :func:`tokenize`
+builds each one with ``tuple.__new__``, making no Python-level call per token.
 """
 
 from __future__ import annotations
