@@ -230,7 +230,7 @@ def parse_pipeline_text(text: str) -> PipelineSetup:
     if not pipeline_defs:
         parser.fail("no pipeline expression", 0)
 
-    names: dict[str, None] = {}
+    names: dict[str, None] = {}  # an ordered set: declaration order gives the ordinals
     for name_token, _ in stage_blocks:
         if name_token.text in names:
             parser.fail(f"duplicate stage {name_token.text!r}", name_token.position)
