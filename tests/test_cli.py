@@ -1022,6 +1022,19 @@ def test_console_main_in_the_test_process_is_refused(write_file, capsys, monkeyp
     assert capsys.readouterr() == (looped_analysis_text(), "")
 
 
+def test_a_failed_flush_in_the_test_process_goes_to_sys_exit(write_file, monkeypatch):
+    class Unflushable(io.StringIO):
+        def flush(self):
+            raise OSError("flush failed")
+
+    stdout = Unflushable()
+    monkeypatch.setattr(sys, "argv", ["pipesim", "analyze", write_file("looped.pipe", LOOPED)])
+    monkeypatch.setattr(sys, "stdout", stdout)
+    with pytest.raises(SystemExit) as exc:
+        cli.console_main()
+    assert (exc.value.code, stdout.getvalue()) == (0, looped_analysis_text())
+
+
 # No netlist elaborated from a file deadlocks, so the exit-2 case makes
 # ``simulate.run`` raise, in process and in the child alike.
 _DEADLOCK = "deadlock: forced for the exit path"
