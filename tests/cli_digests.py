@@ -10,8 +10,10 @@ README's quad and feedback routes, a fork/join route with a signal and an
 untimed stage, a route on which eager issue has a granted write refused,
 a route with a repeat count past the route limit, a route whose stages are
 declared in an order other than the one it first uses them in, a chain of
-256 distinct stages, each of ``test_cli.MALFORMED_FILES``, and a file of
-4,000 input values. From that directory it runs ``pipesim.cli.main`` in this
+256 distinct stages, a fork merged by ``join = sum``, a signal stage fed
+faster than it reads, forks with no join, a reactive stage on a blocking
+channel, a file that is not UTF-8, each of ``test_cli.MALFORMED_FILES``, and
+a file of 4,000 input values. From that directory it runs ``pipesim.cli.main`` in this
 process over each invocation below, and prints ``<digest>  <arguments>``,
 where the digest is a SHA-256 over the exit code, stdout, stderr and every
 file the invocation wrote. Paths are relative, so two runs of one checkout
@@ -87,6 +89,21 @@ CHAIN = "".join(
     for i in range(256)
 ) + f"pipeline = {' >> '.join(f'C{i}' for i in range(256))};\n"
 
+FORK_SUM = FORK_JOIN.replace('join = "dataL + dataR - orig";', "join = sum;")
+
+# S2 reads every 3 ns from a signal channel that S1 writes every 1 ns under
+# eager issue, so the values S2 has not read yet are overwritten and dropped.
+DROPS = """\
+stage S1 { fn = "data + orig";          delay = 1; }
+stage S2 { fn = "-(data - 3*orig) / 2"; delay = 3; channel = signal; }
+pipeline = S1 >> S2;
+"""
+
+REACTIVE_BLOCKING = FORK_JOIN.replace("channel = signal;", "exec = reactive;")
+
+# The bytes of latin1.pipe, which are not UTF-8; FILES holds text only.
+NOT_UTF8 = QUAD.replace("quad.pipe", "quad.pipe, caf\xe9").encode("latin-1")
+
 FILES = {
     "quad.pipe": QUAD,
     "feedback.pipe": FEEDBACK,
@@ -97,6 +114,11 @@ FILES = {
     "overlimit.pipe": QUAD.replace("S2 >>", "S2*1000000000000000000000 >>"),
     "order.pipe": OUT_OF_ORDER,
     "chain.pipe": CHAIN,
+    "forksum.pipe": FORK_SUM,
+    "drops.pipe": DROPS,
+    "nojoin.pipe": FORK_JOIN.replace('join = "dataL + dataR - orig";\n', ""),
+    "lastfork.pipe": QUAD.replace("S2 >> S3;", "S2 + S3;"),
+    "reactive.pipe": REACTIVE_BLOCKING,
     "inputs4000.txt": "".join(f"{(i * 389) % 1999 - 999}\n" for i in range(4000)),
     **{f"malformed{number:02}.pipe": text for number, (text, _) in enumerate(MALFORMED_FILES)},
 }
@@ -156,6 +178,17 @@ INVOCATIONS = [
     *(["analyze", "chain.pipe", "--format", fmt] for fmt in ("text", "json-like")),
     ["elaborate", "chain.pipe"],
     ["run", "chain.pipe", "--inputs", "1", "--format", "json-like"],
+    # A named join, dropped signal values, a stage function with a negated
+    # group, forks with no join, a setting conflict and a file that is not
+    # UTF-8.
+    *(["run", "forksum.pipe", "--inputs", "0,1.5,-2", "--format", fmt]
+      for fmt in ("text", "json-like")),
+    *(["run", "drops.pipe", "--inputs", "1,2,3,4,5", "--issue", "eager", "--format", fmt]
+      for fmt in ("text", "json-like")),
+    *([command, name, *inputs] for name in ("nojoin.pipe", "lastfork.pipe")
+      for command, *inputs in (["run", "--inputs", "1"], ["elaborate"])),
+    ["analyze", "reactive.pipe"],
+    ["analyze", "latin1.pipe"],
 ]
 
 
@@ -183,6 +216,7 @@ def digest_lines() -> list[str]:
         try:
             for name, text in FILES.items():
                 Path(name).write_text(text, encoding="utf-8")
+            Path("latin1.pipe").write_bytes(NOT_UTF8)
             return [f"{invoke(argv)}  {' '.join(argv)}" for argv in INVOCATIONS]
         finally:
             os.chdir(home)

@@ -581,7 +581,7 @@ def test_elaborate_draws_signal_channels_dashed(write_file, capsys):
 
 
 def test_cli_output_digests_pinned():
-    """Every output byte of ``tests/cli_digests.py``'s 132 invocations: exit
+    """Every output byte of ``tests/cli_digests.py``'s 142 invocations: exit
     code, stdout, stderr and written files."""
     import cli_digests
 
