@@ -1,10 +1,12 @@
 """Lexer, token cursor and positioned error shared by the text front ends.
 
-Pipeline expressions (:mod:`dsl`), stage functions (:mod:`policy`) and
-definition files (:mod:`fileformat`) each describe their tokens as one
-regular expression of named groups.  A ``ws`` or ``comment`` match is
-skipped, an ``other`` match is an unexpected character, and every other group
-name becomes a token kind.  Positions are zero-based offsets into the text.
+There are two token patterns, each one regular expression of named groups:
+:data:`PIPE_TOKEN` for the pipeline language, which definition files
+(:mod:`fileformat`), ``--issue`` values and pipeline expressions
+(:func:`dsl.parse`) share, and :mod:`policy`'s for stage functions.  A ``ws``
+or ``comment`` match is skipped, an ``other`` match is an unexpected
+character, and every other group name becomes a token kind.  Positions are
+zero-based offsets into the text.
 
 A :class:`Token` is a plain 3-tuple with named read access; :func:`tokenize`
 builds each one with ``tuple.__new__``, making no Python-level call per token.
@@ -46,19 +48,31 @@ class Token(tuple):
         return tuple.__new__(cls, (kind, text, position))
 
 
-def unexpected_character(char: str) -> str:
-    return f"unexpected character {char!r}"
+# The pipeline language.  A comment is tried after a string, so a '#' inside
+# quotes stays in the string.
+PIPE_TOKEN = re.compile(
+    r"""
+    (?P<ws>\s+)
+  | (?P<string>"(?:[^"\\]|\\.)*")
+  | (?P<comment>\#[^\n]*)
+  | (?P<shift>>>)
+  | (?P<int>\d+)
+  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<star>\*)
+  | (?P<plus>\+)
+  | (?P<punct>[{}=;:()])
+  | (?P<other>.)
+    """,
+    re.VERBOSE,
+)
 
 
 def tokenize(
-    pattern: re.Pattern,
-    text: str,
-    error: Callable[[str, int], Exception],
-    unexpected: Callable[[str], str] = unexpected_character,
+    pattern: re.Pattern, text: str, error: Callable[[str, int], Exception]
 ) -> list[Token]:
     """Tokens of ``text``, closed by an ``end`` token at ``len(text)``.
 
-    The first ``other`` match raises ``error(unexpected(char), offset)``.
+    The first ``other`` match raises ``error(message, offset)``.
     """
     tokens = []
     new = tuple.__new__
@@ -67,7 +81,7 @@ def tokenize(
         if kind == "ws" or kind == "comment":
             continue
         if kind == "other":
-            raise error(unexpected(match[0]), match.start())
+            raise error(f"unexpected character {match[0]!r}", match.start())
         tokens.append(new(Token, (kind, match[0], match.start())))
     tokens.append(Token("end", "", len(text)))
     return tokens

@@ -15,13 +15,12 @@ that type follows.
 
 from __future__ import annotations
 
-import re
 from collections.abc import Iterable, Iterator, Mapping
 from functools import cached_property
 from types import MappingProxyType
 from typing import Union
 
-from ._lex import Cursor, PositionedError, Token, read_int, tokenize, unexpected_character
+from ._lex import PIPE_TOKEN, Cursor, PositionedError, Token, read_int, tokenize
 from ._value import Value
 from .errors import PipelineError
 
@@ -370,26 +369,13 @@ def _pretty_term(node: PipeExpr) -> str:
 # Parentheses are deliberately rejected: grouping has no defined meaning in
 # this grammar.
 
-# Compiled on first use by :func:`parse`, its only reader; ``.pipe`` files
-# have their own lexer.
-_TOKEN_PATTERN = r"""
-    (?P<ws>\s+)
-  | (?P<shift>>>)
-  | (?P<star>\*)
-  | (?P<plus>\+)
-  | (?P<int>\d+)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<other>.)
-"""
-
-
 _KINDS = frozenset(("shift", "star", "plus", "int", "ident", "end"))
 
 
 def _unexpected(char: str) -> str:
     if char in "()":
         return "parentheses are not supported in pipeline expressions"
-    return unexpected_character(char)
+    return f"unexpected character {char!r}"
 
 
 class _Parser(Cursor):
@@ -440,11 +426,10 @@ class _Parser(Cursor):
 
 
 def parse_tokens(tokens: list[Token], decls: StageSet) -> PipeExpr:
-    """Parse expression tokens closed by ``end``, such as a definition file's.
+    """Parse :data:`.PIPE_TOKEN` tokens closed by ``end``, such as a definition file's.
 
-    Kinds are those of this module's lexer.  The first token of another kind
-    is rejected as the character it starts with, before any grammar error,
-    as :func:`parse` would reject that character.
+    The first string or punctuation token is rejected as the character it
+    starts with, before any grammar error.
     """
     for token in tokens:
         if token.kind not in _KINDS:
@@ -458,8 +443,9 @@ def parse_tokens(tokens: list[Token], decls: StageSet) -> PipeExpr:
 def parse(text: str, decls: StageSet) -> PipeExpr:
     """Parse a textual pipeline expression against a declaration set.
 
-    The resulting AST is identical to the one the builder operators produce
-    for the same expression.
+    The text is read with a definition file's tokens, so ``#`` starts a
+    comment, and the AST or error is the one that ``pipeline = text;`` gives.
+    The AST is identical to the one the builder operators produce for the
+    same expression.
     """
-    token_re = re.compile(_TOKEN_PATTERN, re.VERBOSE)  # cached by re after the first call
-    return parse_tokens(tokenize(token_re, text, ParseError, _unexpected), decls)
+    return parse_tokens(tokenize(PIPE_TOKEN, text, ParseError), decls)

@@ -21,11 +21,10 @@ Comments run from a ``#`` outside a quoted string to end of line.
 from __future__ import annotations
 
 import os
-import re
 
 from . import dsl
 from .dsl import PipeExpr, Route, StageId, StageSet
-from ._lex import Cursor, PositionedError, Token, read_int, tokenize
+from ._lex import PIPE_TOKEN as _FILE_TOKEN, Cursor, PositionedError, Token, read_int, tokenize
 from ._value import Value
 from .errors import PipelineError
 from .policy import (
@@ -74,25 +73,6 @@ class PipelineSetup(Value):
 _KIND_SETTINGS = {"channel": ("channels", ChannelKind), "exec": ("exec", ExecKind)}
 _STAGE_SETTINGS = ("fn", "delay", *_KIND_SETTINGS)
 _JOIN_WORDS = f"{JOIN_KINDS_TEXT} or a quoted expression"  # what a join setting gives
-
-# A comment is tried after a string, so a '#' inside quotes stays in the string.
-# Kinds a pipeline expression uses are named as in the expression lexer.
-_FILE_TOKEN = re.compile(
-    r"""
-    (?P<ws>\s+)
-  | (?P<string>"(?:[^"\\]|\\.)*")
-  | (?P<comment>\#[^\n]*)
-  | (?P<shift>>>)
-  | (?P<int>\d+)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<star>\*)
-  | (?P<plus>\+)
-  | (?P<punct>[{}=;:()])
-  | (?P<other>.)
-    """,
-    re.VERBOSE,
-)
-
 
 class _FileParser(Cursor):
     def __init__(self, text: str):

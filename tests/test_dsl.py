@@ -195,6 +195,44 @@ def test_parse_mixed_operators(decls):
     assert ps.parse("S1 >> S2 + S3 >> S4", decls) == built
 
 
+_STAGE_BLOCKS = "".join(f'stage S{i} {{ fn = "data"; delay = 1; }}\n' for i in range(1, 5))
+_EXPR_PIECES = ["S1", "S2", "S3", "S9", ">>", ">", "*", "+", "0", "2", "12", " ", "\n",
+                "(", ")", "{", "#", '"', "$", ":"]
+
+
+def _outcome(parse, text: str, offset: int):
+    """What ``parse(text)`` gives: ``(result, None)``, or the error's message
+    and its position less ``offset``."""
+    try:
+        return parse(text), None
+    except (ps.ParseError, ps.PipelineFileError) as exc:
+        return exc.args[0], exc.position - offset
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.sampled_from(_EXPR_PIECES), max_size=8).map("".join))
+@example("S1 ( $")
+@example("S1 # x")
+@example('S1 >> "S2 # x" >> S3')
+@example("")
+def test_parse_and_a_files_pipeline_setting_agree(text):
+    """``parse(text)`` and a file's ``pipeline = text`` read one grammar:
+    equal ASTs, or the same message at the same offset.  An error at the end
+    of the text is the exception, as the file places its end where the last
+    token ends.  The newline keeps a comment in the text from swallowing the
+    ``;``."""
+    decls = ps.declare_stages(["S1", "S2", "S3", "S4"])
+    head = f"{_STAGE_BLOCKS}pipeline = "
+    expr, where = _outcome(lambda text: ps.parse(text, decls), text, 0)
+    setup, file_where = _outcome(ps.parse_pipeline_text, f"{head}{text}\n;", len(head))
+    if where is None or file_where is None:
+        assert where is file_where is None
+        assert setup.pipelines["main"] == expr
+    else:
+        assert setup == expr
+        assert file_where == where or where == len(text)
+
+
 # -- flattening and round trips ---------------------------------------------
 
 
