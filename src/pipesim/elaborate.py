@@ -15,7 +15,7 @@ from typing import Mapping, Union
 from ._value import Value
 from .dsl import Route, StageId, StageSet
 from .errors import PipelineError
-from .policy import ChannelKind, CheckedConfig, StageConfig
+from .policy import ChannelKind, CheckedConfig, StageConfig, validate_config
 
 ENTRY = "entry"
 EXIT_NODE = "exit"
@@ -124,7 +124,9 @@ def elaborate(
 
     A stage is instantiated once no matter how often the route reuses it;
     feedback is realized purely by routing.  Edges take their stage's channel
-    kind from ``checked``, or else the :class:`.StageConfig` default.
+    kind from ``checked``, or else the :class:`.StageConfig` default.  As in
+    :func:`.run`, ``checked`` is a public record, so its configs and join are
+    checked against ``route`` like any others.
     """
     if decls is not None:
         for stage in route.stages:
@@ -132,6 +134,8 @@ def elaborate(
                 raise ElaborationError(
                     f"stage {stage.name!r} is not in the declaration set"
                 )
+    if checked is not None:
+        checked = validate_config(route, checked.configs, join=checked.join)
     stages = route.stages
 
     routers = [

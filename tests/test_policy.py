@@ -402,6 +402,20 @@ def test_run_checks_a_checked_config_against_the_route(decls):
         assert str(exc.value) == str(expected.value)
 
 
+def test_elaborate_checks_a_checked_config_against_the_route():
+    # A hand-built CheckedConfig used to end in KeyError without configs, and
+    # in AttributeError with entries that are not StageConfigs.
+    decls = ps.declare_stages(["A", "B"])
+    a, b = decls
+    route = ps.flatten(a >> b)
+    for bare in ({}, {a: 5, b: "x"}):
+        with pytest.raises(ps.ConfigError) as expected:
+            ps.validate_config(route, bare)
+        with pytest.raises(ps.ConfigError) as exc:
+            ps.elaborate(route, decls, ps.CheckedConfig(route, bare, None, ()))
+        assert str(exc.value) == str(expected.value)
+
+
 def test_fork_without_join_names_merge_router(decls):
     route = ps.flatten(ps.parse("S1 >> S2 + S3 >> S4", decls))
     configs = [ps.StageConfig(s, ps.parse_function("data")) for s in route.stages]
