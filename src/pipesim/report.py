@@ -160,15 +160,14 @@ def _mal_text(report: AnalysisReport) -> str:
 def analysis_text(name: str, report: AnalysisReport) -> str:
     lines = [f"pipeline {name}: {report.route.describe()}  ({len(report.route)} steps)"]
     lines.append("reservation table:")
-    for row in report.table.ascii_grid().splitlines():
-        lines.append(f"  {row}")
+    lines.append("  " + report.table.ascii_grid().replace("\n", "\n  "))
     forbidden = " ".join(str(d) for d in report.forbidden) if report.forbidden else "(none)"
     lines.append(f"forbidden latencies: {forbidden}")
     bits = report.vector.bitstring()
     lines.append(f"collision vector: {bits if bits else '(empty)'}")
     lines.append(f"greedy cycle: {_cycle_text(report.greedy)}")
-    lines.append(_mal_text(report))
-    return "\n".join(lines) + "\n"
+    lines += (_mal_text(report), "")
+    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
