@@ -60,13 +60,8 @@ from .errors import PipelineError
 class SimTime(Value):
     """Simulated time: nanoseconds plus a delta phase for zero-time ordering."""
 
-    __slots__ = ("ns", "delta")
-    ns: int
-    delta: int
-
-    def __init__(self, ns: int = 0, delta: int = 0):
-        object.__setattr__(self, "ns", ns)
-        object.__setattr__(self, "delta", delta)
+    ns: int = 0
+    delta: int = 0
 
     def __lt__(self, other):
         if other.__class__ is self.__class__:
