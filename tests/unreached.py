@@ -1,4 +1,5 @@
-"""List the statements of ``src/pipesim`` that the test suite never executes.
+"""List the statements of ``src/pipesim`` that the test suite never executes,
+and those that no CLI invocation of the byte pin executes.
 
 Run from anywhere, with pytest and hypothesis installed::
 
@@ -11,7 +12,12 @@ count.  Docstrings, ``def``, ``class``, imports and ``nonlocal`` are not
 counted.  Lines that run only in child processes, such as the CLI tests'
 ``python -m pipesim`` runs, are not traced and are listed as unreached.
 ``test_gen0_collections_of_the_feedback_route`` is deselected, because the
-tracer's own allocations trigger collections.  The exit code is pytest's.
+tracer's own allocations trigger collections.
+
+Then, in the same process, it imports ``pipesim`` afresh and traces the
+invocations of ``tests/cli_digests.py``, whose output bytes
+``tests/cli_digests.txt`` pins, and prints a second list in the same form:
+each statement that none of them executes.  The exit code is pytest's.
 """
 
 from __future__ import annotations
@@ -50,7 +56,8 @@ def _is_docstring(node: ast.stmt) -> bool:
             and isinstance(node.value.value, str))
 
 
-def main() -> int:
+def _traced(run):
+    """``run()``'s result, and the lines of ``src/pipesim`` it executed, by file."""
     prefix = str(PACKAGE) + "/"
     executed: dict[str, set[int]] = {}
 
@@ -69,12 +76,14 @@ def main() -> int:
     threading.settrace(call)
     sys.settrace(call)
     try:
-        code = pytest.main([str(ROOT / "tests"), "-q", "-p", "no:cacheprovider",
-                            "--deselect", DESELECTED])
+        return run(), executed
     finally:
         sys.settrace(None)
         threading.settrace(None)
 
+
+def _report(executed: dict[str, set[int]], what: str) -> None:
+    """Print each counted statement with no executed line, then their count."""
     unreached = []
     for path in sorted(PACKAGE.glob("*.py")):
         source = path.read_text(encoding="utf-8")
@@ -84,7 +93,26 @@ def main() -> int:
             if not owned & ran:
                 unreached.append(f"{path.relative_to(ROOT)}:{lineno}: {lines[lineno - 1].strip()}")
     print("\n".join(unreached))
-    print(f"{len(unreached)} statements never executed")
+    print(f"{len(unreached)} statements {what}")
+
+
+def _digest_lines() -> list[str]:
+    """The digest corpus's lines, over modules imported afresh, so that the
+    statements that run at import count as executed."""
+    for name in [name for name in sys.modules
+                 if name in ("pipesim", "cli_digests") or name.startswith("pipesim.")]:
+        del sys.modules[name]
+    import cli_digests
+
+    return cli_digests.digest_lines()
+
+
+def main() -> int:
+    code, executed = _traced(lambda: pytest.main([
+        str(ROOT / "tests"), "-q", "-p", "no:cacheprovider", "--deselect", DESELECTED]))
+    _report(executed, "never executed")
+    _, executed = _traced(_digest_lines)
+    _report(executed, "that no invocation of tests/cli_digests.py executes")
     return int(code)
 
 
