@@ -72,7 +72,8 @@ def tokenize(
 ) -> list[Token]:
     """Tokens of ``text``, closed by an ``end`` token at ``len(text)``.
 
-    The first ``other`` match raises ``error(message, offset)``.
+    The first ``other`` match raises ``error`` with an "unexpected character"
+    message and its offset.
     """
     tokens = []
     new = tuple.__new__
