@@ -1,4 +1,5 @@
 import builtins
+import re
 import struct
 import sys
 
@@ -414,6 +415,41 @@ def test_elaborate_checks_a_checked_config_against_the_route():
         with pytest.raises(ps.ConfigError) as exc:
             ps.elaborate(route, decls, ps.CheckedConfig(route, bare, None, ()))
         assert str(exc.value) == str(expected.value)
+
+
+def test_a_config_checked_for_another_route_is_checked_for_the_given_one(decls):
+    # elaborate and run take a CheckedConfig built for another route as a fresh
+    # check of its configs and join against the route they are given.
+    configs = quad_configs(decls)
+    configs[1] = ps.StageConfig(decls["S2"], ps.parse_function("data + 4*orig"),
+                                channels=ps.ChannelKind.SIGNAL)
+    checked = ps.validate_config(ps.flatten(ps.parse("S1 >> S2 + S3", decls)), configs,
+                                 join=ps.JoinSpec.sum())
+    assert checked.warnings  # its route ends in a fork; the given one does not
+    route = ps.flatten(ps.parse("S1 + S2 >> S3 >> S2", decls))
+    fresh = ps.validate_config(route, configs, join=ps.JoinSpec.sum())
+    assert fresh.warnings == ()
+    netlist = ps.elaborate(route, decls, fresh)
+    assert netlist != ps.elaborate(route, decls)  # S2's signal channels
+    assert ps.elaborate(route, decls, checked) == netlist
+    inputs = [1.0, 2.0, 3.0]
+    result = ps.run(netlist, fresh, inputs)
+    assert ps.run(netlist, checked, inputs) == result
+    assert result != ps.run(netlist, configs, inputs, join=ps.JoinSpec.left())  # join kept
+    # One that does not cover the given route fails as a fresh check does.
+    chain = ps.validate_config(ps.flatten(ps.parse("S1 >> S2", decls)), configs[:2])
+    for text, message in (
+        ("S1 >> S2 >> S3", "missing configuration for stage(s): S3"),
+        ("S1 + S2 >> S1",
+         "fork at step 0 merges at the router feeding S1: a join specification is required"),
+    ):
+        route = ps.flatten(ps.parse(text, decls))
+        with pytest.raises(ps.ConfigError, match=f"^{re.escape(message)}$"):
+            ps.validate_config(route, chain.configs)
+        with pytest.raises(ps.ConfigError, match=f"^{re.escape(message)}$"):
+            ps.elaborate(route, decls, chain)
+        with pytest.raises(ps.ConfigError, match=f"^{re.escape(message)}$"):
+            ps.run(ps.elaborate(route, decls), chain, inputs)
 
 
 def test_fork_without_join_names_merge_router(decls):
