@@ -265,6 +265,12 @@ def fork(stages: Iterable[StageId]) -> PipeExpr:
 # Routes
 
 
+def stages_repr(stages: frozenset[StageId]) -> str:
+    """``repr`` of a set of stages, in ordinal order: equal sets, such as a
+    route's step and its copy, can iterate in different orders."""
+    return "frozenset({" + ", ".join(map(repr, sorted(stages, key=lambda s: s.ordinal))) + "})"
+
+
 class Route(Value):
     """The ordered steps a transaction visits; each step is a set of stages.
 
@@ -282,6 +288,10 @@ class Route(Value):
 
     def __len__(self) -> int:
         return len(self.steps)
+
+    def __repr__(self) -> str:
+        steps = ", ".join(map(stages_repr, self.steps))
+        return f"Route(steps=({steps}{',' if len(self.steps) == 1 else ''}))"
 
     @cached_property
     def marks(self) -> Mapping[StageId, tuple[int, ...]]:

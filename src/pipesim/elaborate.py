@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Mapping, Union
 
 from ._value import Value
-from .dsl import Route, StageId, StageSet
+from .dsl import Route, StageId, StageSet, stages_repr
 from .errors import PipelineError
 from .policy import ChannelKind, CheckedConfig, StageConfig, validate_config
 
@@ -51,6 +51,11 @@ class RoutingTable(Value):
     """
 
     entries: Mapping[int, Destination]
+
+    def __repr__(self) -> str:
+        entries = ", ".join(f"{i}: {dest!r}" if dest is EXIT else f"{i}: {stages_repr(dest)}"
+                            for i, dest in self.entries.items())
+        return f"RoutingTable(entries={{{entries}}})"
 
     def lookup(self, completed_step: int) -> Destination | None:
         return self.entries.get(completed_step)

@@ -1,7 +1,11 @@
 import copy
+import os
 import pickle
 import random
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -276,6 +280,37 @@ def test_route_copies_keep_every_field_and_rebuild_the_marks(decls, how):
     assert again.steps == route.steps and again.marks == route.marks
     assert again.stages == route.stages
     assert route.__reduce__() == (ps.Route, (route.steps,))
+
+
+# A route, its netlist and their copies, each printed under the hash seed of the
+# child: seeds 28 and 57 gave a copy's steps in another order than the original's.
+_COPY_REPRS = """\
+import copy, pickle
+import pipesim as ps
+decls = ps.declare_stages(["S1", "S2", "S3", "S4"])
+route = ps.flatten(ps.parse("S3 >> S1 + S2 >> S3*2 >> S1 + S2 + S4", decls))
+for value in (route, ps.elaborate(route, decls)):
+    for how in (copy.copy, copy.deepcopy, lambda value: pickle.loads(pickle.dumps(value))):
+        print(repr(how(value)))
+"""
+
+
+@pytest.mark.parametrize("seed", ["28", "57"])
+def test_copies_of_a_route_and_its_netlist_repr_alike_under_any_hash_seed(seed):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONHASHSEED=seed)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    lines = subprocess.run([sys.executable, "-c", _COPY_REPRS], env=env, capture_output=True,
+                           text=True, timeout=60, check=True).stdout.splitlines()
+    steps = ("frozenset({StageId('S3', 2)}), frozenset({StageId('S1', 0), StageId('S2', 1)}), "
+             "frozenset({StageId('S3', 2)}), frozenset({StageId('S3', 2)}), "
+             "frozenset({StageId('S1', 0), StageId('S2', 1), StageId('S4', 3)})")
+    assert lines[:3] == [f"Route(steps=({steps}))"] * 3
+    assert len(lines) == 6 and len(set(lines[3:])) == 1
+    table = ("RouterNode(name='r_S3', stage=StageId('S3', 2), table=RoutingTable(entries={"
+             "0: frozenset({StageId('S1', 0), StageId('S2', 1)}), 2: frozenset({StageId('S3', 2)}), "
+             "3: frozenset({StageId('S1', 0), StageId('S2', 1), StageId('S4', 3)})}))")
+    assert table in lines[3]
 
 
 def test_a_long_chain_hashes_each_stage_a_few_times(monkeypatch):
