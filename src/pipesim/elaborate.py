@@ -15,7 +15,7 @@ from typing import Mapping, Union
 from ._value import Value
 from .dsl import Route, StageId, StageSet, stages_repr
 from .errors import PipelineError
-from .policy import ChannelKind, CheckedConfig, StageConfig, validate_config
+from .policy import ChannelKind, CheckedConfig, StageConfig, for_route
 
 ENTRY = "entry"
 EXIT_NODE = "exit"
@@ -129,9 +129,9 @@ def elaborate(
 
     A stage is instantiated once no matter how often the route reuses it;
     feedback is realized purely by routing.  Edges take their stage's channel
-    kind from ``checked``, or else the :class:`.StageConfig` default.  As in
-    :func:`.run`, ``checked`` is a public record, so its configs and join are
-    checked against ``route`` like any others.
+    kind from ``checked``, or else the :class:`.StageConfig` default.  A
+    ``checked`` built for ``route`` is used as it is; one built for another
+    route is checked against ``route``.
     """
     if decls is not None:
         for stage in route.stages:
@@ -140,24 +140,11 @@ def elaborate(
                     f"stage {stage.name!r} is not in the declaration set"
                 )
     if checked is not None:
-        checked = validate_config(route, checked.configs, join=checked.join)
+        checked = for_route(route, checked)
     stages = route.stages
 
-    routers = [
-        RouterNode(
-            name=ENTRY,
-            stage=None,
-            table=RoutingTable(entries={-1: frozenset(route.steps[0])}),
-        )
-    ]
-    for stage in stages:
-        routers.append(
-            RouterNode(
-                name=router_name(stage),
-                stage=stage,
-                table=routing_table(route, stage),
-            )
-        )
+    routers = [RouterNode(ENTRY, None, RoutingTable({-1: frozenset(route.steps[0])}))]
+    routers += (RouterNode(router_name(s), s, routing_table(route, s)) for s in stages)
 
     edges: list[ChannelEdge] = []
     seen: set[tuple[str, str]] = set()

@@ -455,82 +455,71 @@ class IssueSpec(Value):
 
 
 class CheckedConfig(Value):
-    """A validated run configuration: every route stage covered, joins present."""
+    """A run configuration, checked against its route when built.
+
+    ``configs``, a sequence or mapping of :class:`StageConfig`, is kept as a
+    mapping in the route's stage order.  Raises :class:`ConfigError` for a
+    single :class:`StageConfig` or a non-iterable in place of the collection,
+    an entry that is not a :class:`StageConfig`, a missing or duplicate stage
+    config, or a fork without a join spec.  ``warnings`` are non-fatal.
+    """
 
     route: Route
     configs: Mapping[StageId, StageConfig]
     join: JoinSpec | None
-    warnings: tuple[str, ...]
+    _compared = ("route", "configs", "join", "warnings")
+
+    def __init__(self, route: Route, configs, join: JoinSpec | None = None):
+        if isinstance(configs, StageConfig) or not isinstance(configs, Iterable):
+            shown = "one" if isinstance(configs, StageConfig) else repr(configs)
+            raise ConfigError(f"configs must be a sequence or mapping of StageConfigs, not {shown}")
+        mapped = isinstance(configs, Mapping)
+        entries = list(configs.values() if mapped else configs)
+        for cfg in entries:
+            if not isinstance(cfg, StageConfig):
+                kind = type(cfg).__name__
+                raise ConfigError(f"stage configuration is a {kind}, not a StageConfig")
+        if mapped:
+            table = dict(configs)
+        else:
+            table = {}
+            for cfg in entries:
+                if cfg.stage in table:
+                    raise ConfigError(f"duplicate configuration for stage {cfg.stage.name!r}")
+                table[cfg.stage] = cfg
+        missing = [s.name for s in route.stages if s not in table]
+        if missing:
+            raise ConfigError(f"missing configuration for stage(s): {', '.join(missing)}")
+        for stage in route.stages:
+            if table[stage].stage != stage:
+                raise ConfigError(f"configuration keyed by {stage.name!r} "
+                                  f"describes {table[stage].stage.name!r}")
+        fork_steps = route.fork_steps()
+        if fork_steps and join is None:
+            first = fork_steps[0]
+            if first + 1 < len(route.steps):
+                successors = ", ".join(sorted(s.name for s in route.steps[first + 1]))
+                where = f"the router feeding {successors}"
+            else:
+                where = "the pipeline exit"
+            raise ConfigError(f"fork at step {first} merges at {where}: "
+                              "a join specification is required")
+        super().__init__(route, {s: table[s] for s in route.stages}, join)
+
+    @property
+    def warnings(self) -> tuple[str, ...]:
+        if len(self.route.steps[-1]) > 1:
+            return ("final step is a fork; branch outputs merge at the pipeline exit",)
+        return ()
 
     def config_of(self, stage: StageId) -> StageConfig:
         return self.configs[stage]
 
 
-def validate_config(
-    route: Route,
-    configs: Union[Mapping[StageId, StageConfig], Sequence[StageConfig]],
-    join: JoinSpec | None = None,
-) -> CheckedConfig:
-    """Check a set of stage configs against a route.
+validate_config = CheckedConfig  # the check, by the name of what it does
 
-    Raises :class:`ConfigError` for a single :class:`StageConfig` or a
-    non-iterable in place of the collection, an entry that is not a
-    :class:`StageConfig`, a missing or duplicate stage config, or a fork
-    without a join spec; each :class:`StageConfig` checked itself when it
-    was built.  Returns the
-    checked configuration together with non-fatal warnings.
-    """
-    if isinstance(configs, StageConfig):
-        raise ConfigError("configs must be a sequence or mapping of StageConfigs, not one")
-    if not isinstance(configs, Iterable):
-        raise ConfigError(
-            f"configs must be a sequence or mapping of StageConfigs, not {configs!r}"
-        )
-    mapped = isinstance(configs, Mapping)
-    entries = list(configs.values() if mapped else configs)
-    for cfg in entries:
-        if not isinstance(cfg, StageConfig):
-            raise ConfigError(f"stage configuration is a {type(cfg).__name__}, not a StageConfig")
-    if mapped:
-        table = dict(configs)
-    else:
-        table = {}
-        for cfg in entries:
-            if cfg.stage in table:
-                raise ConfigError(f"duplicate configuration for stage {cfg.stage.name!r}")
-            table[cfg.stage] = cfg
 
-    missing = [s.name for s in route.stages if s not in table]
-    if missing:
-        raise ConfigError(f"missing configuration for stage(s): {', '.join(missing)}")
-
-    for stage in route.stages:
-        cfg = table[stage]
-        if cfg.stage != stage:
-            raise ConfigError(
-                f"configuration keyed by {stage.name!r} describes {cfg.stage.name!r}"
-            )
-
-    warnings: list[str] = []
-    fork_steps = route.fork_steps()
-    if fork_steps and join is None:
-        first = fork_steps[0]
-        if first + 1 < len(route.steps):
-            successors = ", ".join(sorted(s.name for s in route.steps[first + 1]))
-            where = f"the router feeding {successors}"
-        else:
-            where = "the pipeline exit"
-        raise ConfigError(
-            f"fork at step {first} merges at {where}: a join specification is required"
-        )
-    if fork_steps and fork_steps[-1] == len(route.steps) - 1:
-        warnings.append(
-            "final step is a fork; branch outputs merge at the pipeline exit"
-        )
-
-    return CheckedConfig(
-        route=route,
-        configs={s: table[s] for s in route.stages},
-        join=join,
-        warnings=tuple(warnings),
-    )
+def for_route(route: Route, config: CheckedConfig) -> CheckedConfig:
+    """``config`` as it is if it was built for ``route``, else its configs and
+    join checked against ``route``."""
+    return config if config.route == route else CheckedConfig(route, config.configs, config.join)

@@ -75,7 +75,7 @@ from .policy import (
     IssueSpec,
     JoinSpec,
     StageConfig,
-    validate_config,
+    for_route,
 )
 
 
@@ -556,16 +556,17 @@ def run(
     the returned stats instead.  A negative horizon raises
     :class:`PipelineError`, and a ``join`` beside a :class:`CheckedConfig`
     raises :class:`ConfigError`: the checked config carries its join.  A
-    :class:`CheckedConfig` is a public record, so its configs and join are
-    checked against the netlist's route like any others.
+    :class:`CheckedConfig` built for the netlist's route is used as it is;
+    one built for another route is checked against it.
     """
     if horizon_ns is not None and horizon_ns < 0:
         raise PipelineError(f"horizon must be a non-negative number of ns, got {horizon_ns}")
-    if isinstance(stage_configs, CheckedConfig):
-        if join is not None:
-            raise ConfigError("pass the join to validate_config, not to run with a CheckedConfig")
-        stage_configs, join = stage_configs.configs, stage_configs.join
-    checked = validate_config(netlist.route, stage_configs, join=join)
+    if not isinstance(stage_configs, CheckedConfig):
+        checked = CheckedConfig(netlist.route, stage_configs, join)
+    elif join is not None:
+        raise ConfigError("pass the join to validate_config, not to run with a CheckedConfig")
+    else:
+        checked = for_route(netlist.route, stage_configs)
     if issue is None:
         issue = IssueSpec.greedy()
     table = analysis.reservation_table(netlist.route)

@@ -577,6 +577,26 @@ def test_elaborate_draws_signal_channels_dashed(write_file, capsys):
     ]
 
 
+def test_each_command_checks_its_stage_configs_once(write_file, capsys, monkeypatch):
+    # elaborate and simulate.run use the CheckedConfig that the command built
+    # as it is; they used to check it again.  Each check reads the route's
+    # fork steps once.
+    calls = 0
+    fork_steps = ps.Route.fork_steps
+
+    def counted(route):
+        nonlocal calls
+        calls += 1
+        return fork_steps(route)
+
+    monkeypatch.setattr(ps.Route, "fork_steps", counted)
+    path = write_file("signal.pipe", SIGNAL_FORK)
+    for argv in (["run", path, "--inputs", "0,1,2"], ["elaborate", path]):
+        calls = 0
+        assert invoke(capsys, *argv)[0] == 0
+        assert (argv[0], calls) == (argv[0], 1)
+
+
 # -- determinism ----------------------------------------------------------------------
 
 

@@ -399,7 +399,7 @@ def test_run_checks_a_checked_config_against_the_route(decls):
         with pytest.raises(ps.ConfigError) as expected:
             ps.validate_config(route, bare)
         with pytest.raises(ps.ConfigError) as exc:
-            ps.run(netlist, ps.CheckedConfig(route, bare, None, ()), [1.0])
+            ps.run(netlist, ps.CheckedConfig(route, bare, None), [1.0])
         assert str(exc.value) == str(expected.value)
 
 
@@ -413,7 +413,7 @@ def test_elaborate_checks_a_checked_config_against_the_route():
         with pytest.raises(ps.ConfigError) as expected:
             ps.validate_config(route, bare)
         with pytest.raises(ps.ConfigError) as exc:
-            ps.elaborate(route, decls, ps.CheckedConfig(route, bare, None, ()))
+            ps.elaborate(route, decls, ps.CheckedConfig(route, bare, None))
         assert str(exc.value) == str(expected.value)
 
 

@@ -95,12 +95,15 @@ CASES = [
      "channels=<ChannelKind.SIGNAL: 'signal'>, exec=<ExecKind.REACTIVE: 'reactive'>)"),
     (ps.IssueSpec, {"kind": "fixed", "interval": 2}, "IssueSpec(kind='fixed', interval=2)"),
     (ps.CheckedConfig,
-     {"route": ROUTE, "configs": {A: CONFIG}, "join": None, "warnings": ("w",)},
+     {"route": ROUTE, "configs": {A: CONFIG, B: ps.StageConfig(B, FN)}, "join": None},
      "CheckedConfig(route=Route(steps=(frozenset({StageId('A', 0)}), "
      "frozenset({StageId('B', 1)}))), configs={StageId('A', 0): StageConfig(stage="
      "StageId('A', 0), function=FunctionSpec(source='data + 1', variables=('orig', 'data')), "
      "timing=TimingSpec(delay=1), channels=<ChannelKind.BLOCKING: 'blocking'>, "
-     "exec=<ExecKind.LOOP: 'loop'>)}, join=None, warnings=('w',))"),
+     "exec=<ExecKind.LOOP: 'loop'>), StageId('B', 1): StageConfig(stage="
+     "StageId('B', 1), function=FunctionSpec(source='data + 1', variables=('orig', 'data')), "
+     "timing=TimingSpec(delay=1), channels=<ChannelKind.BLOCKING: 'blocking'>, "
+     "exec=<ExecKind.LOOP: 'loop'>)}, join=None, warnings=())"),
     (Transaction, {"id": 0, "orig": 1.0, "data": 2.0, "step": 1, "branch": A},
      "Transaction(id=0, orig=1.0, data=2.0, step=1, branch=StageId('A', 0))"),
     (TraceRecord,
