@@ -290,8 +290,8 @@ class Route(Value):
         return len(self.steps)
 
     def __repr__(self) -> str:
-        steps = ", ".join(map(stages_repr, self.steps))
-        return f"Route(steps=({steps}{',' if len(self.steps) == 1 else ''}))"
+        return (f"Route(steps=({', '.join(map(stages_repr, self.steps))}"
+                f"{',' if len(self.steps) == 1 else ''}))")
 
     @cached_property
     def marks(self) -> Mapping[StageId, tuple[int, ...]]:

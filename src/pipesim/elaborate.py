@@ -53,9 +53,9 @@ class RoutingTable(Value):
     entries: Mapping[int, Destination]
 
     def __repr__(self) -> str:
-        entries = ", ".join(f"{i}: {dest!r}" if dest is EXIT else f"{i}: {stages_repr(dest)}"
-                            for i, dest in self.entries.items())
-        return f"RoutingTable(entries={{{entries}}})"
+        return "RoutingTable(entries={" + ", ".join(
+            f"{i}: {dest!r}" if dest is EXIT else f"{i}: {stages_repr(dest)}"
+            for i, dest in self.entries.items()) + "})"
 
     def lookup(self, completed_step: int) -> Destination | None:
         return self.entries.get(completed_step)

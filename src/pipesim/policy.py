@@ -471,22 +471,19 @@ class CheckedConfig(Value):
 
     def __init__(self, route: Route, configs, join: JoinSpec | None = None):
         if isinstance(configs, StageConfig) or not isinstance(configs, Iterable):
-            shown = "one" if isinstance(configs, StageConfig) else repr(configs)
-            raise ConfigError(f"configs must be a sequence or mapping of StageConfigs, not {shown}")
+            raise ConfigError("configs must be a sequence or mapping of StageConfigs, not "
+                              + ("one" if isinstance(configs, StageConfig) else repr(configs)))
         mapped = isinstance(configs, Mapping)
         entries = list(configs.values() if mapped else configs)
         for cfg in entries:
             if not isinstance(cfg, StageConfig):
-                kind = type(cfg).__name__
-                raise ConfigError(f"stage configuration is a {kind}, not a StageConfig")
-        if mapped:
-            table = dict(configs)
-        else:
-            table = {}
-            for cfg in entries:
-                if cfg.stage in table:
-                    raise ConfigError(f"duplicate configuration for stage {cfg.stage.name!r}")
-                table[cfg.stage] = cfg
+                raise ConfigError(
+                    f"stage configuration is a {type(cfg).__name__}, not a StageConfig")
+        table = dict(configs) if mapped else {}
+        for cfg in [] if mapped else entries:  # a sequence configures each stage once
+            if cfg.stage in table:
+                raise ConfigError(f"duplicate configuration for stage {cfg.stage.name!r}")
+            table[cfg.stage] = cfg
         missing = [s.name for s in route.stages if s not in table]
         if missing:
             raise ConfigError(f"missing configuration for stage(s): {', '.join(missing)}")
@@ -508,9 +505,8 @@ class CheckedConfig(Value):
 
     @property
     def warnings(self) -> tuple[str, ...]:
-        if len(self.route.steps[-1]) > 1:
-            return ("final step is a fork; branch outputs merge at the pipeline exit",)
-        return ()
+        return (("final step is a fork; branch outputs merge at the pipeline exit",)
+                if len(self.route.steps[-1]) > 1 else ())
 
     def config_of(self, stage: StageId) -> StageConfig:
         return self.configs[stage]

@@ -561,12 +561,11 @@ def run(
     """
     if horizon_ns is not None and horizon_ns < 0:
         raise PipelineError(f"horizon must be a non-negative number of ns, got {horizon_ns}")
-    if not isinstance(stage_configs, CheckedConfig):
-        checked = CheckedConfig(netlist.route, stage_configs, join)
-    elif join is not None:
+    given = isinstance(stage_configs, CheckedConfig)
+    if given and join is not None:
         raise ConfigError("pass the join to validate_config, not to run with a CheckedConfig")
-    else:
-        checked = for_route(netlist.route, stage_configs)
+    checked = (for_route(netlist.route, stage_configs) if given
+               else CheckedConfig(netlist.route, stage_configs, join))
     if issue is None:
         issue = IssueSpec.greedy()
     table = analysis.reservation_table(netlist.route)
