@@ -143,8 +143,21 @@ def elaborate(
         checked = for_route(route, checked)
     stages = route.stages
 
-    routers = [RouterNode(ENTRY, None, RoutingTable({-1: frozenset(route.steps[0])}))]
-    routers += (RouterNode(router_name(s), s, routing_table(route, s)) for s in stages)
+    routers = [
+        RouterNode(
+            name=ENTRY,
+            stage=None,
+            table=RoutingTable(entries={-1: frozenset(route.steps[0])}),
+        )
+    ]
+    for stage in stages:
+        routers.append(
+            RouterNode(
+                name=router_name(stage),
+                stage=stage,
+                table=routing_table(route, stage),
+            )
+        )
 
     edges: list[ChannelEdge] = []
     seen: set[tuple[str, str]] = set()
