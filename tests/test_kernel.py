@@ -157,6 +157,54 @@ def test_join_left_right_pick_branch_by_declaration_order():
     assert right.trace.records[0].data == 15.0
 
 
+# A 3-way fork at the middle, first and last step, merged by the
+# non-commutative join dataL - dataR.  The branch delays of S2, S3 and S4 are
+# (3, 2, 1), so the declared-first copy arrives last, or (1, 2, 3), so it
+# arrives first; either way the copies merge in declaration order.  Each case
+# pins per input (data, injected_at, exited_at), then total_stalls.
+THREE_WAY_FORKS = {
+    ("S1 >> S2 + S3 + S4 >> S5", (3, 2, 1), "greedy"):
+        (((-28.0, 0, 5), (-16.0, 1, 8), (-4.0, 2, 11)), 2),
+    ("S1 >> S2 + S3 + S4 >> S5", (3, 2, 1), "eager"):
+        (((-28.0, 0, 5), (-16.0, 1, 8), (-4.0, 2, 11)), 4),
+    ("S1 >> S2 + S3 + S4 >> S5", (1, 2, 3), "greedy"):
+        (((-28.0, 0, 5), (-16.0, 1, 8), (-4.0, 2, 11)), 4),
+    ("S1 >> S2 + S3 + S4 >> S5", (1, 2, 3), "eager"):
+        (((-28.0, 0, 5), (-16.0, 1, 8), (-4.0, 2, 11)), 6),
+    ("S2 + S3 + S4 >> S5", (3, 2, 1), "greedy"):
+        (((-28.0, 0, 4), (-16.0, 3, 7), (-4.0, 6, 10)), 2),
+    ("S2 + S3 + S4 >> S5", (3, 2, 1), "eager"):
+        (((-28.0, 0, 4), (-16.0, 3, 7), (-4.0, 6, 10)), 2),
+    ("S2 + S3 + S4 >> S5", (1, 2, 3), "greedy"):
+        (((-28.0, 0, 4), (-16.0, 3, 7), (-4.0, 6, 10)), 4),
+    ("S2 + S3 + S4 >> S5", (1, 2, 3), "eager"):
+        (((-28.0, 0, 4), (-16.0, 3, 7), (-4.0, 6, 10)), 5),
+    ("S1 >> S2 + S3 + S4", (3, 2, 1), "greedy"):
+        (((-7.0, 0, 4), (-4.0, 1, 7), (-1.0, 2, 10)), 2),
+    ("S1 >> S2 + S3 + S4", (3, 2, 1), "eager"):
+        (((-7.0, 0, 4), (-4.0, 1, 7), (-1.0, 2, 10)), 4),
+    ("S1 >> S2 + S3 + S4", (1, 2, 3), "greedy"):
+        (((-7.0, 0, 4), (-4.0, 1, 7), (-1.0, 2, 10)), 4),
+    ("S1 >> S2 + S3 + S4", (1, 2, 3), "eager"):
+        (((-7.0, 0, 4), (-4.0, 1, 7), (-1.0, 2, 10)), 6),
+}
+
+
+@pytest.mark.parametrize("text, delays, issue", list(THREE_WAY_FORKS))
+def test_three_way_fork_merges_in_declaration_order_pinned(text, delays, issue):
+    functions = {"S1": "data + orig", "S2": "data * 2", "S3": "data + 10",
+                 "S4": "data - 3*orig", "S5": "data * 4"}
+    decls = ps.declare_stages(list(functions))
+    delay = dict(zip(("S2", "S3", "S4"), delays))
+    configs = [ps.StageConfig(decls[name], ps.parse_function(source),
+                              ps.TimingSpec.timed(delay.get(name, 1)))
+               for name, source in functions.items()]
+    result = run_route(decls, text, configs, [1.0, 2.0, 3.0], issue=ps.IssueSpec(issue),
+                       join=ps.JoinSpec.custom("dataL - dataR"))
+    rows = tuple((r.data, r.injected_at, r.exited_at) for r in result.trace.records)
+    assert (rows, result.stats.total_stalls) == THREE_WAY_FORKS[text, delays, issue]
+
+
 # -- issue policies ----------------------------------------------------------------
 
 
