@@ -84,17 +84,17 @@ class Transaction(Value):
 
     ``step`` counts completed progress along the route: a stage increments it
     exactly once per occupancy, and step == len(route) means the transaction
-    has left the pipeline.  ``branch`` is the stage handling the transaction
-    within the current step; fork copies share one id and merge back into a
-    single transaction before their common successor (or the exit).
+    has left the pipeline.  Fork copies share one id, one per stage of the
+    step; the router of each stage hands its copy to the join, which merges
+    them back into a single transaction before their common successor (or
+    the exit).
     """
 
-    __slots__ = ("id", "orig", "data", "step", "branch")
+    __slots__ = ("id", "orig", "data", "step")
     id: int
     orig: float
     data: float
     step: int
-    branch: StageId | None
 
     # Mutable, and compared by identity.
     __setattr__ = object.__setattr__
@@ -102,16 +102,11 @@ class Transaction(Value):
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
-    def __init__(self, id: int, orig: float, data: float, step: int = 0,
-                 branch: StageId | None = None):
+    def __init__(self, id: int, orig: float, data: float, step: int = 0):
         self.id = id
         self.orig = orig
         self.data = data
         self.step = step
-        self.branch = branch
-
-    def copy_for(self, branch: StageId) -> "Transaction":
-        return Transaction(self.id, self.orig, self.data, self.step, branch)
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +243,7 @@ class _Runtime:
         self.netlist = netlist
         self.route = netlist.route
         self._edges = {(e.src, e.dst) for e in netlist.edges}
-        self._join_pending: dict[tuple[int, int], list[Transaction]] = {}
+        self._join_pending: dict[tuple[int, int], list[tuple[int, Transaction]]] = {}
         # Resolved now, so that a custom join compiles when the run builds.
         self._merge = checked.join.merger() if checked.join is not None else None
 
@@ -285,26 +280,31 @@ class _Runtime:
             return self.in_channels[dest]
         return SeveredChannel(f"{src_node}->{dest.name} (severed)", self.engine)
 
-    def collect_join(self, txn: Transaction, completed_step: int) -> Transaction | None:
-        """Gather fork copies; returns the merged transaction once all arrived."""
+    def collect_join(self, txn: Transaction, completed_step: int,
+                     branch: StageId) -> Transaction | None:
+        """Gather fork copies; returns the merged transaction once all arrived.
+
+        ``branch`` is the stage that completed the step on this copy, the
+        stage of the router that received it; copies merge in the declaration
+        order of their branches.
+        """
         expected = len(self.route.steps[completed_step])
         key = (txn.id, completed_step)
         copies = self._join_pending.setdefault(key, [])
-        copies.append(txn)
+        copies.append((branch.ordinal, txn))
         if len(copies) < expected:
             return None
         del self._join_pending[key]
-        copies.sort(key=lambda t: t.branch.ordinal)
-        branches = [t.branch for t in copies]
-        if len(set(branches)) != len(branches):
+        if len({ordinal for ordinal, _ in copies}) < expected:
             raise JoinError(
                 f"join for transaction {txn.id} at step {completed_step} received "
                 f"two copies from the same branch"
             )
+        copies.sort()  # by ordinal alone: the ordinals differ
         merge = self._merge  # validation gave every forking route a join
-        merged = copies[0]
+        merged = copies[0][1]
         try:
-            for other in copies[1:]:
+            for _, other in copies[1:]:
                 merged.data = data = merge((merged.orig, merged.data, other.data))
                 if type(data) is float and not isfinite(data):
                     raise FunctionEvalError(f"result {data} is not finite")
@@ -314,34 +314,18 @@ class _Runtime:
             ) from None
         return merged
 
-    def targets(self, src_node: str, dests):
-        """``dests`` of a routing table entry as :meth:`forward` takes them.
+    def resolve(self, src_node: str, dests) -> tuple:
+        """The writes that deliver to a routing table entry's ``dests``.
 
-        That is EXIT, or one (stage, write) pair per stage in declaration
-        order, the write on the channel from ``src_node`` into the stage.
+        That is (EXIT, ()) at the exit, or else the write on the channel from
+        ``src_node`` into the first stage in declaration order and a tuple of
+        the writes into the others, in that order.
         """
         if dests is EXIT:
-            return EXIT
-        return tuple(
-            (stage, Write(self.channel_into(src_node, stage)))
-            for stage in sorted(dests, key=lambda s: s.ordinal)
-        )
-
-    def forward(self, txn: Transaction, targets) -> Sequence[tuple[Write, Transaction]]:
-        """The (write, copy) deliveries of a transaction to the next step.
-
-        Copies go out in stage declaration order.  At the exit the
-        transaction retires and there is nothing to deliver.
-        """
-        if targets is EXIT:
-            self.exit_ns[txn.id] = self.engine.ns
-            self.data[txn.id] = txn.data
-            return ()
-        if len(targets) == 1:
-            ((stage, write),) = targets
-            txn.branch = stage
-            return ((write, txn),)
-        return [(write, txn.copy_for(stage)) for stage, write in targets]
+            return EXIT, ()
+        first, *rest = (Write(self.channel_into(src_node, stage))
+                        for stage in sorted(dests, key=lambda s: s.ordinal))
+        return first, tuple(rest)
 
     def quiesced_message(self) -> str | None:
         in_flight = self.in_flight_ids()
@@ -444,17 +428,15 @@ def _router_method(rt: _Runtime, router: RouterNode, queue: QueueChannel):
 
     Each resume takes the transaction whose write to the stage's output woke
     it and queues its deliveries; the port process does the blocking writes.
-    Each completed step's table entry is resolved once, to its targets,
-    whether the step is a join, and its one (stage, write) pair if any.
+    Each completed step's table entry is resolved once (:meth:`_Runtime.resolve`),
+    beside whether the step is a join.  The transaction goes on the first
+    write and a fresh copy on each other one; at the exit it retires.
     """
     out_ch = rt.out_channels[router.stage]
     read = Read(out_ch)
     steps = rt.route.steps
-    table = {}
-    for step, dests in router.table.entries.items():
-        targets = rt.targets(router.name, dests)
-        single = targets[0] if targets is not EXIT and len(targets) == 1 else None
-        table[step] = (targets, len(steps[step]) > 1, single)
+    table = {step: (*rt.resolve(router.name, dests), len(steps[step]) > 1)
+             for step, dests in router.table.entries.items()}
     put = queue.put
 
     def resume(proc):
@@ -464,22 +446,23 @@ def _router_method(rt: _Runtime, router: RouterNode, queue: QueueChannel):
             return
         completed = txn.step - 1
         try:
-            targets, is_join, single = table[completed]
+            first, rest, is_join = table[completed]
         except KeyError:
             raise RoutingFault(
                 f"router {router.name}: no routing entry for completed step "
                 f"{completed} (transaction {txn.id})"
             ) from None
         if is_join:
-            txn = rt.collect_join(txn, completed)
+            txn = rt.collect_join(txn, completed, router.stage)
             if txn is None:
                 return
-        if single is not None:
-            txn.branch, write = single
-            put((write, txn))
-        else:
-            for delivery in rt.forward(txn, targets):
-                put(delivery)
+        if first is EXIT:
+            rt.exit_ns[txn.id] = rt.engine.ns
+            rt.data[txn.id] = txn.data
+            return
+        put((first, txn))
+        for write in rest:
+            put((write, Transaction(txn.id, txn.orig, txn.data, txn.step)))
 
     return resume
 
@@ -490,49 +473,48 @@ def _issue_method(rt: _Runtime, values: Sequence[float], times: Iterator[int]):
     ``times`` are the inputs' issue ns (:func:`.analysis.issue_times`).  An
     input with a time first sleeps until it, if it is ahead, then one delta
     more; an input past the end of ``times`` goes at once.  Its transaction
-    then writes a copy into each entry stage's input in stage order, parking
-    on a busy latch.  The call that injects the last input finishes the process.
+    then goes into the first entry stage's input and a fresh copy into each
+    other one, in stage order, parking on a busy latch.  The call that
+    injects the last input finishes the process.
     """
     engine = rt.engine
     sleep = engine.sleep
-    entry = rt.targets(ENTRY, rt.netlist.entry_router.table.lookup(-1))
+    first, rest = rt.resolve(ENTRY, rt.netlist.entry_router.table.lookup(-1))
     target = next(times, None)  # the next input's issue ns, until it is reached
     index = 0
-    txn = None  # the transaction being injected
-    copies = held = None  # its (write, copy) deliveries not yet written; a blocked write's copy
+    held = copies = None  # the value of ``proc.pending``'s write; the writes of ``rest`` left
 
     def resume(proc):
-        nonlocal target, index, txn, held, copies
-        write = proc.pending
-        if write is not None:
-            if not write.channel.try_write(proc, held):
-                return
-            proc.pending = None
+        nonlocal target, index, held, copies
         while True:
-            if txn is None:
-                if index == len(values):
-                    rt.issue_active = False
-                    proc.done = True
-                    return
-                if target is not None:
-                    if target > engine.ns:
-                        sleep(proc, target - engine.ns)
-                        return
-                    # Land after the nanosecond boundary: stage drains run at delta 0.
-                    target = None
-                    sleep(proc, 0)
-                    return
-                txn = Transaction(index, float(values[index]), 0.0)
-                rt.orig.append(txn.orig)
-                index += 1
-                copies = iter(rt.forward(txn, entry))
-            for write, held in copies:
+            write = proc.pending
+            if write is not None:  # an injection under way: the first write, or a refused one
                 if not write.channel.try_write(proc, held):
-                    proc.pending = write
                     return
-            rt.inject_ns[txn.id] = engine.ns
-            txn = None
-            target = next(times, None)
+                for write in copies:
+                    held = Transaction(held.id, held.orig, 0.0)
+                    if not write.channel.try_write(proc, held):
+                        proc.pending = write
+                        return
+                proc.pending = None
+                rt.inject_ns[held.id] = engine.ns
+                target = next(times, None)
+            if index == len(values):
+                rt.issue_active = False
+                proc.done = True
+                return
+            if target is not None:
+                if target > engine.ns:
+                    sleep(proc, target - engine.ns)
+                    return
+                # Land after the nanosecond boundary: stage drains run at delta 0.
+                target = None
+                sleep(proc, 0)
+                return
+            held = Transaction(index, float(values[index]), 0.0)
+            rt.orig.append(held.orig)
+            index += 1
+            proc.pending, copies = first, iter(rest)
 
     return resume
 
@@ -583,6 +565,8 @@ def run(
         engine.spawn(f"{router.name}.out", queue.drainer())
 
     truncated = engine.run(horizon_ns=horizon_ns, quiesced=rt.quiesced_message)
+    for proc in engine.processes:  # the only cycles a run makes go through these
+        proc.resume = proc.pending = None
 
     dropped_ids = rt.dropped_ids()
     ids = range(len(rt.orig))

@@ -104,8 +104,8 @@ CASES = [
      "StageId('B', 1), function=FunctionSpec(source='data + 1', variables=('orig', 'data')), "
      "timing=TimingSpec(delay=1), channels=<ChannelKind.BLOCKING: 'blocking'>, "
      "exec=<ExecKind.LOOP: 'loop'>)}, join=None, warnings=())"),
-    (Transaction, {"id": 0, "orig": 1.0, "data": 2.0, "step": 1, "branch": A},
-     "Transaction(id=0, orig=1.0, data=2.0, step=1, branch=StageId('A', 0))"),
+    (Transaction, {"id": 0, "orig": 1.0, "data": 2.0, "step": 1},
+     "Transaction(id=0, orig=1.0, data=2.0, step=1)"),
     (TraceRecord,
      {"txn_id": 0, "orig": 1.0, "data": 2.0, "injected_at": 0, "exited_at": None,
       "dropped": False},
@@ -206,7 +206,7 @@ def test_defaults():
     assert repr(ps.IssueSpec("eager")) == "IssueSpec(kind='eager', interval=None)"
     assert ps.SimTime() == ps.SimTime(0, 0)
     assert repr(Transaction(3, 1.0, 0.0)) == (
-        "Transaction(id=3, orig=1.0, data=0.0, step=0, branch=None)"
+        "Transaction(id=3, orig=1.0, data=0.0, step=0)"
     )
 
 
@@ -245,8 +245,6 @@ def test_transactions_compare_by_identity():
     two = Transaction(0, 1.0, 2.0)
     assert one == one and one != two
     assert len({one, two}) == 2
-    copy = one.copy_for(A)
-    assert copy != one and copy.branch is A and one.branch is None
 
 
 def test_missing_field_and_foreign_comparison():
