@@ -193,6 +193,13 @@ def _initial_state(vector: CollisionVector) -> int:
     return sum(1 << d for d, forbidden in enumerate(vector.bits, 1) if forbidden)
 
 
+# The most collision states an analysis builds.  The state graph can grow
+# exponentially with the reservation table (three uses of one stage in a
+# route of a few dozen steps are enough), and the time and memory of the MAL
+# search grow with it; past this bound the analysis stops with an error.
+MAX_STATES = 100_000
+
+
 def _state_graph(vector: CollisionVector) -> list[dict[int, int]]:
     """The collision-state graph from the initial vector, cheapest edges only.
 
@@ -202,7 +209,8 @@ def _state_graph(vector: CollisionVector) -> list[dict[int, int]]:
     when bit d of the state is clear.  From the first d with ``state >> d``
     zero, every latency leads back to the initial state, so d is the
     cheapest of them; when no d below L does, the restart latency L is.
-    Int-to-int dicts are not tracked by the garbage collector.
+    Int-to-int dicts are not tracked by the garbage collector.  A graph of
+    more than :data:`MAX_STATES` states raises :class:`AnalysisError`.
     """
     initial = _initial_state(vector)
     index = {initial: 0}
@@ -218,6 +226,9 @@ def _state_graph(vector: CollisionVector) -> list[dict[int, int]]:
                 v = index.get(dest)
                 if v is None:
                     v = index[dest] = len(states)
+                    if v == MAX_STATES:
+                        raise AnalysisError(
+                            f"the collision-state graph has more than {MAX_STATES} states")
                     states.append(dest)
                 if v not in out:
                     out[v] = d

@@ -91,10 +91,10 @@ def run_and_report(
     trace_path: str | None = None,
 ) -> int:
     """Execute one run and emit its report; returns the process exit code."""
-    from . import analysis, report, simulate  # here, so each command loads only what it runs
+    from . import report, simulate  # here, so each command loads only what it runs
     from .engine import DeadlockError
 
-    analysis_report = analysis.analyze(netlist.route)
+    analysis_report = _analysis(name, netlist.route)
     try:
         result = simulate.run(
             netlist, checked, inputs, issue=issue, horizon_ns=horizon_ns
@@ -114,24 +114,27 @@ def run_and_report(
     return EXIT_HORIZON if result.stats.truncated else EXIT_OK
 
 
+def _analysis(name: str, route, decls=None):
+    """The analysis of pipeline ``name``; an :class:`AnalysisError` names the pipeline."""
+    from . import analysis
+
+    try:
+        return analysis.analyze(route, decls)
+    except analysis.AnalysisError as exc:
+        raise PipelineError(f"pipeline {name!r}: {exc}") from None
+
+
 def _cmd_analyze(args) -> int:
-    from . import analysis, report
+    from . import report
 
     setup = load_pipeline_file(args.file)
+    reports = {name: _analysis(name, route, setup.decls) for name, route in setup.routes.items()}
     if args.fmt == "json-like":
-        mapping = {
-            "format_version": report.FORMAT_VERSION,
-            "pipelines": {
-                name: analysis.analyze(route, setup.decls).to_mapping()
-                for name, route in setup.routes.items()
-            },
-        }
+        pipelines = {name: analyzed.to_mapping() for name, analyzed in reports.items()}
+        mapping = {"format_version": report.FORMAT_VERSION, "pipelines": pipelines}
         print(report.canonical(mapping), file=_stdout())
-        return EXIT_OK
-    chunks = []
-    for name, route in setup.routes.items():
-        chunks.append(report.analysis_text(name, analysis.analyze(route, setup.decls)))
-    _stdout().write("\n".join(chunks))
+    else:
+        _stdout().write("\n".join(report.analysis_text(*item) for item in reports.items()))
     return EXIT_OK
 
 

@@ -189,6 +189,8 @@ INVOCATIONS = [
       for command, *inputs in (["run", "--inputs", "1"], ["elaborate"])),
     ["analyze", "reactive.pipe"],
     ["analyze", "latin1.pipe"],
+    # A run of the last malformed file, whose state graph passes the bound.
+    ["run", f"malformed{len(MALFORMED_FILES) - 1:02}.pipe", "--inputs", "1", "--issue", "eager"],
 ]
 
 

@@ -16,6 +16,7 @@ from oracles import (
     cycle_is_permissible,
     forbidden_by_differences,
     forbidden_by_schedule,
+    full_state_graph,
     grid_by_cells,
     karp_mal_cycle,
     marks_by_scan,
@@ -213,6 +214,19 @@ def test_mal_feedback_alternating_cycle(feedback_route):
     assert report.mal_cycle.latencies == (1, 3)
     # issue times 0,1,4,5,8,... have no pairwise difference of 2
     assert cycle_is_permissible(feedback_route, (1, 3))
+
+
+def test_state_graph_stops_past_its_bound(monkeypatch):
+    route = sparse_route(22, 3)
+    report = ps.analyze(route)
+    states = len(full_state_graph(report.vector))
+    assert states == 608
+    monkeypatch.setattr(ps.analysis, "MAX_STATES", states)
+    assert ps.analyze(route) == report
+    monkeypatch.setattr(ps.analysis, "MAX_STATES", states - 1)
+    with pytest.raises(AnalysisError) as exc:
+        ps.analyze(route)
+    assert str(exc.value) == "the collision-state graph has more than 607 states"
 
 
 def test_issue_cycle_average_is_rational():

@@ -603,7 +603,7 @@ def test_each_command_checks_its_stage_configs_once(write_file, capsys, monkeypa
 
 
 def test_cli_output_digests_pinned():
-    """Every output byte of ``tests/cli_digests.py``'s 142 invocations: exit
+    """Every output byte of ``tests/cli_digests.py``'s 145 invocations: exit
     code, stdout, stderr and written files."""
     import cli_digests
 
@@ -629,6 +629,19 @@ def test_cli_invocations_are_byte_identical(write_file, capsys, tmp_path):
 
 _A = 'stage A { fn = "data"; delay = 1; }\n'
 _AB = _A + 'stage B { fn = "data"; delay = 1; }\n'
+
+
+def reused_s0(length, marks):
+    """A file whose route uses stage S0 at the steps ``marks`` and a stage of
+    its own at every other step."""
+    others = length - len(marks)
+    decls = "".join(f'stage S{i} {{ fn = "data"; delay = 1; }}\n' for i in range(others + 1))
+    fresh = iter(range(1, others + 1))
+    steps = ("S0" if step in marks else f"S{next(fresh)}" for step in range(length))
+    return decls + f"pipeline = {' >> '.join(steps)};\n"
+
+
+_TOO_MANY_STATES = "pipeline 'main': the collision-state graph has more than 100000 states"
 
 # Exact stderr text for malformed definition files; every one exits 1.
 MALFORMED_FILES = [
@@ -729,6 +742,10 @@ MALFORMED_FILES = [
      "line 2, col 14: integer of 4301 digits is longer than the limit of 4300 digits"),
     (_A + "pipeline = A;\nissue = fixed:" + "1" * 4301 + ";\n",
      "line 3, col 15: integer of 4301 digits is longer than the limit of 4300 digits"),
+    # A collision-state graph past analysis.MAX_STATES: 317,811 states at 34
+    # steps; at 38 steps, unbounded, the graph takes all memory.
+    (reused_s0(34, (0, 12, 29)), _TOO_MANY_STATES),
+    (reused_s0(38, (0, 14, 33)), _TOO_MANY_STATES),
 ]
 
 
@@ -737,6 +754,13 @@ def test_malformed_file_diagnostics(write_file, capsys, text, message):
     path = write_file("bad.pipe", text)
     code, out, err = invoke(capsys, "analyze", path)
     assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_a_state_graph_past_the_bound_fails_run_as_it_fails_analyze(write_file, capsys):
+    # Every run analyzes its route, even one whose issue needs no state graph.
+    path = write_file("big.pipe", reused_s0(38, (0, 14, 33)))
+    assert invoke(capsys, "run", path, "--inputs", "1", "--issue", "eager") == (
+        1, "", f"error: {_TOO_MANY_STATES}\n")
 
 
 @pytest.mark.parametrize("settings, message", [
