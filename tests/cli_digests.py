@@ -12,9 +12,10 @@ a route with a repeat count past the route limit, a route whose stages are
 declared in an order other than the one it first uses them in, a chain of
 256 distinct stages, a fork merged by ``join = sum``, a signal stage fed
 faster than it reads, forks with no join, a reactive stage on a blocking
-channel, a file that is not UTF-8, each of ``test_cli.MALFORMED_FILES``, and
-a file of 4,000 input values. From that directory it runs ``pipesim.cli.main`` in this
-process over each invocation below, and prints ``<digest>  <arguments>``,
+channel, a file that is not UTF-8, a fork at the first step, each of
+``test_cli.MALFORMED_FILES``, a file of 4,000 input values and, last, each of
+``test_cli.STATE_BOUND_FILES``. From that directory it runs
+``pipesim.cli.main`` in this process over each invocation below, and prints ``<digest>  <arguments>``,
 where the digest is a SHA-256 over the exit code, stdout, stderr and every
 file the invocation wrote. Paths are relative, so two runs of one checkout
 print identical lines, and a change that keeps every output byte prints the
@@ -40,7 +41,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from pipesim import cli  # noqa: E402
-from test_cli import MALFORMED_FILES  # noqa: E402
+from test_cli import MALFORMED_FILES, STATE_BOUND_FILES  # noqa: E402
 
 QUAD = """\
 # quad.pipe -- computes 2x^2 + 4x - 7
@@ -101,6 +102,16 @@ pipeline = S1 >> S2;
 
 REACTIVE_BLOCKING = FORK_JOIN.replace("channel = signal;", "exec = reactive;")
 
+# A fork at the first step: under eager issue the issue process writes a copy
+# into S2, the slower branch, after its write into S1, and that write is refused.
+ENTRY_FORK = """\
+stage S1 { fn = "data + orig"; delay = 1; }
+stage S2 { fn = "data * 2";    delay = 2; }
+stage S3 { fn = "data - 1";    delay = 1; }
+pipeline = S1 + S2 >> S3;
+join = "dataL - dataR";
+"""
+
 # The bytes of latin1.pipe, which are not UTF-8; FILES holds text only.
 NOT_UTF8 = QUAD.replace("quad.pipe", "quad.pipe, caf\xe9").encode("latin-1")
 
@@ -119,6 +130,7 @@ FILES = {
     "nojoin.pipe": FORK_JOIN.replace('join = "dataL + dataR - orig";\n', ""),
     "lastfork.pipe": QUAD.replace("S2 >> S3;", "S2 + S3;"),
     "reactive.pipe": REACTIVE_BLOCKING,
+    "entryfork.pipe": ENTRY_FORK,
     "inputs4000.txt": "".join(f"{(i * 389) % 1999 - 999}\n" for i in range(4000)),
     **{f"malformed{number:02}.pipe": text for number, (text, _) in enumerate(MALFORMED_FILES)},
 }
@@ -189,8 +201,11 @@ INVOCATIONS = [
       for command, *inputs in (["run", "--inputs", "1"], ["elaborate"])),
     ["analyze", "reactive.pipe"],
     ["analyze", "latin1.pipe"],
-    # A run of the last malformed file, whose state graph passes the bound.
-    ["run", f"malformed{len(MALFORMED_FILES) - 1:02}.pipe", "--inputs", "1", "--issue", "eager"],
+    ["run", "entryfork.pipe", "--inputs", "1,2,3", "--issue", "eager", "--format", "json-like"],
+    # Routes whose collision-state graph passes the analysis bound.
+    *([command, f"states{number}.pipe", *options]
+      for command, *options in (["analyze"], ["run", "--inputs", "1", "--issue", "eager"])
+      for number in range(len(STATE_BOUND_FILES))),
 ]
 
 
@@ -219,6 +234,9 @@ def digest_lines() -> list[str]:
             for name, text in FILES.items():
                 Path(name).write_text(text, encoding="utf-8")
             Path("latin1.pipe").write_bytes(NOT_UTF8)
+            # Not in FILES, whose definition files the front-end fuzz edits.
+            for number, text in enumerate(STATE_BOUND_FILES):
+                Path(f"states{number}.pipe").write_text(text, encoding="utf-8")
             return [f"{invoke(argv)}  {' '.join(argv)}" for argv in INVOCATIONS]
         finally:
             os.chdir(home)

@@ -603,7 +603,7 @@ def test_each_command_checks_its_stage_configs_once(write_file, capsys, monkeypa
 
 
 def test_cli_output_digests_pinned():
-    """Every output byte of ``tests/cli_digests.py``'s 145 invocations: exit
+    """Every output byte of ``tests/cli_digests.py``'s 147 invocations: exit
     code, stdout, stderr and written files."""
     import cli_digests
 
@@ -742,11 +742,14 @@ MALFORMED_FILES = [
      "line 2, col 14: integer of 4301 digits is longer than the limit of 4300 digits"),
     (_A + "pipeline = A;\nissue = fixed:" + "1" * 4301 + ";\n",
      "line 3, col 15: integer of 4301 digits is longer than the limit of 4300 digits"),
-    # A collision-state graph past analysis.MAX_STATES: 317,811 states at 34
-    # steps; at 38 steps, unbounded, the graph takes all memory.
-    (reused_s0(34, (0, 12, 29)), _TOO_MANY_STATES),
-    (reused_s0(38, (0, 14, 33)), _TOO_MANY_STATES),
 ]
+
+# Files whose collision-state graph passes analysis.MAX_STATES: 317,811
+# states at 34 steps; at 38 steps, unbounded, the graph takes all memory.
+# analyze and run each exit 1 with _TOO_MANY_STATES.  They are not in
+# MALFORMED_FILES, whose files seed the front-end fuzz: an edit of one of these
+# can leave a graph just under the bound, which takes seconds to analyze.
+STATE_BOUND_FILES = [reused_s0(34, (0, 12, 29)), reused_s0(38, (0, 14, 33))]
 
 
 @pytest.mark.parametrize("text, message", MALFORMED_FILES)
@@ -756,10 +759,13 @@ def test_malformed_file_diagnostics(write_file, capsys, text, message):
     assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
-def test_a_state_graph_past_the_bound_fails_run_as_it_fails_analyze(write_file, capsys):
+@pytest.mark.parametrize("text", STATE_BOUND_FILES, ids=["34-steps", "38-steps"])
+@pytest.mark.parametrize("options", [["analyze"], ["run", "--inputs", "1", "--issue", "eager"]],
+                         ids=["analyze", "run-eager"])
+def test_a_state_graph_past_the_bound_fails_analyze_and_run(write_file, capsys, text, options):
     # Every run analyzes its route, even one whose issue needs no state graph.
-    path = write_file("big.pipe", reused_s0(38, (0, 14, 33)))
-    assert invoke(capsys, "run", path, "--inputs", "1", "--issue", "eager") == (
+    path = write_file("big.pipe", text)
+    assert invoke(capsys, options[0], path, *options[1:]) == (
         1, "", f"error: {_TOO_MANY_STATES}\n")
 
 
