@@ -163,10 +163,9 @@ class Seq(PipeExpr, Value):
         super().__init__(items)
 
 
-# The most steps a route may have.  Analysis grows about as the square of the
-# route length: a ``pipesim analyze`` of ``S1 >> S2*4095`` takes about 0.07 s,
-# and a one-input ``run`` of it about 0.1 s, start-up included (2-vCPU VM,
-# CPython 3.11).
+# The most steps a route may have: the work of parsing, elaborating and
+# analyzing a route grows with its length, the reservation table about as its
+# square.
 MAX_ROUTE_STEPS = 4096
 _TOO_LONG = f"route is more than {MAX_ROUTE_STEPS} steps long"
 

@@ -15,11 +15,11 @@ faster than it reads, forks with no join, a reactive stage on a blocking
 channel, a file that is not UTF-8, a fork at the first step, each of
 ``test_cli.MALFORMED_FILES``, a file of 4,000 input values and, last, each of
 ``test_cli.STATE_BOUND_FILES``. From that directory it runs
-``pipesim.cli.main`` in this process over each invocation below, and prints ``<digest>  <arguments>``,
-where the digest is a SHA-256 over the exit code, stdout, stderr and every
-file the invocation wrote. Paths are relative, so two runs of one checkout
-print identical lines, and a change that keeps every output byte prints the
-same lines as its parent.
+``pipesim.cli.main`` in this process over each invocation below, and prints
+``<digest>  <arguments>``, where the digest is a SHA-256 over the exit code,
+stdout, stderr and every file the invocation wrote. Paths are relative, so
+two runs of one checkout print identical lines, and a change that keeps every
+output byte prints the same lines as its parent.
 
 ``tests/cli_digests.txt`` holds the lines, and ``tests/test_cli.py`` compares
 them.  A change that means to alter output bytes records the file again::
